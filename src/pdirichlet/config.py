@@ -127,7 +127,9 @@ def validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"config key 'lambda' = {c.lam!r} rejected; the penalty weight is >= 0")
     if c.p < 1.0:
         raise _fail("p", c.p)
-    if c.subcommand in _CONTINUUM and c.p < 2.0:
+    # both continuum pipelines pin isolated points, which have zero capacity
+    # (and the energy no minimizer taking their values) unless p > d = 2
+    if c.subcommand in _CONTINUUM and c.p <= 2.0:
         raise ConfigError(
             f"config key 'p' = {c.p!r} rejected for {c.subcommand}: p > d = 2 required"
         )

@@ -394,7 +394,7 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
     start = time.perf_counter()
     reference = solve_continuum(rho)
     reference_seconds = time.perf_counter() - start
-    f_ref = reference.field.evaluate(mesh_pts)
+    f_ref = reference.field.on_mesh(config.mesh_size).ravel()  # row-major, as mesh_pts
     masked_ref = f_ref[in_region]
     denom = float(config.mesh_size) ** 2
 
@@ -425,7 +425,7 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
             t0 = time.perf_counter()
             res = solve_continuum(density)
             solve_seconds = time.perf_counter() - t0
-            l2, linf = field_error(res.field.evaluate(mesh_pts))
+            l2, linf = field_error(res.field.on_mesh(config.mesh_size).ravel())
             rows.append(
                 (
                     est,

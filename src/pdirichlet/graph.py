@@ -1,15 +1,21 @@
 """Weighted proximity graphs and constrained discrete energy minimization.
 
 The discrete route works directly on the point cloud: connect nearby points
-with kernel weights, pin the labeled ones, and descend the graph energy
+with kernel weights, pin the labeled ones, and minimize the convex graph
+energy
 
     E(f) = (1 / (eps^p n^2)) * sum_ij W_ij |f_i - f_j|^p
 
-with an accelerated projected gradient method. Every accepted step is
-required to decrease the energy (candidate steps that fail trigger a
-momentum restart and then step halving), so recorded energy traces are
-monotone by construction. For p = 2 the minimizer is also available as a
-direct sparse linear solve, which serves as an exact cross-check.
+over the other nodes. For p >= 2 `minimize_discrete` runs a damped Newton
+method: it starts from the exact p = 2 minimizer, solves each step's
+weighted-Laplacian Hessian system by Jacobi-preconditioned CG, takes an
+Armijo backtracking step, and stops on the Newton decrement, so ``tol`` is
+a relative energy-gap certificate. For 1 < p < 2 the Hessian degenerates
+where neighbouring values meet, and accelerated projected descent runs
+instead. Both accept a step only if the energy does not increase, so
+recorded energy traces are monotone by construction. For p = 2 the
+minimizer is also available as a direct sparse linear solve, which serves
+as an exact cross-check.
 """
 
 from __future__ import annotations
@@ -250,76 +256,163 @@ def _default_step(graph: WeightedGraph, p: float, label_range: float) -> float:
     return 0.9 * graph.epsilon**p * graph.n**2 / (2.0 * p * max(degree, 1e-300) * curvature)
 
 
-def minimize_discrete(
-    graph: WeightedGraph,
-    constraints: ConstraintSet,
-    p: float,
-    tol: float = 1e-8,
-    max_iter: int = 200_000,
-    method: str = "nesterov",
-    step: float | None = None,
-    strict: bool = True,
-) -> MinimizerResult:
-    """Minimize the constrained graph energy by (accelerated) projected descent.
+# Newton: PCG relative residual, PCG iteration cap per unknown, Armijo
+# sufficient-decrease fraction, and the step length at which the line
+# search gives up
+_PCG_RTOL = 1e-10
+_PCG_MAX_ITER_FACTOR = 4
+_ARMIJO = 1e-4
+_MIN_NEWTON_STEP = 2.0**-40
 
-    Starts from the mean of the constraint labels, keeps pinned nodes fixed,
-    and accepts a step only if the energy does not increase; a rejected
-    candidate first triggers a momentum restart, then step halving. The
-    iteration stops when the free-node gradient drops below ``tol`` times
-    its natural scale (the initial-bound gradient magnitude), or when the
-    remaining energy gap falls to floating-point resolution (counted as
-    converged, flagged ``stagnated`` in the result meta).
 
-    Parameters
-    ----------
-    graph : WeightedGraph
-    constraints : ConstraintSet
-    p : float
-        Energy exponent, > 1 for a usable gradient.
-    tol : float, optional
-        Relative gradient tolerance (default 1e-8).
-    max_iter : int, optional
-        Accepted-step budget (default 200000).
-    method : str, optional
-        "nesterov" (default) or "gd".
-    step : float, optional
-        Initial step size; defaults to 0.9 over the curvature bound.
-    strict : bool, optional
-        If True (default) raise ConvergenceError when the budget is
-        exhausted; otherwise return the best iterate flagged unconverged.
+class _PinnedEdges:
+    """The free part of a constrained graph energy, with each edge stored once.
 
-    Returns
-    -------
-    MinimizerResult
+    Only the connected components that carry a pin are solved: ``free`` lists
+    their unpinned nodes, and nodes of pin-free components keep their start
+    value. Edges (i < j) and the sparsity pattern of the free-node Hessian
+    are built once here, so each Newton step only refills the Hessian data.
     """
-    if p <= 1:
-        raise ValidationError(f"gradient descent needs p > 1, got p = {p}")
-    if method not in ("nesterov", "gd"):
-        raise ValidationError(f"unknown method {method!r}")
-    constraints.check_against(graph.n)
-    start = time.perf_counter()
-    pins = constraints.indices
-    f = np.full(graph.n, float(constraints.values.mean()))
-    f[pins] = constraints.values
-    label_range = float(constraints.values.max() - constraints.values.min())
-    tau = _default_step(graph, p, label_range) if step is None else float(step)
-    if tau <= 0:
-        raise ValidationError(f"step size must be positive, got {tau}")
+
+    def __init__(self, graph: WeightedGraph, constraints: ConstraintSet, p: float):
+        pins = constraints.indices
+        _, comp = sp.csgraph.connected_components(graph.weights, directed=False)
+        solved = np.isin(comp, comp[pins])
+        upper = sp.triu(graph.weights, k=1).tocoo()
+        keep = solved[upper.row]
+        self.i, self.j, self.w = upper.row[keep], upper.col[keep], upper.data[keep]
+        solved[pins] = False
+        self.free = np.flatnonzero(solved)
+        self.n, self.p = graph.n, p
+        # sum_ij counts every edge twice
+        self.scale = 2.0 * _energy_scale(graph, p)
+        nf = self.free.size
+        local = np.full(graph.n, -1)
+        local[self.free] = np.arange(nf)
+        li, lj = local[self.i], local[self.j]
+        self._both = (li >= 0) & (lj >= 0)
+        a, b = li[self._both], lj[self._both]
+        # the Hessian's entries, each once: both triangles, then the diagonal;
+        # the data records each entry's place in that list, so a refill is a
+        # single gather in CSR order
+        diag = np.arange(nf)
+        pattern = sp.csr_matrix(
+            (np.arange(1.0, 2 * a.size + nf + 1),
+             (np.concatenate([a, b, diag]), np.concatenate([b, a, diag]))),
+            shape=(nf, nf),
+        )
+        self._order = pattern.data.astype(np.int64) - 1
+        self._indices, self._indptr = pattern.indices, pattern.indptr
+
+    def energy(self, f: np.ndarray) -> float:
+        return self.scale * float(np.dot(self.w, np.abs(f[self.i] - f[self.j]) ** self.p))
+
+    def gradient(self, f: np.ndarray, p: float) -> np.ndarray:
+        """Free-node gradient of the energy with exponent ``p``, under this
+        problem's normalization (a common factor, which Newton steps cancel)."""
+        diff = f[self.i] - f[self.j]
+        contrib = self.w * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        grad = np.bincount(self.i, contrib, self.n) - np.bincount(self.j, contrib, self.n)
+        return p * self.scale * grad[self.free]
+
+    def hessian(self, f: np.ndarray, p: float, delta: float) -> sp.csr_matrix:
+        """Free-node Hessian of the exponent-``p`` energy: a weighted Laplacian
+        with edge weights scale * p (p - 1) w max(|f_i - f_j|, delta)^(p - 2)."""
+        gap = np.maximum(np.abs(f[self.i] - f[self.j]), delta)
+        curv = p * (p - 1.0) * self.scale * self.w * gap ** (p - 2.0)
+        diag = np.bincount(self.i, curv, self.n) + np.bincount(self.j, curv, self.n)
+        off = -curv[self._both]
+        data = np.concatenate([off, off, diag[self.free]])[self._order]
+        nf = self.free.size
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(nf, nf))
+
+
+def _pcg(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients for the SPD system a x = b,
+    started from 0 and stopped once |a x - b| <= _PCG_RTOL |b|. Every
+    iterate is a descent direction for the quadratic model, so a capped
+    solve still gives a usable Newton step."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    inv_diag = 1.0 / a.diagonal()
+    z = inv_diag * r
+    d = z.copy()
+    rz = float(r @ z)
+    stop = (_PCG_RTOL * float(np.linalg.norm(b))) ** 2
+    for _ in range(_PCG_MAX_ITER_FACTOR * b.size + 10):
+        if float(r @ r) <= stop:
+            break
+        ad = a @ d
+        alpha = rz / float(d @ ad)
+        x += alpha * d
+        r -= alpha * ad
+        z = inv_diag * r
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
+    return x
+
+
+def _newton(problem: _PinnedEdges, f: np.ndarray, tol: float, max_iter: int,
+            label_range: float):
+    """Damped Newton from the exact p = 2 minimizer, stopped on the decrement."""
+    free = problem.free
+    delta = np.sqrt(np.finfo(float).eps) * max(label_range, 1e-12)
+    f[free] += _pcg(problem.hessian(f, 2.0, delta), -problem.gradient(f, 2.0))
+    energy = problem.energy(f)
+    energies = [energy]
+    iterations = 0
+    while True:
+        grad = problem.gradient(f, problem.p)
+        step = _pcg(problem.hessian(f, problem.p, delta), -grad)
+        decrement = -0.5 * float(grad @ step)
+        certified = decrement <= tol * energy
+        if iterations >= max_iter:
+            reason = "converged" if certified else "budget"
+            break
+        # Armijo backtracking (lambda^2 = 2 * decrement is the decrease the
+        # model predicts at t = 1); a certified step is only tried at full
+        # length, which costs one energy evaluation and squares the gap
+        t = 1.0
+        while True:
+            cand = f.copy()
+            cand[free] += t * step
+            cand_energy = problem.energy(cand)
+            if cand_energy <= energy - _ARMIJO * t * 2.0 * decrement:
+                f, energy = cand, cand_energy
+                energies.append(energy)
+                iterations += 1
+                break
+            t /= 2.0
+            if certified or t < _MIN_NEWTON_STEP:
+                break
+        if certified:
+            reason = "converged"
+            break
+        if t < _MIN_NEWTON_STEP:
+            reason = "stalled"
+            break
+    residual = float(np.abs(problem.gradient(f, problem.p)).max()) if free.size else 0.0
+    return f, energies, iterations, residual, reason, decrement
+
+
+def _nesterov(problem: _PinnedEdges, graph: WeightedGraph, f: np.ndarray, tol: float,
+              max_iter: int, label_range: float):
+    """Accelerated projected descent with energy-decrease acceptance (1 < p < 2)."""
+    p, free = problem.p, problem.free
+    tau = _default_step(graph, p, label_range)
     grad_scale = (
         2.0 * p * _energy_scale(graph, p)
         * np.asarray(graph.weights.sum(axis=1)).ravel().max()
         * max(label_range, 1e-12) ** (p - 1.0)
     )
 
-    def free_grad(vals):
-        g = discrete_energy_gradient(graph, vals, p)
-        g[pins] = 0.0
-        return g
+    def residual_of(vals):
+        g = problem.gradient(vals, p)
+        return float(np.abs(g).max()) if g.size else 0.0
 
-    energy = discrete_energy(graph, f, p)
+    energy = problem.energy(f)
     energies = [energy]
-    g_f = free_grad(f)
-    residual = float(np.abs(g_f).max())
+    residual = residual_of(f)
     y = f.copy()
     iterations = 0
     converged = residual <= tol * grad_scale
@@ -327,13 +420,12 @@ def minimize_discrete(
     while not converged and not stagnated and iterations < max_iter:
         accepted = False
         while not accepted and not stagnated:
-            g_y = free_grad(y) if method == "nesterov" else g_f
-            cand = (y if method == "nesterov" else f) - tau * g_y
-            cand[pins] = constraints.values
-            cand_energy = discrete_energy(graph, cand, p)
+            cand = y.copy()
+            cand[free] -= tau * problem.gradient(y, p)
+            cand_energy = problem.energy(cand)
             if cand_energy <= energy:
                 accepted = True
-            elif method == "nesterov" and not np.array_equal(y, f):
+            elif not np.array_equal(y, f):
                 y = f.copy()  # restart momentum, retry from the accepted iterate
             elif cand_energy - energy <= 16.0 * np.finfo(float).eps * max(abs(energy), 1e-300):
                 # descent is blocked by roundoff only: converged to precision
@@ -349,28 +441,102 @@ def minimize_discrete(
         energy = cand_energy
         energies.append(energy)
         iterations += 1
-        if method == "nesterov":
-            momentum = iterations / (iterations + 3.0)
-            y = f + momentum * (f - prev)
-        g_f = free_grad(f)
-        residual = float(np.abs(g_f).max())
+        y = f + iterations / (iterations + 3.0) * (f - prev)
+        residual = residual_of(f)
         converged = residual <= tol * grad_scale
-    if stagnated:
-        converged = True
+    reason = "stalled" if stagnated else "converged" if converged else "budget"
+    return f, energies, iterations, residual, reason, float("nan")
+
+
+def minimize_discrete(
+    graph: WeightedGraph,
+    constraints: ConstraintSet,
+    p: float,
+    tol: float = 1e-8,
+    max_iter: int = 200_000,
+    strict: bool = True,
+) -> MinimizerResult:
+    """Minimize the graph energy with the constrained nodes held fixed.
+
+    Only the connected components that carry a pin are solved; every other
+    node (pin-free components, isolated nodes) keeps the constraint mean.
+
+    For p >= 2 the solver is a damped Newton method. It starts from the
+    exact p = 2 minimizer (one Newton step of the p = 2 energy from the
+    constraint-mean field). Each step solves the weighted-Laplacian Hessian
+    system, with edge curvature floored at a gap of sqrt(machine eps) times
+    the label range, by Jacobi-preconditioned CG and takes an Armijo
+    backtracking step. It stops when the Newton decrement lambda^2 / 2 =
+    -g.d / 2, an estimate of the remaining energy gap E - E_min, drops to
+    ``tol * E``; ``tol`` is thus a relative energy-gap certificate. The
+    certified step is still taken at full length when it lowers the energy
+    (one energy evaluation, and the gap is about squared). A line search
+    that cannot lower the energy ends the run unconverged ("stalled").
+
+    For 1 < p < 2 the Hessian degenerates, and accelerated projected descent
+    runs instead: a step is accepted only if the energy does not increase
+    (a rejected candidate first restarts the momentum, then halves the
+    step), and the run stops when the free-node gradient drops below ``tol``
+    times its natural scale, or when descent is blocked by roundoff alone
+    (stop reason "stalled", counted as converged).
+
+    Parameters
+    ----------
+    graph : WeightedGraph
+    constraints : ConstraintSet
+    p : float
+        Energy exponent, > 1.
+    tol : float, optional
+        Relative energy-gap tolerance for p >= 2, relative gradient
+        tolerance for p < 2 (default 1e-8).
+    max_iter : int, optional
+        Accepted-step budget (default 200000).
+    strict : bool, optional
+        If True (default) raise ConvergenceError when the run ends
+        unconverged; otherwise return the last iterate flagged unconverged.
+
+    Returns
+    -------
+    MinimizerResult
+        ``meta["stop_reason"]`` is "converged", "budget" or "stalled", and
+        ``meta["decrement"]`` the lambda^2 / 2 of the last Newton system
+        solved (NaN for p < 2).
+    """
+    if p <= 1:
+        raise ValidationError(f"the discrete minimizer needs p > 1, got p = {p}")
+    constraints.check_against(graph.n)
+    start = time.perf_counter()
+    problem = _PinnedEdges(graph, constraints, p)
+    f = np.full(graph.n, float(constraints.values.mean()))
+    f[constraints.indices] = constraints.values
+    label_range = float(constraints.values.max() - constraints.values.min())
+    if p >= 2.0:
+        method = "newton"
+        f, energies, iterations, residual, reason, decrement = _newton(
+            problem, f, tol, max_iter, label_range
+        )
+        converged = reason == "converged"
+    else:
+        method = "nesterov"
+        f, energies, iterations, residual, reason, decrement = _nesterov(
+            problem, graph, f, tol, max_iter, label_range
+        )
+        converged = reason != "budget"
     if not converged and strict:
         raise ConvergenceError(
-            f"discrete minimizer: residual {residual:.3e} above tolerance after {max_iter} steps"
+            f"discrete minimizer ({method}) stopped unconverged ({reason}) after "
+            f"{iterations} steps: residual {residual:.3e}"
         )
     return MinimizerResult(
         values=f,
-        energy=energy,
+        energy=energies[-1],
         energies=np.asarray(energies),
         iterations=iterations,
         residual=residual,
         converged=converged,
         wall_time=time.perf_counter() - start,
         method=method,
-        meta={"p": p, "tau": tau, "stagnated": stagnated},
+        meta={"p": p, "stop_reason": reason, "decrement": decrement},
     )
 
 

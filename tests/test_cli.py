@@ -84,6 +84,7 @@ def test_study_rejects_indivisible_n(tmp_path):
 
 def test_exit_codes_by_category(tmp_path):
     assert run(["solve-continuum", "--p", "1.5", "--out", str(tmp_path)]) == 2
+    assert run(["solve-continuum", "--p", "2", "--out", str(tmp_path)]) == 2
     assert run(["sample", "--n", "-2", "--out", str(tmp_path)]) == 2
 
 

@@ -58,9 +58,10 @@ def test_continuum_rejects_p_below_two():
     # the graph route accepts any p >= 1
     c = parse_config_text("p=1.5\n", subcommand="solve-discrete")
     assert c.p == 1.5
-    # p = 2 itself stays callable on the continuum route
-    c = parse_config_text("p=2\n", subcommand="solve-continuum")
-    assert c.p == 2.0
+    # p = d = 2 is rejected too: the continuum pipelines pin isolated points
+    for sub in ("solve-continuum", "study-minimizers"):
+        with pytest.raises(ConfigError, match="p > d = 2 required"):
+            parse_config_text("p=2\n", subcommand=sub)
 
 
 def test_negative_penalty_weight_rejected():

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import minimize
 
 from pdirichlet.errors import ConstraintError, ConvergenceError, ValidationError
 from pdirichlet.graph import (
@@ -97,11 +101,9 @@ def test_descent_matches_direct_solver_p2():
     assert g.is_connected()
     cons = ConstraintSet(indices=[0, 1, 2], values=[0.0, 1.0, 0.5])
     direct = solve_p2_direct(g, cons)
-    for method in ("nesterov", "gd"):
-        res = minimize_discrete(g, cons, p=2.0, tol=1e-12, max_iter=100_000, method=method)
-        assert res.converged
-        # energy-comparison descent resolves the argument to ~sqrt(eps)
-        np.testing.assert_allclose(res.values, direct.values, atol=1e-7)
+    res = minimize_discrete(g, cons, p=2.0, tol=1e-12, max_iter=100_000)
+    assert res.converged
+    np.testing.assert_allclose(res.values, direct.values, atol=1e-7)
 
 
 def test_single_free_node_p3_midpoint():
@@ -139,11 +141,58 @@ def test_budget_exhaustion_raises_then_flags():
     pts = rng.random((150, 2))
     g = build_epsilon_graph(pts, epsilon=0.2)
     cons = ConstraintSet(indices=[0, 1], values=[0.0, 1.0])
+    # at p = 2 the start is already the minimizer, so the budget binds at p = 3
     with pytest.raises(ConvergenceError):
-        minimize_discrete(g, cons, p=2.0, tol=1e-12, max_iter=3)
-    res = minimize_discrete(g, cons, p=2.0, tol=1e-12, max_iter=3, strict=False)
+        minimize_discrete(g, cons, p=3.0, tol=1e-12, max_iter=1)
+    res = minimize_discrete(g, cons, p=3.0, tol=1e-12, max_iter=1, strict=False)
     assert not res.converged
-    assert res.iterations == 3
+    assert res.iterations == 1
+    assert res.meta["stop_reason"] == "budget"
+    assert res.meta["decrement"] > 1e-12 * res.energy
+
+
+def test_newton_reaches_lbfgs_minimum_p3():
+    rng = np.random.default_rng(23)
+    pts = rng.random((150, 2))
+    g = build_epsilon_graph(pts, epsilon=0.2)
+    cons = ConstraintSet(indices=[3, 40, 77, 120], values=[0.0, 1.0, 0.3, -0.5])
+    res = minimize_discrete(g, cons, p=3.0, tol=1e-12)
+    assert res.method == "newton"
+    assert res.meta["stop_reason"] == "converged"
+    assert res.meta["decrement"] <= 1e-12 * res.energy
+    free = np.setdiff1d(np.arange(g.n), cons.indices)
+    base = np.full(g.n, cons.values.mean())
+    base[cons.indices] = cons.values
+
+    def energy_and_gradient(x):
+        f = base.copy()
+        f[free] = x
+        return discrete_energy(g, f, 3.0), discrete_energy_gradient(g, f, 3.0)[free]
+
+    ref = minimize(energy_and_gradient, base[free], jac=True, method="L-BFGS-B",
+                   options={"maxiter": 100_000, "ftol": 1e-15, "gtol": 1e-14})
+    assert discrete_energy(g, res.values, 3.0) <= ref.fun * (1.0 + 1e-10)
+    assert res.energy == pytest.approx(discrete_energy(g, res.values, 3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pin_free_component_and_isolated_node_keep_the_mean(p):
+    rng = np.random.default_rng(3)
+    pinned_part = 0.3 * rng.random((40, 2))
+    pin_free_part = 0.3 * rng.random((15, 2)) + 0.6
+    isolated = np.array([[0.95, 0.05]])
+    g = build_epsilon_graph(np.vstack([pinned_part, pin_free_part, isolated]), epsilon=0.12)
+    _, comp = sp.csgraph.connected_components(g.weights, directed=False)
+    assert comp[0] != comp[40] and np.unique(comp[:40]).size == 1
+    assert np.unique(comp[40:55]).size == 1 and np.sum(comp == comp[55]) == 1
+    cons = ConstraintSet(indices=[0, 7, 19], values=[0.0, 1.0, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # MatrixRankWarning, division by zero, ...
+        res = minimize_discrete(g, cons, p=p, tol=1e-10)
+    assert res.converged
+    assert np.all(np.isfinite(res.values))
+    np.testing.assert_array_equal(res.values[40:], np.full(16, cons.values.mean()))
+    np.testing.assert_array_equal(res.values[cons.indices], cons.values)
 
 
 def test_validation_and_constraint_errors():
