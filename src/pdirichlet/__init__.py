@@ -1,10 +1,11 @@
 """Constrained p-Dirichlet energy minimization on 2D point clouds.
 
 Tools for extending a handful of labeled points to a full labeling: discrete
-graph energies with gradient-based minimizers, their local and nonlocal
-continuum counterparts solved by Chebyshev collocation on patched domains,
-density estimation (KDE and spline-smoothed KDE) feeding the continuum
-weights, and reproducible error/timing studies comparing the routes.
+graph energies with Newton and accelerated-descent minimizers, their local
+and nonlocal continuum counterparts discretized by Chebyshev spectral
+elements on patched domains, density estimation (KDE and spline-smoothed
+KDE) feeding the continuum weights, and reproducible error/timing studies
+comparing the routes.
 """
 
 from .chebyshev import (
@@ -18,14 +19,12 @@ from .chebyshev import (
 )
 from .continuum import (
     ContinuumProblem,
-    FlowState,
     PatchedField,
     evaluate_on_mesh,
-    gradient_flow_rhs,
     local_energy,
+    local_energy_gradient,
     minimize_continuum,
     nonlocal_energy,
-    semi_implicit_step,
 )
 from .density import (
     DensityField,
@@ -55,7 +54,7 @@ from .graph import (
     minimize_discrete,
     solve_p2_direct,
 )
-from .patches import NodeGroup, Patch, PatchedDomain, build_patches
+from .patches import Patch, PatchedDomain, build_patches
 from .csvio import Table, read_csv, write_csv
 from .config import RunConfig, config_hash, config_text, parse_config
 from .experiments import (

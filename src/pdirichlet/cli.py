@@ -64,8 +64,7 @@ _FLAG_KEYS = (
     ("--p", "p", "energy exponent"),
     ("--epsilon", "epsilon", "graph connection radius (excludes --k)"),
     ("--k", "k", "neighbor count for a kNN graph (excludes --epsilon)"),
-    ("--beta", "beta", "boundary relaxation weight of the continuum solver"),
-    ("--tol", "tol", "solver stationarity tolerance"),
+    ("--tol", "tol", "solver tolerance (relative energy gap for the Newton solvers)"),
     ("--seed", "seed", "RNG seed (studies use seed..seed+4)"),
     ("--out", "out", "output directory"),
     ("--mesh", "mesh", "evaluation mesh size per dimension"),
@@ -243,9 +242,9 @@ def _cmd_solve_continuum(config: RunConfig) -> None:
         tiles=(3, 3),
         label_fn=label_value,
     )
-    problem = ContinuumProblem(domain=domain, density=spline, p=config.p, beta=config.beta)
+    problem = ContinuumProblem(domain=domain, density=spline, p=config.p)
     start = time.perf_counter()
-    result = minimize_continuum(problem, tau=1.0e6, tol=config.tol)
+    result = minimize_continuum(problem, tol=config.tol)
     _stage(
         "solve",
         f"p={config.p:g} converged={result.converged} iterations={result.iterations} "

@@ -35,7 +35,7 @@ class RunConfig:
     """Validated settings for one CLI run.
 
     Defaults follow the reference parameter set: p = 3, h = 0.01, T = 2^12
-    spline knots, lambda = 1e-6, beta = 0.01, tol = 1e-5, and 100 collocation
+    spline knots, lambda = 1e-6, tol = 1e-5, and 100 collocation
     points per patch (10 per dimension). `epsilon` and `k` are the two
     mutually exclusive graph-scale choices; leaving both unset picks the
     sample-count-based scale at run time.
@@ -50,7 +50,6 @@ class RunConfig:
     p: float = 3.0
     epsilon: float | None = None
     k: int | None = None
-    beta: float = 0.01
     tol: float = 1.0e-5
     seed: int = 1
     out: str = "."
@@ -70,7 +69,6 @@ _KEYS = {
     "p": ("p", float, "real >= 1 (> 2 for the continuum solver)"),
     "epsilon": ("epsilon", float, "real > 0"),
     "k": ("k", int, "integer >= 1"),
-    "beta": ("beta", float, "real >= 0"),
     "tol": ("tol", float, "real > 0"),
     "seed": ("seed", int, "integer >= 0"),
     "out": ("out", str, "output directory"),
@@ -139,8 +137,6 @@ def validate(config: RunConfig) -> RunConfig:
         raise _fail("k", c.k)
     if c.epsilon is not None and c.k is not None:
         raise ConfigError("config keys 'epsilon' and 'k' are mutually exclusive; set one")
-    if c.beta < 0.0:
-        raise _fail("beta", c.beta)
     if not (c.tol > 0.0):
         raise _fail("tol", c.tol)
     if c.seed < 0:

@@ -1,12 +1,19 @@
 """Constrained continuum p-Dirichlet minimization on patched spectral grids.
 
 The weighted energy  sigma * integral over the unit square of
-|grad u|^p rho(x)^2 dx  is minimized subject to pointwise constraints by a
-semi-implicit gradient flow: the nonlinear coefficient
-q = rho^2 (|grad u|^2 + delta^2)^((p-2)/2) is frozen at the current iterate
-and the resulting linear system for the next iterate is solved directly.
-Patch interfaces are handled algebraically inside the same system (value
-continuity plus flux matching), so every step is one sparse factorization.
+|grad u|^p rho(x)^2 dx  is discretized in Ritz (spectral-element) form: the
+field is a polynomial on each patch, continuous across patches because all
+copies of a geometric node share one unknown, and the integral is the
+Clenshaw-Curtis sum over every node copy of the per-patch spectral
+gradients,
+
+    E(v) = sum_k sigma w_k rho_k^2 |grad u_k|^p,   u = Q v.
+
+Pins fix geometric-node values, so continuity, flux balance across
+interfaces and the natural boundary condition need no equations of their
+own. The energy is convex in v, and `minimize_continuum` minimizes it by
+damped Newton with sparse direct solves, on the same Newton iteration as
+the discrete route.
 
 The module also evaluates the nonlocal relative of the energy,
 eps^-p * double integral of eta_eps(|x-z|) |u(x)-u(z)|^p rho(x) rho(z),
@@ -17,500 +24,209 @@ ever evaluated, never minimized.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .chebyshev import _barycentric_weights
 from .density import DensityField, sigma_eta, uniform_mesh
 from .errors import SingularSystemError, ValidationError
-from .graph import MinimizerResult
+from .graph import MinimizerResult, _newton
 from .patches import PatchedDomain
 
 __all__ = [
     "ContinuumProblem",
-    "FlowState",
     "PatchedField",
     "local_energy",
+    "local_energy_gradient",
     "nonlocal_energy",
-    "gradient_flow_rhs",
-    "semi_implicit_step",
     "minimize_continuum",
     "evaluate_on_mesh",
 ]
 
-_STAG_SLACK = 16.0
-_LS_MAX = 40
-_PLATEAU_WINDOW = 40
 _NONLOCAL_MAX_CELLS = 3200
 
 
 @dataclass
 class ContinuumProblem:
-    """Patched domain, weight density, and flow parameters bundled together.
+    """Patched domain, weight density and energy exponent bundled together.
 
     ``sigma`` defaults to the kernel surface moment for the indicator kernel
     at the given ``p``; it scales reported energies but not the minimizer.
-    ``beta`` weighs the divergence relaxation on outer-boundary rows and
-    ``delta`` regularizes the gradient magnitude away from zero.
+    ``delta``, relative to the label range, floors the gradient magnitude in
+    the Newton Hessian weights, which vanish where grad u = 0 for p > 2.
     """
 
     domain: PatchedDomain
     density: DensityField
     p: float
-    beta: float = 0.01
     sigma: float | None = None
     delta: float = 1.0e-8
 
     def __post_init__(self) -> None:
-        if self.p <= 1.0:
-            raise ValidationError(f"p must exceed 1, got {self.p}")
-        if self.beta < 0.0:
-            raise ValidationError(f"beta must be nonnegative, got {self.beta}")
-        if self.delta < 0.0:
-            raise ValidationError(f"delta must be nonnegative, got {self.delta}")
+        if self.p < 2.0:
+            raise ValidationError(f"the continuum solver needs p >= 2, got {self.p}")
+        if not self.delta > 0.0:
+            raise ValidationError(f"delta must be positive, got {self.delta}")
         if self.sigma is None:
             self.sigma = sigma_eta(self.p, "indicator")
         rho = self.density.value_at(self.domain.points)
         if not np.all(rho > 0.0):
             raise ValidationError("density is not strictly positive on the grid")
-        self._rho_sq = rho * rho
-        self._assembler = None
+        # energy weight sigma * w * rho^2 of every node copy
+        self._weight = self.sigma * self.domain.quad_weights * rho * rho
 
     @property
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pinned node coordinates and labels, one row per pinned group."""
-        pins = self.domain.pinned
-        coords = np.array([g.coord for g in pins], dtype=float)
-        labels = np.array([g.label for g in pins], dtype=float)
-        return coords, labels
-
-    def assembler(self) -> "_Assembler":
-        if self._assembler is None:
-            self._assembler = _Assembler(self)
-        return self._assembler
+        """Pinned node coordinates and labels, one row per pinned node."""
+        dom = self.domain
+        return dom.node_points[dom.pin_nodes], dom.pin_values
 
 
-@dataclass
-class FlowState:
-    """One snapshot of the gradient flow."""
-
-    u: np.ndarray
-    time: float = 0.0
-    algebraic_residual: float = 0.0
-
-
-class _Assembler:
-    """Static row bookkeeping for the semi-implicit linear systems.
-
-    Row layout (one row per node copy): pinned copies get identity rows;
-    secondary copies of shared nodes get continuity rows; two-copy interface
-    owners get the algebraic flux-matching row; every remaining owner gets a
-    time-differential row (interior divergence, outer-boundary flux plus
-    beta-divergence, or the member average of those for shared nodes).
-    """
-
-    def __init__(self, problem: ContinuumProblem):
-        dom = problem.domain
-        self.problem = problem
-        n = dom.n_nodes
-        self.n = n
-        self.dx = sp.block_diag([p.diff_x for p in dom.patches], format="csr")
-        self.dy = sp.block_diag([p.diff_y for p in dom.patches], format="csr")
-        self.quad_w = np.concatenate([p.quad_weights for p in dom.patches])
-        self.rho_sq = problem._rho_sq
-
-        pin_rows, pin_vals = [], []
-        cont_rows = []  # (secondary, owner)
-        int_rows, int_cols, int_w = [], [], []
-        bnd_rows, bnd_cols, bnd_w = [], [], []
-        flux_rows, flux_cols = [], []
-        self.ax = np.zeros(n)
-        self.ay = np.zeros(n)
-        self.nbx = np.zeros(n)
-        self.nby = np.zeros(n)
-        diff_owner = np.zeros(n, dtype=bool)
-
-        for group in dom.groups:
-            idx = [dom.unknown_index(pi, li) for pi, li in group.members]
-            kind = group.kind
-            if kind == "pinned":
-                pin_rows.extend(idx)
-                pin_vals.extend([group.label] * len(idx))
-                continue
-            if kind in ("interior", "corner"):
-                g = idx[0]
-                int_rows.append(g)
-                int_cols.append(g)
-                int_w.append(1.0)
-                diff_owner[g] = True
-            elif kind == "boundary":
-                g = idx[0]
-                bnd_rows.append(g)
-                bnd_cols.append(g)
-                bnd_w.append(1.0)
-                self.nbx[g], self.nby[g] = group.normal
-                diff_owner[g] = True
-            elif kind == "iface":
-                m0, m1 = idx
-                nx, ny = group.normal
-                self.ax[m0], self.ay[m0] = nx, ny
-                self.ax[m1], self.ay[m1] = -nx, -ny
-                flux_rows.extend([m0, m0])
-                flux_cols.extend([m0, m1])
-                cont_rows.append((m1, m0))
-            elif kind == "iface-boundary":
-                m0, m1 = idx
-                nx, ny = group.normal
-                for m in idx:
-                    self.nbx[m], self.nby[m] = nx, ny
-                bnd_rows.extend([m0, m0])
-                bnd_cols.extend([m0, m1])
-                bnd_w.extend([0.5, 0.5])
-                cont_rows.append((m1, m0))
-                diff_owner[m0] = True
-            elif kind == "cross":
-                m0 = idx[0]
-                for m in idx:
-                    int_rows.append(m0)
-                    int_cols.append(m)
-                    int_w.append(1.0 / len(idx))
-                for m in idx[1:]:
-                    cont_rows.append((m, m0))
-                diff_owner[m0] = True
-            else:
-                raise ValidationError(f"unknown node group kind {kind!r}")
-
-        shape = (n, n)
-        self.p_int = sp.csr_matrix((int_w, (int_rows, int_cols)), shape=shape)
-        self.p_bnd = sp.csr_matrix((bnd_w, (bnd_rows, bnd_cols)), shape=shape)
-        self.p_flux = sp.csr_matrix(
-            (np.ones(len(flux_rows)), (flux_rows, flux_cols)), shape=shape
-        )
-        self.diff_owner = diff_owner
-        self.pin_rows = np.asarray(pin_rows, dtype=int)
-        self.pin_vals = np.asarray(pin_vals, dtype=float)
-
-        rows = list(self.pin_rows) + [r for r, _ in cont_rows] * 2
-        cols = list(self.pin_rows) + [r for r, _ in cont_rows] + [o for _, o in cont_rows]
-        vals = [1.0] * len(self.pin_rows) + [1.0] * len(cont_rows) + [-1.0] * len(cont_rows)
-        own = np.where(diff_owner)[0]
-        rows += list(own)
-        cols += list(own)
-        vals += [1.0] * len(own)
-        self.a_static = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-
-        self.alg_rows = np.concatenate(
-            [
-                self.pin_rows,
-                np.array([r for r, _ in cont_rows], dtype=int),
-                np.array(sorted(set(flux_rows)), dtype=int),
-            ]
-        ).astype(int)
-        self.b_static = np.zeros(n)
-        self.b_static[self.pin_rows] = self.pin_vals
-        self._lu_cache: tuple[float, object, np.ndarray, sp.csr_matrix] | None = None
-
-    # -- nonlinear coefficient ------------------------------------------------
-
-    def gradients(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.dx @ u, self.dy @ u
-
-    def coefficient(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        prob = self.problem
-        mag = gx * gx + gy * gy + prob.delta**2
-        return self.rho_sq * mag ** ((prob.p - 2.0) / 2.0)
-
-    # -- operators ------------------------------------------------------------
-
-    def divergence_matrix(self, q: np.ndarray) -> sp.csr_matrix:
-        dq = sp.diags(q)
-        return self.dx @ dq @ self.dx + self.dy @ dq @ self.dy
-
-    def boundary_matrix(self, q: np.ndarray, lq: sp.csr_matrix) -> sp.csr_matrix:
-        flux = sp.diags(q * self.nbx) @ self.dx + sp.diags(q * self.nby) @ self.dy
-        return -flux + self.problem.beta * lq
-
-    def flux_matrix(self, q: np.ndarray) -> sp.csr_matrix:
-        return sp.diags(q * self.ax) @ self.dx + sp.diags(q * self.ay) @ self.dy
-
-    def system(self, u: np.ndarray, tau: float) -> tuple[sp.csr_matrix, np.ndarray]:
-        gx, gy = self.gradients(u)
-        q = self.coefficient(gx, gy)
-        lq = self.divergence_matrix(q)
-        mat = (
-            self.a_static
-            + self.p_flux @ self.flux_matrix(q)
-            - tau * (self.p_int @ lq + self.p_bnd @ self.boundary_matrix(q, lq))
-        )
-        b = self.b_static.copy()
-        b[self.diff_owner] = u[self.diff_owner]
-        return mat.tocsc(), b
-
-    def rhs(self, u: np.ndarray) -> np.ndarray:
-        gx, gy = self.gradients(u)
-        q = self.coefficient(gx, gy)
-        div = self.dx @ (q * gx) + self.dy @ (q * gy)
-        bexpr = -q * (self.nbx * gx + self.nby * gy) + self.problem.beta * div
-        return self.p_int @ div + self.p_bnd @ bexpr
-
-    def energy(self, u: np.ndarray) -> float:
-        gx, gy = self.gradients(u)
-        mag = (gx * gx + gy * gy) ** (self.problem.p / 2.0)
-        return float(self.problem.sigma * np.dot(self.quad_w, mag * self.rho_sq))
-
-    def scaled_residual(self, u: np.ndarray) -> float:
-        """Stationarity measure: flow velocity relative to row magnitude.
-
-        Spectral derivative rows carry operator norms that grow like the
-        fourth power of the per-patch order, so the raw velocity mixes
-        wildly different units across rows; normalizing each row by the
-        linearized operator's row magnitude makes the tolerance mean "field
-        units of displacement" uniformly.
-        """
-        r = self.rhs(u)
-        gx, gy = self.gradients(u)
-        q = self.coefficient(gx, gy)
-        lq = self.divergence_matrix(q)
-        jac = self.p_int @ lq + self.p_bnd @ self.boundary_matrix(q, lq)
-        scale = np.maximum(abs(jac).max(axis=1).toarray().ravel(), 1.0)
-        return float(np.max(np.abs(r) / scale))
-
-    def step(self, u: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
-        # for p = 2 the frozen coefficient is state-independent, so the
-        # factorization can be reused as long as tau does not change
-        linear_q = self.problem.p == 2.0
-        lu = scale = alg_mat = None
-        if linear_q and self._lu_cache is not None and self._lu_cache[0] == tau:
-            _, lu, scale, alg_mat = self._lu_cache
-        if lu is None:
-            mat, b = self.system(u, tau)
-            # identity rows have magnitude 1 while differential rows scale
-            # with tau times the spectral operator; equilibrate so the direct
-            # solve is accurate across that spread
-            mat = mat.tocsr()
-            alg_mat = mat[self.alg_rows]
-            scale = 1.0 / np.maximum(abs(mat).max(axis=1).toarray().ravel(), 1.0e-300)
-            try:
-                lu = splu((sp.diags(scale) @ mat).tocsc())
-            except RuntimeError as exc:
-                raise SingularSystemError(f"semi-implicit system is singular: {exc}") from exc
-            if linear_q:
-                self._lu_cache = (tau, lu, scale, alg_mat)
-        else:
-            b = self.b_static.copy()
-            b[self.diff_owner] = u[self.diff_owner]
-        new = lu.solve(scale * b)
-        if not np.all(np.isfinite(new)):
-            raise SingularSystemError("semi-implicit solve produced non-finite values")
-        # constraint, continuity, and flux rows of the system just solved;
-        # their right-hand sides are static (labels and zeros)
-        if self.alg_rows.size:
-            residual = float(np.max(np.abs(alg_mat @ new - self.b_static[self.alg_rows])))
-        else:
-            residual = 0.0
-        return new, residual
-
-    def initial_tau(self, u: np.ndarray) -> float:
-        gx, gy = self.gradients(u)
-        q = self.coefficient(gx, gy)
-        lq = self.divergence_matrix(q)
-        jac = self.p_int @ lq + self.p_bnd @ self.boundary_matrix(q, lq)
-        norm = float(abs(jac).sum(axis=1).max())
-        if norm <= 0.0:
-            return 1.0
-        return 0.5 / norm
-
-
-def local_energy(u: np.ndarray, problem: ContinuumProblem) -> float:
-    """Weighted p-Dirichlet energy of a node-value field.
-
-    Spectral gradients per patch, Clenshaw-Curtis quadrature, no gradient
-    regularization (the reported value is the energy itself).
-    """
+def _copy_values(u: np.ndarray, problem: ContinuumProblem) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (problem.domain.n_nodes,):
         raise ValidationError(
             f"field has shape {u.shape}, expected ({problem.domain.n_nodes},)"
         )
-    return problem.assembler().energy(u)
-
-
-def gradient_flow_rhs(state: FlowState, problem: ContinuumProblem) -> np.ndarray:
-    """Flow velocity per node: divergence form inside, flux form on the edge.
-
-    Constraint copies and algebraically coupled interface copies report 0;
-    shared differential nodes carry the member-averaged expression on their
-    first copy.
-    """
-    return problem.assembler().rhs(np.asarray(state.u, dtype=float))
-
-
-def semi_implicit_step(state: FlowState, problem: ContinuumProblem, tau: float) -> FlowState:
-    """Advance the flow one step of size ``tau``.
-
-    The gradient magnitude coefficient is frozen at the current state, so the
-    update is one sparse direct solve that simultaneously enforces the
-    constraint, continuity, and flux-matching rows.
-    """
-    if tau <= 0.0:
-        raise ValidationError(f"step size must be positive, got {tau}")
-    asm = problem.assembler()
-    new, residual = asm.step(np.asarray(state.u, dtype=float), tau)
-    if residual > 1.0e-8:
-        raise SingularSystemError(
-            f"algebraic interface residual {residual:.3e} exceeds 1e-8 after the step"
-        )
-    return FlowState(u=new, time=state.time + tau, algebraic_residual=residual)
-
-
-def _initial_field(problem: ContinuumProblem, init) -> np.ndarray:
-    dom = problem.domain
-    if isinstance(init, np.ndarray):
-        if init.shape != (dom.n_nodes,):
-            raise ValidationError("initial field has the wrong shape")
-        return init.astype(float).copy()
-    coords, labels = problem.constraints
-    if init == "mean":
-        u = np.full(dom.n_nodes, float(labels.mean()))
-    elif init == "rbf":
-        u = _rbf_seed(dom, coords, labels)
-    else:
-        raise ValidationError(f"unknown initialization {init!r}")
-    for group in dom.pinned:
-        for pi, li in group.members:
-            u[dom.unknown_index(pi, li)] = group.label
     return u
 
 
-def _rbf_seed(dom: PatchedDomain, coords: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    if coords.shape[0] < 3 or np.ptp(labels) == 0.0:
-        return np.full(dom.n_nodes, float(labels.mean()))
-    from scipy.interpolate import RBFInterpolator
+def local_energy(u: np.ndarray, problem: ContinuumProblem) -> float:
+    """Weighted p-Dirichlet energy of a field given by its node-copy values.
 
+    Spectral gradients per patch, Clenshaw-Curtis quadrature, no gradient
+    regularization (the reported value is the energy itself).
+    """
+    u = _copy_values(u, problem)
+    dom = problem.domain
+    gx, gy = dom.diff_x @ u, dom.diff_y @ u
+    return float(problem._weight @ (gx * gx + gy * gy) ** (problem.p / 2.0))
+
+
+def _copy_gradient(u: np.ndarray, problem: ContinuumProblem, p: float) -> np.ndarray:
+    # gradient of the exponent-p energy with this problem's weights
+    dom = problem.domain
+    gx, gy = dom.diff_x @ u, dom.diff_y @ u
+    q = p * problem._weight * (gx * gx + gy * gy) ** ((p - 2.0) / 2.0)
+    return dom.diff_x.T @ (q * gx) + dom.diff_y.T @ (q * gy)
+
+
+def local_energy_gradient(u: np.ndarray, problem: ContinuumProblem) -> np.ndarray:
+    """Gradient of `local_energy` with respect to the node-copy values.
+
+    The gradient with respect to a geometric node's value is the sum over
+    its copies.
+    """
+    return _copy_gradient(_copy_values(u, problem), problem, problem.p)
+
+
+class _RitzEnergy:
+    """The quadrature energy as a function of the geometric-node values,
+    with gradient and Hessian over the free (unpinned) nodes, in the form
+    the shared Newton iteration (`graph._newton`) takes."""
+
+    def __init__(self, problem: ContinuumProblem):
+        self.p = problem.p
+        self.free = problem.domain.free_nodes
+        self._problem = problem
+        self._dom = problem.domain
+
+    def energy(self, v: np.ndarray) -> float:
+        return local_energy(v[self._dom.node_of], self._problem)
+
+    def gradient(self, v: np.ndarray, p: float) -> np.ndarray:
+        node_of = self._dom.node_of
+        per_copy = _copy_gradient(v[node_of], self._problem, p)
+        return np.bincount(node_of, per_copy, v.size)[self.free]
+
+    def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
+        """G^T M G with G the free-node gradient operator and M holding, per
+        copy, the 2x2 Hessian a I + b g g^T of weight * |g|^p with |g|
+        floored at ``delta``: a = p weight |g|^(p-2) and b = (p - 2) a / |g|^2.
+        For p > 2 the g g^T part couples every pair of nodes of a patch."""
+        dom = self._dom
+        u = v[dom.node_of]
+        gx, gy = dom.diff_x @ u, dom.diff_y @ u
+        sq = np.maximum(gx * gx + gy * gy, delta * delta)
+        a = p * self._problem._weight * sq ** ((p - 2.0) / 2.0)
+        if p == 2.0:
+            m = sp.diags(np.concatenate([a, a]))
+        else:
+            b = (p - 2.0) * a / sq
+            bxy = sp.diags(b * gx * gy)
+            m = sp.bmat(
+                [[sp.diags(a + b * gx * gx), bxy], [bxy, sp.diags(a + b * gy * gy)]],
+                format="csr",
+            )
+        return dom.grad.T @ (m @ dom.grad)
+
+
+def _factor_solve(h: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve one SPD Newton system by sparse LU with a symmetric ordering."""
     try:
-        interp = RBFInterpolator(coords, labels, kernel="thin_plate_spline")
-        u = interp(dom.points)
-    except np.linalg.LinAlgError:
-        return np.full(dom.n_nodes, float(labels.mean()))
-    return np.clip(u, labels.min(), labels.max())
+        lu = splu(h, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SingularSystemError(f"Newton system is singular: {exc}") from exc
+    return lu.solve(rhs)
 
 
 def minimize_continuum(
     problem: ContinuumProblem,
-    tau: float | None = None,
     tol: float = 1.0e-5,
-    max_iter: int = 400,
-    init="rbf",
-    tau_max: float = 1.0e6,
+    max_iter: int = 100,
 ) -> MinimizerResult:
-    """Run the semi-implicit flow until the stationarity residual is small.
+    """Minimize the quadrature energy over the free node values by damped Newton.
 
-    Convergence is declared when the max norm of `gradient_flow_rhs`,
-    normalized per row by the linearized operator's row magnitude so the
-    tolerance reads in field units, drops to ``tol``. A step whose full
-    update would raise the energy is shortened by
-    halving along its own direction first (the system is solved once per
-    direction, so backtracking is cheap); only when no fraction of the update
-    descends is the step size itself halved for a fresh direction. Accepted
-    full steps grow the step geometrically up to ``tau_max``. ``tau`` defaults
-    to a conservative bound from the row sums of the linearized operator at
-    the initial field. Exhausting ``max_iter``, stalling at the energy floor
-    of the discretization, or plateauing in residual returns the partial
-    state flagged as non-converged rather than raising.
+    The run starts from the exact p = 2 minimizer (one linear solve from the
+    pin-mean field), then takes full-Hessian Newton steps, each one sparse
+    LU solve, with Armijo backtracking on the energy. It stops when the
+    Newton decrement lambda^2 / 2, an estimate of the remaining energy gap
+    E - E_min, drops to ``tol * E``, so ``tol`` is a relative energy-gap
+    certificate; the certified step is still taken at full length when it
+    lowers the energy. Exhausting ``max_iter`` accepted steps, or a line
+    search that cannot lower the energy, returns the last iterate flagged
+    as non-converged rather than raising.
+
+    Returns
+    -------
+    MinimizerResult
+        ``values`` holds the field on every node copy, ``energies`` the
+        energy after every accepted step (non-increasing),
+        ``meta["stop_reason"]`` is "converged", "budget" or "stalled", and
+        ``meta["decrement"]`` the lambda^2 / 2 of the last Newton system.
     """
     start = time.perf_counter()
-    asm = problem.assembler()
-    u = _initial_field(problem, init)
-    if tau is None:
-        tau = asm.initial_tau(u)
-    if tau <= 0.0:
-        raise ValidationError(f"step size must be positive, got {tau}")
-    tau_floor = tau * 1.0e-14
-    energy = asm.energy(u)
-    energies = [energy]
-    residual = asm.scaled_residual(u)
-    alg_residual = 0.0
-    iterations = 0
-    stalled = False
-    recent = [residual]
-    while residual > tol and iterations < max_iter and not stalled:
-        cand, alg_residual = asm.step(u, tau)
-        if alg_residual > 1.0e-8:
-            raise SingularSystemError(
-                f"algebraic interface residual {alg_residual:.3e} exceeds 1e-8"
-            )
-        iterations += 1
-        direction = cand - u
-        theta = 1.0
-        accepted = False
-        for _ in range(_LS_MAX):
-            trial = cand if theta == 1.0 else u + theta * direction
-            trial_energy = asm.energy(trial)
-            if trial_energy <= energy:
-                u, energy = trial, trial_energy
-                energies.append(energy)
-                accepted = True
-                break
-            theta *= 0.5
-        if accepted:
-            if theta == 1.0:
-                tau = min(tau * 2.0, tau_max)
-            else:
-                # needing a shortened step means the step size has outrun the
-                # energy-stable range; contract it in proportion
-                tau = max(tau * max(theta, 0.0625), tau_floor)
-            motion = theta * float(np.max(np.abs(direction)))
-            if motion <= _STAG_SLACK * np.finfo(float).eps * max(
-                1.0, float(np.max(np.abs(u)))
-            ):
-                stalled = True  # the accepted step no longer moves the field
-            residual = asm.scaled_residual(u)
-            recent.append(residual)
-            if len(recent) > _PLATEAU_WINDOW and residual > 0.9 * recent[
-                -1 - _PLATEAU_WINDOW
-            ]:
-                stalled = True  # residual plateau, iteration no longer paying
-        else:
-            tau /= 2.0
-            if tau < tau_floor:
-                stalled = True  # no descent direction left at any step size
-    converged = residual <= tol
+    dom = problem.domain
+    v = np.full(dom.node_points.shape[0], float(dom.pin_values.mean()))
+    v[dom.pin_nodes] = dom.pin_values
+    delta = problem.delta * max(float(np.ptp(dom.pin_values)), 1e-12)
+    v, energies, iterations, residual, reason, decrement = _newton(
+        _RitzEnergy(problem), v, tol, max_iter, delta, _factor_solve
+    )
+    u = v[dom.node_of]
     return MinimizerResult(
         values=u,
-        energy=energy,
+        energy=energies[-1],
         energies=np.asarray(energies),
         iterations=iterations,
         residual=residual,
-        converged=converged,
+        converged=reason == "converged",
         wall_time=time.perf_counter() - start,
-        method="semi-implicit",
-        field=PatchedField(problem.domain, u),
-        meta={
-            "p": problem.p,
-            "beta": problem.beta,
-            "tau_final": tau,
-            "algebraic_residual": alg_residual,
-        },
+        method="newton",
+        field=PatchedField(dom, u),
+        meta={"p": problem.p, "stop_reason": reason, "decrement": decrement},
     )
 
 
 # -- field evaluation ----------------------------------------------------------
 
 
-def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    n = nodes.size - 1
-    w = np.ones(nodes.size)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[n] *= 0.5
-    return w
-
-
 def _bary_matrix(queries: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Rows of barycentric interpolation weights; one-hot on exact node hits."""
-    w = _bary_weights(nodes)
+    w = _barycentric_weights(nodes.size - 1)
     diff = queries[:, None] - nodes[None, :]
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -113,7 +113,6 @@ class StudyConfig:
     region: tuple = (0.01, 0.99, 0.01, 0.99)
     mesh_size: int = 512
     points_per_patch: int = 20
-    tau: float = 1.0e6
     max_iter: int = 400
     estimators: tuple = _ESTIMATORS
     include_discrete: bool = False
@@ -378,18 +377,18 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
     spline_config = SplineConfig(num_knots=config.T, lam=config.lam)
     knots = spline_knots(spline_config)
 
+    # one patch domain, with its static operators, serves every solve
+    domain = build_patches(
+        constraints.positions,
+        constraints.values,
+        config.points_per_patch,
+        tiles=(3, 3),
+        label_fn=label_value,
+    )
+
     def solve_continuum(density):
-        domain = build_patches(
-            constraints.positions,
-            constraints.values,
-            config.points_per_patch,
-            tiles=(3, 3),
-            label_fn=label_value,
-        )
-        problem = ContinuumProblem(domain=domain, density=density, p=config.p, beta=0.01)
-        return minimize_continuum(
-            problem, tau=config.tau, tol=config.tol, max_iter=config.max_iter
-        )
+        problem = ContinuumProblem(domain=domain, density=density, p=config.p)
+        return minimize_continuum(problem, tol=config.tol, max_iter=config.max_iter)
 
     start = time.perf_counter()
     reference = solve_continuum(rho)

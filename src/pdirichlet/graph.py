@@ -15,7 +15,8 @@ where neighbouring values meet, and accelerated projected descent runs
 instead. Both accept a step only if the energy does not increase, so
 recorded energy traces are monotone by construction. For p = 2 the
 minimizer is also available as a direct sparse linear solve, which serves
-as an exact cross-check.
+as an exact cross-check. The same Newton iteration also minimizes the
+continuum quadrature energy of `pdirichlet.continuum`.
 """
 
 from __future__ import annotations
@@ -352,18 +353,23 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton(problem: _PinnedEdges, f: np.ndarray, tol: float, max_iter: int,
-            label_range: float):
-    """Damped Newton from the exact p = 2 minimizer, stopped on the decrement."""
+def _newton(problem, f: np.ndarray, tol: float, max_iter: int, delta: float, solve=_pcg):
+    """Damped Newton from the exact p = 2 minimizer, stopped on the decrement.
+
+    Shared by both routes. ``problem`` exposes the free unknowns
+    (``free``, indices into ``f``), ``p``, and ``energy(f)``,
+    ``gradient(f, p)`` and ``hessian(f, p, delta)`` of the exponent-``p``
+    energy over the free unknowns; ``solve(h, b)`` solves one Newton system,
+    and ``delta`` floors the gradient magnitudes in the Hessian weights.
+    """
     free = problem.free
-    delta = np.sqrt(np.finfo(float).eps) * max(label_range, 1e-12)
-    f[free] += _pcg(problem.hessian(f, 2.0, delta), -problem.gradient(f, 2.0))
+    f[free] += solve(problem.hessian(f, 2.0, delta), -problem.gradient(f, 2.0))
     energy = problem.energy(f)
     energies = [energy]
     iterations = 0
     while True:
         grad = problem.gradient(f, problem.p)
-        step = _pcg(problem.hessian(f, problem.p, delta), -grad)
+        step = solve(problem.hessian(f, problem.p, delta), -grad)
         decrement = -0.5 * float(grad @ step)
         certified = decrement <= tol * energy
         if iterations >= max_iter:
@@ -512,8 +518,9 @@ def minimize_discrete(
     label_range = float(constraints.values.max() - constraints.values.min())
     if p >= 2.0:
         method = "newton"
+        delta = np.sqrt(np.finfo(float).eps) * max(label_range, 1e-12)
         f, energies, iterations, residual, reason, decrement = _newton(
-            problem, f, tol, max_iter, label_range
+            problem, f, tol, max_iter, delta
         )
         converged = reason == "converged"
     else:
@@ -545,15 +552,19 @@ def solve_p2_direct(graph: WeightedGraph, constraints: ConstraintSet) -> Minimiz
 
     Free rows of (D - W) f = 0 are solved sparsely with the pinned values
     substituted; this is the reference the iterative route is checked
-    against.
+    against. As in `minimize_discrete`, only the connected components that
+    carry a pin are solved (elsewhere the system is singular), and every
+    other node keeps the constraint mean.
     """
     constraints.check_against(graph.n)
     start = time.perf_counter()
-    n = graph.n
     w = graph.weights
     lap = sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w
-    free = np.setdiff1d(np.arange(n), constraints.indices)
-    f = np.zeros(n)
+    _, comp = sp.csgraph.connected_components(w, directed=False)
+    solved = np.isin(comp, comp[constraints.indices])
+    solved[constraints.indices] = False
+    free = np.flatnonzero(solved)
+    f = np.full(graph.n, float(constraints.values.mean()))
     f[constraints.indices] = constraints.values
     if free.size:
         lap_csr = lap.tocsr()

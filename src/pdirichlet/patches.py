@@ -1,18 +1,15 @@
-"""Rectangular patch decompositions of the unit square for collocation.
+"""Rectangular patch decompositions of the unit square for spectral elements.
 
 The square is tiled by axis-aligned patches, each carrying its own
-Chebyshev-Gauss-Lobatto tensor grid. Nodes on shared edges exist once per
-touching patch; the solver couples the copies through continuity and flux
-conditions. This module owns the geometry: building the tiling, matching
-node copies into groups, classifying each group (interior, outer boundary,
-domain corner, two-copy interface, interface endpoint on the outer boundary,
-four-copy cross point, pinned), and placing pointwise constraints.
-
-A constraint at a four-copy cross point is not representable as a plain
-Dirichlet row without overdetermining the interface conditions, so such
-constraints are moved to the adjacent collocation nodes along each incident
-interface: pinned near, not on, the shared corner. The offset distance (one
-boundary-clustered collocation spacing) is recorded on the domain.
+Chebyshev-Gauss-Lobatto tensor grid. A node on a shared edge exists once per
+touching patch (a node copy), but all copies of one geometric node share a
+single unknown: the gather map ``node_of`` (the 0/1 matrix Q in index form)
+sends geometric-node values to the copies, so every field is continuous
+across patches by construction. This module owns the geometry and the
+static operators built from it: the tiling, the matching of copies to
+geometric nodes, the per-copy spectral derivatives and quadrature weights,
+and the pins. A constraint pins its geometric node exactly, including a
+cross point where four patches meet.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import scipy.sparse as sp
 from .chebyshev import chebyshev_nodes, quadrature_2d, tensor_diff_ops
 from .errors import ConstraintError, ValidationError
 
-__all__ = ["Patch", "NodeGroup", "PatchedDomain", "build_patches"]
+__all__ = ["Patch", "PatchedDomain", "build_patches"]
 
 _KEY_DECIMALS = 12
 
@@ -36,16 +33,13 @@ def _key(x: float, y: float) -> tuple[float, float]:
 
 @dataclass
 class Patch:
-    """One rectangular tile with its collocation grid and operators."""
+    """One rectangular tile with its collocation grid."""
 
     index: int
     bounds: tuple[float, float, float, float]  # x0, x1, y0, y1
     grid_x: object
     grid_y: object
-    diff_x: sp.csr_matrix
-    diff_y: sp.csr_matrix
     points: np.ndarray
-    quad_weights: np.ndarray
     offset: int
 
     @property
@@ -54,47 +48,42 @@ class Patch:
 
 
 @dataclass
-class NodeGroup:
-    """All copies of one geometric node, with its equation classification.
-
-    ``members`` lists (patch index, local node index) pairs; ``kind`` is one
-    of interior, boundary, corner, iface, iface-boundary, cross, pinned.
-    ``normal`` is the outward normal tied to the group's equation: for iface
-    groups the normal of members[0]'s patch on the shared edge (members[1]
-    gets its negation), for boundary kinds the outward domain normal.
-    """
-
-    kind: str
-    coord: tuple[float, float]
-    members: list
-    normal: tuple[float, float] | None = None
-    label: float | None = None
-
-
-@dataclass
 class PatchedDomain:
-    """Patch tiling plus the node-group book-keeping the solver consumes."""
+    """Patch tiling, copy-to-node matching, static operators and pins.
+
+    Arrays over node copies run patch by patch in patch-local order (the
+    layout of field values); arrays over geometric nodes follow
+    ``node_points``. ``grad`` maps the values of the free (unpinned)
+    geometric nodes to the partial derivatives at every copy, d/dx in its
+    first ``n_nodes`` rows and d/dy in the rest: the per-patch derivatives
+    times the free columns of Q.
+    """
 
     patches: list
     xlines: np.ndarray
     ylines: np.ndarray
-    groups: list
-    n_nodes: int
-    points: np.ndarray  # coordinates of every unknown (node copy)
+    points: np.ndarray  # coordinates of every node copy
+    quad_weights: np.ndarray  # Clenshaw-Curtis weight of every node copy
+    diff_x: sp.csr_matrix  # per-patch d/dx, node copies -> node copies
+    diff_y: sp.csr_matrix
+    node_of: np.ndarray  # geometric node of every copy
+    node_points: np.ndarray  # coordinates of every geometric node
+    pin_nodes: np.ndarray  # pinned geometric nodes, ascending
+    pin_values: np.ndarray  # their labels
+    free_nodes: np.ndarray  # the other geometric nodes, ascending
+    grad: sp.csr_matrix  # free-node values -> (d/dx, d/dy) at every copy
     constraint_positions: np.ndarray
-    constraint_offset: float = 0.0
     meta: dict = field(default_factory=dict)
 
-    def unknown_index(self, patch_index: int, local_index: int) -> int:
-        return self.patches[patch_index].offset + local_index
-
     @property
-    def pinned(self) -> list:
-        return [g for g in self.groups if g.kind == "pinned"]
+    def n_nodes(self) -> int:
+        """Number of node copies, the length of a field's value vector."""
+        return self.points.shape[0]
 
 
-def _build_tiling(xlines: np.ndarray, ylines: np.ndarray, points_per_patch: int) -> list:
-    patches = []
+def _build_tiling(xlines: np.ndarray, ylines: np.ndarray, points_per_patch: int) -> tuple:
+    """The patches, and per patch its d/dx, d/dy and quadrature weights."""
+    patches, diff_x, diff_y, weights = [], [], [], []
     offset = 0
     order = points_per_patch - 1
     for j in range(len(ylines) - 1):
@@ -109,133 +98,26 @@ def _build_tiling(xlines: np.ndarray, ylines: np.ndarray, points_per_patch: int)
                     bounds=(xlines[i], xlines[i + 1], ylines[j], ylines[j + 1]),
                     grid_x=gx,
                     grid_y=gy,
-                    diff_x=dx.entries,
-                    diff_y=dy.entries,
                     points=rule.points,
-                    quad_weights=rule.weights,
                     offset=offset,
                 )
             )
+            diff_x.append(dx.entries)
+            diff_y.append(dy.entries)
+            weights.append(rule.weights)
             offset += rule.points.shape[0]
-    return patches
-
-
-def _group_nodes(patches: list) -> dict:
-    groups: dict = {}
-    for patch in patches:
-        x0, x1, y0, y1 = patch.bounds
-        pts = patch.points
-        on_edge = (
-            np.isclose(pts[:, 0], x0)
-            | np.isclose(pts[:, 0], x1)
-            | np.isclose(pts[:, 1], y0)
-            | np.isclose(pts[:, 1], y1)
-        )
-        for local in range(pts.shape[0]):
-            if on_edge[local]:
-                key = _key(pts[local, 0], pts[local, 1])
-            else:
-                key = (patch.index, local)  # interior nodes are never shared
-            groups.setdefault(key, []).append((patch.index, local))
-    return groups
-
-
-def _domain_normal(x: float, y: float) -> tuple[float, float] | None:
-    edges = []
-    if np.isclose(x, 0.0):
-        edges.append((-1.0, 0.0))
-    if np.isclose(x, 1.0):
-        edges.append((1.0, 0.0))
-    if np.isclose(y, 0.0):
-        edges.append((0.0, -1.0))
-    if np.isclose(y, 1.0):
-        edges.append((0.0, 1.0))
-    if not edges:
-        return None
-    if len(edges) > 1:
-        return "corner"
-    return edges[0]
-
-
-def _interface_normal(pa: Patch, pb: Patch) -> tuple[float, float]:
-    # outward normal of patch a on the edge it shares with patch b
-    ax0, ax1, ay0, ay1 = pa.bounds
-    bx0, bx1, by0, by1 = pb.bounds
-    if np.isclose(ax1, bx0):
-        return (1.0, 0.0)
-    if np.isclose(ax0, bx1):
-        return (-1.0, 0.0)
-    if np.isclose(ay1, by0):
-        return (0.0, 1.0)
-    if np.isclose(ay0, by1):
-        return (0.0, -1.0)
-    raise ValidationError("patches do not share an edge")
-
-
-def _classify(patches: list, raw_groups: dict) -> dict:
-    classified: dict = {}
-    for key, members in raw_groups.items():
-        if isinstance(key[0], int) and not isinstance(key[0], float):
-            # patch-interior node
-            patch, local = members[0]
-            x, y = patches[patch].points[local]
-            classified[_key(x, y)] = NodeGroup("interior", (float(x), float(y)), members)
-            continue
-        x, y = key
-        domn = _domain_normal(x, y)
-        if len(members) == 1:
-            if domn == "corner":
-                group = NodeGroup("corner", (x, y), members)
-            elif domn is not None:
-                group = NodeGroup("boundary", (x, y), members, normal=domn)
-            else:
-                group = NodeGroup("interior", (x, y), members)
-        elif len(members) == 2:
-            pa, pb = patches[members[0][0]], patches[members[1][0]]
-            normal = _interface_normal(pa, pb)
-            if domn is not None:
-                group = NodeGroup("iface-boundary", (x, y), members, normal=domn)
-            else:
-                group = NodeGroup("iface", (x, y), members, normal=normal)
-        elif len(members) == 4:
-            group = NodeGroup("cross", (x, y), members)
-        else:
-            raise ValidationError(
-                f"node at {(x, y)} shared by {len(members)} patches; tiling is inconsistent"
-            )
-        classified[(x, y)] = group
-    return classified
+    return patches, diff_x, diff_y, weights
 
 
 def _lines_from_positions(values: np.ndarray) -> np.ndarray:
-    lines = np.unique(np.round(values, _KEY_DECIMALS))
+    # the constraint coordinates themselves, so pins land exactly on nodes
+    _, first = np.unique(np.round(values, _KEY_DECIMALS), return_index=True)
+    lines = values[first]
     if lines.size < 2 or not np.isclose(lines[0], 0.0) or not np.isclose(lines[-1], 1.0):
         raise ConstraintError(
             "constraint positions do not span the unit square; pass tiles= explicitly"
         )
     return lines
-
-
-def _pin(group: NodeGroup, label: float) -> None:
-    if group.kind == "pinned" and not np.isclose(group.label, label):
-        raise ConstraintError(f"conflicting constraint labels at {group.coord}")
-    group.kind = "pinned"
-    group.label = float(label)
-
-
-def _offset_targets(cross: NodeGroup, patches: list, classified: dict) -> list:
-    # adjacent collocation nodes along the four interface arms of the corner
-    cx, cy = cross.coord
-    targets = {}
-    for patch_idx, _ in cross.members:
-        patch = patches[patch_idx]
-        xs, ys = patch.grid_x.nodes, patch.grid_y.nodes
-        # xs/ys descending; n[-2]/n[1] are the nodes next to the ends
-        x_near = xs[-2] if np.isclose(xs[-1], cx) else xs[1]
-        y_near = ys[-2] if np.isclose(ys[-1], cy) else ys[1]
-        for coord in ((x_near, cy), (cx, y_near)):
-            targets[_key(*coord)] = classified[_key(*coord)]
-    return list(targets.values())
 
 
 def build_patches(
@@ -246,14 +128,12 @@ def build_patches(
     label_fn=None,
     boundary_value_fn=None,
 ) -> PatchedDomain:
-    """Tile the unit square and place pointwise constraints on the tiling.
+    """Tile the unit square and pin pointwise constraints to its nodes.
 
     When ``tiles`` is omitted the tiling lines are inferred from the distinct
     constraint coordinates (a lattice of constraint positions makes each
-    lattice cell one patch). Constraints landing on four-copy patch corners
-    are offset onto the neighboring interface nodes (see module docstring);
-    their labels are re-evaluated at the offset coordinates when ``label_fn``
-    is given and carried over verbatim otherwise.
+    lattice cell one patch). Every constraint pins the geometric node at its
+    position, whichever patches share that node.
 
     Parameters
     ----------
@@ -267,7 +147,8 @@ def build_patches(
     tiles : (int, int), optional
         Explicit tiling (nx, ny) with uniform lines.
     label_fn : callable, optional
-        Maps (x, y) to a label, used to re-evaluate offset constraints.
+        Label formula (x, y) -> label; every label must agree with it at its
+        position, else ConstraintError.
     boundary_value_fn : callable, optional
         When given, every outer-boundary node is pinned to its value.
 
@@ -291,41 +172,62 @@ def build_patches(
     else:
         xlines = _lines_from_positions(pos[:, 0])
         ylines = _lines_from_positions(pos[:, 1])
-    patches = _build_tiling(xlines, ylines, points_per_patch)
-    classified = _classify(patches, _group_nodes(patches))
-
-    offset_dist = 0.0
-    for (x, y), label in zip(pos, labs):
-        group = classified.get(_key(x, y))
-        if group is None:
-            raise ConstraintError(f"constraint at ({x}, {y}) is not a collocation node")
-        if group.kind == "cross":
-            for target in _offset_targets(group, patches, classified):
-                value = label_fn(*target.coord) if label_fn else label
-                _pin(target, value)
-                offset_dist = max(
-                    offset_dist,
-                    float(np.hypot(target.coord[0] - x, target.coord[1] - y)),
-                )
-        else:
-            _pin(group, label)
-    if boundary_value_fn is not None:
-        for group in classified.values():
-            gx, gy = group.coord
-            if _domain_normal(gx, gy) is not None:
-                _pin(group, boundary_value_fn(gx, gy))
-
-    groups = list(classified.values())
-    n_nodes = sum(p.size for p in patches)
+    patches, diff_x, diff_y, weights = _build_tiling(xlines, ylines, points_per_patch)
     points = np.vstack([p.points for p in patches])
+    # copies of a shared node are computed from the same tiling line, so
+    # their coordinates agree exactly and rounding only guards the lookup
+    _, first, node_of = np.unique(
+        np.round(points, _KEY_DECIMALS), axis=0, return_index=True, return_inverse=True
+    )
+    node_points = points[first]
+    node_of = node_of.ravel()
+    index = {_key(x, y): k for k, (x, y) in enumerate(node_points)}
+
+    pins: dict = {}
+
+    def pin(node: int, label: float) -> None:
+        if node in pins and not np.isclose(pins[node], label):
+            raise ConstraintError(
+                f"conflicting constraint labels at {tuple(node_points[node])}"
+            )
+        pins[node] = float(label)
+
+    for (x, y), label in zip(pos, labs):
+        node = index.get(_key(x, y))
+        if node is None:
+            raise ConstraintError(f"constraint at ({x}, {y}) is not a collocation node")
+        if label_fn is not None and not np.isclose(label_fn(x, y), label):
+            raise ConstraintError(f"constraint label at ({x}, {y}) disagrees with label_fn")
+        pin(node, label)
+    if boundary_value_fn is not None:
+        lo, hi = node_points.min(axis=1), node_points.max(axis=1)
+        for node in np.flatnonzero(np.isclose(lo, 0.0) | np.isclose(hi, 1.0)):
+            pin(node, boundary_value_fn(*node_points[node]))
+
+    pin_nodes = np.array(sorted(pins), dtype=int)
+    pin_values = np.array([pins[k] for k in pin_nodes], dtype=float)
+    free_nodes = np.setdiff1d(np.arange(node_points.shape[0]), pin_nodes)
+    n_copies = points.shape[0]
+    gather = sp.csr_matrix(
+        (np.ones(n_copies), (np.arange(n_copies), node_of)),
+        shape=(n_copies, node_points.shape[0]),
+    )[:, free_nodes]
+    diff_x = sp.block_diag(diff_x, format="csr")
+    diff_y = sp.block_diag(diff_y, format="csr")
     return PatchedDomain(
         patches=patches,
         xlines=xlines,
         ylines=ylines,
-        groups=groups,
-        n_nodes=n_nodes,
         points=points,
+        quad_weights=np.concatenate(weights),
+        diff_x=diff_x,
+        diff_y=diff_y,
+        node_of=node_of,
+        node_points=node_points,
+        pin_nodes=pin_nodes,
+        pin_values=pin_values,
+        free_nodes=free_nodes,
+        grad=sp.vstack([diff_x @ gather, diff_y @ gather], format="csr"),
         constraint_positions=pos,
-        constraint_offset=offset_dist,
         meta={"points_per_patch": points_per_patch},
     )

@@ -130,7 +130,6 @@ def test_out_of_range_values_name_their_key():
         ("seed=-1\n", "seed"),
         ("mesh=3\n", "mesh"),
         ("points_per_patch=3\n", "points_per_patch"),
-        ("beta=-0.5\n", "beta"),
         ("epsilon=0\n", "epsilon"),
         ("k=0\n", "k"),
         ("density=rho9\n", "density"),

@@ -1,18 +1,17 @@
-"""Continuum solver: flow rhs oracles, fixed points, interpolation, nonlocal sums."""
+"""Continuum solver: energy-gradient oracles, minimizers, interpolation, nonlocal sums."""
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from pdirichlet.continuum import (
     ContinuumProblem,
-    FlowState,
     PatchedField,
     evaluate_on_mesh,
-    gradient_flow_rhs,
     local_energy,
+    local_energy_gradient,
     minimize_continuum,
     nonlocal_energy,
-    semi_implicit_step,
 )
 from pdirichlet.density import reference_density, sigma_eta
 from pdirichlet.errors import ValidationError
@@ -26,63 +25,48 @@ def constraint_lattice():
     return pos, 4.0 * (pos[:, 0] - 0.5) ** 2 + (pos[:, 1] - 0.5) ** 2
 
 
-def make_problem(p=2.0, ppp=10, tiles=(2, 2), boundary=None, beta=0.01):
+def make_problem(p=2.0, ppp=10, tiles=(2, 2), boundary=None):
     dom = build_patches(None, None, ppp, tiles=tiles, boundary_value_fn=boundary)
     rho = reference_density("rho1")
-    return ContinuumProblem(domain=dom, density=rho, p=p, beta=beta)
+    return ContinuumProblem(domain=dom, density=rho, p=p)
 
 
 def node_values(dom, fn):
     return fn(dom.points[:, 0], dom.points[:, 1])
 
 
-def groups_of(dom, kind):
-    return [g for g in dom.groups if g.kind == kind]
+def single_copy_free(dom):
+    """Copies whose geometric node is free and has no other copy."""
+    copies = np.bincount(dom.node_of)
+    free = np.zeros(copies.size, dtype=bool)
+    free[dom.free_nodes] = True
+    return np.flatnonzero((copies == 1)[dom.node_of] & free[dom.node_of])
+
+
+def newton_rhs(u, prob):
+    """-dE/dv at the free geometric nodes: the right-hand side of the
+    Newton system, summed over the copies of each node."""
+    dom = prob.domain
+    grad = np.bincount(dom.node_of, local_energy_gradient(u, prob))
+    return -grad[dom.free_nodes]
 
 
 def test_rhs_zero_for_affine_field():
     prob = make_problem(p=2.0, boundary=lambda x, y: 2.0 * x - y)
     u = node_values(prob.domain, lambda x, y: 2.0 * x - y)
-    rhs = gradient_flow_rhs(FlowState(u=u), prob)
-    assert np.max(np.abs(rhs)) < 1e-9
+    assert np.max(np.abs(newton_rhs(u, prob))) < 1e-9
 
 
 def test_rhs_is_laplacian_for_quadratic():
-    # u = x^2/2 with unit density and p = 2 flows at the constant rate 1
-    prob = make_problem(p=2.0, boundary=lambda x, y: 0.5 * x**2)
+    # u = x^2/2 with unit density and p = 2: integrating by parts, the
+    # Newton rhs at a free node is 2 sigma times the integral of its basis
+    # function, i.e. the summed quadrature weights of its copies; this holds
+    # at interface and cross nodes too, since the quadrature is exact here
+    prob = make_problem(p=2.0, tiles=(3, 3), boundary=lambda x, y: 0.5 * x**2)
     dom = prob.domain
     u = node_values(dom, lambda x, y: 0.5 * x**2)
-    rhs = gradient_flow_rhs(FlowState(u=u), prob)
-    for kind in ("interior", "cross"):
-        for g in groups_of(dom, kind):
-            owner = dom.unknown_index(*g.members[0])
-            assert rhs[owner] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_rhs_boundary_rows_reduce_to_flux_when_beta_zero():
-    pos, labels = constraint_lattice()
-    dom = build_patches(pos, labels, 8)
-    prob = ContinuumProblem(domain=dom, density=reference_density("rho1"), p=2.0, beta=0.0)
-    u = node_values(dom, lambda x, y: x)
-    rhs = gradient_flow_rhs(FlowState(u=u), prob)
-    seen = {(-1.0, 0.0): 0, (1.0, 0.0): 0, (0.0, -1.0): 0, (0.0, 1.0): 0}
-    for g in groups_of(dom, "boundary"):
-        owner = dom.unknown_index(*g.members[0])
-        expected = -float(g.normal[0])  # -(n . grad u) with grad u = e_x
-        assert rhs[owner] == pytest.approx(expected, abs=1e-9)
-        seen[g.normal] += 1
-    assert all(c > 0 for c in seen.values())
-
-
-def test_rhs_zero_at_pinned_nodes():
-    pos, labels = constraint_lattice()
-    dom = build_patches(pos, labels, 8)
-    prob = ContinuumProblem(domain=dom, density=reference_density("rho1"), p=2.0)
-    u = node_values(dom, lambda x, y: x * y + 0.1)
-    rhs = gradient_flow_rhs(FlowState(u=u), prob)
-    for g in dom.pinned:
-        for member in g.members:
-            assert rhs[dom.unknown_index(*member)] == 0.0
+    mass = np.bincount(dom.node_of, dom.quad_weights)[dom.free_nodes]
+    np.testing.assert_allclose(newton_rhs(u, prob) / (2.0 * prob.sigma * mass), 1.0, atol=1e-9)
 
 
 def test_local_energy_oracles():
@@ -106,98 +90,75 @@ def test_local_energy_p3_oracle():
 
 
 def test_rhs_matches_energy_gateaux_derivative_p2():
-    # for p = 2 the energy is quadratic, so the centered difference is exact:
-    # dE/du_g = -sigma * p * w_g * rhs_g at a single-copy interior node
+    # for p = 2 the energy is quadratic, so the centered difference is exact
     prob = make_problem(p=2.0, ppp=12, tiles=(1, 1), boundary=lambda x, y: x**2 + 0.5 * x * y)
     dom = prob.domain
-    asm = prob.assembler()
     u = node_values(dom, lambda x, y: x**2 + 0.5 * x * y)
-    rhs = gradient_flow_rhs(FlowState(u=u), prob)
+    grad = local_energy_gradient(u, prob)
     rng = np.random.default_rng(7)
-    interior = [g for g in groups_of(dom, "interior")]
-    for g in [interior[k] for k in rng.integers(0, len(interior), size=5)]:
-        owner = dom.unknown_index(*g.members[0])
+    interior = single_copy_free(dom)
+    for owner in interior[rng.integers(0, interior.size, size=5)]:
         h = 1e-4
         up, dn = u.copy(), u.copy()
         up[owner] += h
         dn[owner] -= h
         fd = (local_energy(up, prob) - local_energy(dn, prob)) / (2.0 * h)
-        predicted = -prob.sigma * prob.p * asm.quad_w[owner] * rhs[owner]
-        assert fd == pytest.approx(predicted, rel=1e-9, abs=1e-14)
+        assert fd == pytest.approx(grad[owner], rel=1e-9, abs=1e-14)
 
 
 def test_rhs_matches_energy_gateaux_derivative_p3():
-    # for p != 2 the identity only holds up to quadrature consistency (the
-    # perturbed-energy integrand exceeds the rule's polynomial exactness by
-    # one degree), so the comparison is a discretization-level check away
-    # from the flat-gradient region
-    prob = make_problem(p=3.0, ppp=16, tiles=(1, 1), boundary=lambda x, y: x**2)
+    # the Newton rhs is the exact derivative of the quadrature energy, so at
+    # p = 3 the centered difference agrees up to its own truncation error,
+    # on every copy (shared ones included) and on a field spanning patches
+    prob = make_problem(p=3.0, ppp=10, tiles=(2, 2), boundary=lambda x, y: x**2)
     dom = prob.domain
-    asm = prob.assembler()
-    u = node_values(dom, lambda x, y: x**2)
-    rhs = gradient_flow_rhs(FlowState(u=u), prob)
-    checked = 0
-    for g in groups_of(dom, "interior"):
-        if g.coord[0] < 0.3:
-            continue
-        owner = dom.unknown_index(*g.members[0])
+    u = node_values(dom, lambda x, y: x**2 + 0.3 * np.sin(3.0 * y))
+    grad = local_energy_gradient(u, prob)
+    for owner in range(0, dom.n_nodes, 7):
         h = 1e-6
         up, dn = u.copy(), u.copy()
         up[owner] += h
         dn[owner] -= h
         fd = (local_energy(up, prob) - local_energy(dn, prob)) / (2.0 * h)
-        predicted = -prob.sigma * prob.p * asm.quad_w[owner] * rhs[owner]
-        assert fd == pytest.approx(predicted, rel=5e-2)
-        checked += 1
-    assert checked > 50
+        assert fd == pytest.approx(grad[owner], rel=1e-5)
 
 
 def test_step_preserves_affine_across_patches():
+    # the p = 2 start reproduces the affine boundary data exactly, and the
+    # p = 3 Newton steps must keep it, across the patch interface too
     for p in (2.0, 3.0):
         prob = make_problem(p=p, ppp=8, tiles=(2, 1), boundary=lambda x, y: 2.0 * x - y + 0.3)
+        res = minimize_continuum(prob, tol=1e-10)
+        assert res.converged
         u = node_values(prob.domain, lambda x, y: 2.0 * x - y + 0.3)
-        state = semi_implicit_step(FlowState(u=u), prob, tau=0.1)
-        assert np.max(np.abs(state.u - u)) < 1e-8
-        assert state.algebraic_residual <= 1e-8
-        assert state.time == pytest.approx(0.1)
+        assert np.max(np.abs(res.values - u)) < 1e-8
 
 
 def test_step_keeps_pins_exact():
+    # the 16-point lattice pins every interior cross point of the 3x3
+    # tiling; pinned nodes are fixed unknowns, so all their copies carry the
+    # label exactly after every Newton step
     pos, labels = constraint_lattice()
     dom = build_patches(pos, labels, 8)
-    prob = ContinuumProblem(domain=dom, density=reference_density("rho1"), p=2.0)
-    u = node_values(dom, lambda x, y: 0.0 * x + labels.mean())
-    for g in dom.pinned:
-        for member in g.members:
-            u[dom.unknown_index(*member)] = g.label
-    state = semi_implicit_step(FlowState(u=u), prob, tau=1.0)
-    for g in dom.pinned:
-        for member in g.members:
-            assert state.u[dom.unknown_index(*member)] == pytest.approx(g.label, abs=1e-12)
+    prob = ContinuumProblem(domain=dom, density=reference_density("rho2"), p=3.0)
+    res = minimize_continuum(prob, tol=1e-8)
+    assert res.converged and res.iterations >= 1
+    np.testing.assert_array_equal(dom.node_points[dom.pin_nodes], prob.constraints[0])
+    for coord, label in zip(pos, labels):
+        at = np.flatnonzero(np.all(dom.points == coord, axis=1))
+        assert at.size in (1, 2, 4)
+        np.testing.assert_array_equal(res.values[at], label)
 
 
 def test_minimize_recovers_affine_from_mean_start():
     for p in (2.0, 3.0):
         prob = make_problem(p=p, ppp=14, tiles=(2, 2), boundary=lambda x, y: x)
-        res = minimize_continuum(prob, tau=1e6, tol=1e-5, init="mean")
+        res = minimize_continuum(prob, tol=1e-5)
         assert res.converged
+        assert res.meta["stop_reason"] == "converged"
         exact = node_values(prob.domain, lambda x, y: x)
         assert np.max(np.abs(res.values - exact)) < 1e-5
         assert np.all(np.diff(res.energies) <= 0.0)
-        assert res.meta["algebraic_residual"] <= 1e-8
-
-
-def test_minimize_stall_is_flagged_not_raised():
-    # at this resolution the p=3 iteration bottoms out against the
-    # discretization's energy floor before the residual target; the result
-    # must come back flagged, with the descent record still monotone and the
-    # field already accurate
-    prob = make_problem(p=3.0, ppp=10, tiles=(2, 2), boundary=lambda x, y: x)
-    res = minimize_continuum(prob, tau=1e6, tol=1e-7, init="mean")
-    assert not res.converged
-    exact = node_values(prob.domain, lambda x, y: x)
-    assert np.max(np.abs(res.values - exact)) < 1e-5
-    assert np.all(np.diff(res.energies) <= 0.0)
 
 
 def test_minimize_respects_maximum_principle():
@@ -207,7 +168,7 @@ def test_minimize_respects_maximum_principle():
     C = lambda x, y: 4.0 * (x - 0.5) ** 2 + (y - 0.5) ** 2
     for p in (2.0, 3.0):
         prob = make_problem(p=p, ppp=20, tiles=(2, 2), boundary=C)
-        res = minimize_continuum(prob, tau=1e6, tol=1e-5)
+        res = minimize_continuum(prob, tol=1e-5)
         assert res.converged
         coords, pins = prob.constraints
         assert res.values.min() >= pins.min() - 1e-3
@@ -238,7 +199,7 @@ def test_minimize_matches_second_order_dirichlet_solve():
     oracle = splu(lap.tocsc()).solve(b.ravel())
 
     prob = make_problem(p=2.0, ppp=16, tiles=(3, 3), boundary=C)
-    res = minimize_continuum(prob, tau=1e6, tol=1e-5)
+    res = minimize_continuum(prob, tol=1e-5)
     assert res.converged
     gx, gy = np.meshgrid(inner, inner)
     mine = res.field.evaluate(np.column_stack([gx.ravel(), gy.ravel()]))
@@ -246,10 +207,40 @@ def test_minimize_matches_second_order_dirichlet_solve():
 
 
 def test_minimize_nonconverged_flag():
+    # at p = 2 the start is already the minimizer, so the budget binds at p = 3
     prob = make_problem(p=3.0, ppp=8, tiles=(2, 2), boundary=lambda x, y: x * y)
-    res = minimize_continuum(prob, tau=1e-9, tol=1e-12, max_iter=3, init="mean")
+    res = minimize_continuum(prob, tol=1e-12, max_iter=1)
     assert not res.converged
-    assert res.iterations == 3
+    assert res.iterations == 1
+    assert res.meta["stop_reason"] == "budget"
+    assert res.meta["decrement"] > 1e-12 * res.energy
+
+
+def test_newton_reaches_lbfgs_minimum_p3():
+    # p = 3 on 2x2 patches, pinned at the four domain corners and at the
+    # cross point (0.5, 0.5) shared by all four patches
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+    dom = build_patches(pos, np.array([0.0, 1.0, 0.5, -0.4, 1.2]), 6, tiles=(2, 2))
+    prob = ContinuumProblem(domain=dom, density=reference_density("rho2"), p=3.0)
+    res = minimize_continuum(prob, tol=1e-12)
+    assert res.method == "newton"
+    assert res.meta["stop_reason"] == "converged"
+    assert res.meta["decrement"] <= 1e-12 * res.energy
+    base = np.zeros(dom.node_points.shape[0])
+    base[dom.pin_nodes] = dom.pin_values
+
+    def energy_and_gradient(x):
+        v = base.copy()
+        v[dom.free_nodes] = x
+        u = v[dom.node_of]
+        grad = np.bincount(dom.node_of, local_energy_gradient(u, prob))
+        return local_energy(u, prob), grad[dom.free_nodes]
+
+    ref = minimize(energy_and_gradient, np.full(dom.free_nodes.size, 0.5), jac=True,
+                   method="L-BFGS-B",
+                   options={"maxiter": 100_000, "ftol": 1e-15, "gtol": 1e-14})
+    assert local_energy(res.values, prob) <= ref.fun * (1.0 + 1e-10)
+    assert res.energy == pytest.approx(local_energy(res.values, prob), rel=1e-12)
 
 
 def test_evaluate_exact_at_collocation_nodes():
@@ -289,7 +280,7 @@ def test_on_mesh_agrees_with_pointwise_evaluation():
 
 def test_evaluate_on_mesh_dispatch():
     prob = make_problem(p=2.0, ppp=8, tiles=(2, 2), boundary=lambda x, y: x)
-    res = minimize_continuum(prob, tau=1.0, tol=1e-7, init="mean")
+    res = minimize_continuum(prob, tol=1e-7)
     grid = evaluate_on_mesh(res, 33)
     assert grid.shape == (33, 33)
     axis = np.linspace(0.0, 1.0, 33)
@@ -428,13 +419,13 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         ContinuumProblem(domain=prob.domain, density=prob.density, p=1.0)
     with pytest.raises(ValidationError):
-        ContinuumProblem(domain=prob.domain, density=prob.density, p=2.0, beta=-1.0)
+        ContinuumProblem(domain=prob.domain, density=prob.density, p=1.5)
+    with pytest.raises(ValidationError):
+        ContinuumProblem(domain=prob.domain, density=prob.density, p=2.0, delta=0.0)
     with pytest.raises(ValidationError):
         local_energy(np.zeros(3), prob)
     with pytest.raises(ValidationError):
-        semi_implicit_step(FlowState(u=np.zeros(prob.domain.n_nodes)), prob, tau=0.0)
-    with pytest.raises(ValidationError):
-        minimize_continuum(prob, init="bogus")
+        local_energy_gradient(np.zeros(3), prob)
     with pytest.raises(ValidationError):
         nonlocal_energy(lambda q: q[:, 0], prob.density, -0.1)
     with pytest.raises(ValidationError):

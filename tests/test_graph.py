@@ -175,8 +175,15 @@ def test_newton_reaches_lbfgs_minimum_p3():
     assert res.energy == pytest.approx(discrete_energy(g, res.values, 3.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, pytest.param(None, id="p2-direct")])
 def test_pin_free_component_and_isolated_node_keep_the_mean(p):
+    # p = None is the direct p = 2 solve, whose free Laplacian is singular
+    # on a pin-free component
+    def solve(g, cons):
+        if p is None:
+            return solve_p2_direct(g, cons)
+        return minimize_discrete(g, cons, p=p, tol=1e-10)
+
     rng = np.random.default_rng(3)
     pinned_part = 0.3 * rng.random((40, 2))
     pin_free_part = 0.3 * rng.random((15, 2)) + 0.6
@@ -186,13 +193,21 @@ def test_pin_free_component_and_isolated_node_keep_the_mean(p):
     assert comp[0] != comp[40] and np.unique(comp[:40]).size == 1
     assert np.unique(comp[40:55]).size == 1 and np.sum(comp == comp[55]) == 1
     cons = ConstraintSet(indices=[0, 7, 19], values=[0.0, 1.0, 0.4])
+    # six nodes: a pinned path 0-1-2, a pin-free pair 3-4, the isolated node 5
+    small = build_epsilon_graph(
+        np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.5, 0.5], [0.6, 0.5], [0.9, 0.9]]),
+        epsilon=0.15,
+    )
+    small_cons = ConstraintSet(indices=[0, 1], values=[0.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # MatrixRankWarning, division by zero, ...
-        res = minimize_discrete(g, cons, p=p, tol=1e-10)
-    assert res.converged
+        res = solve(g, cons)
+        small_res = solve(small, small_cons)
+    assert res.converged and small_res.converged
     assert np.all(np.isfinite(res.values))
     np.testing.assert_array_equal(res.values[40:], np.full(16, cons.values.mean()))
     np.testing.assert_array_equal(res.values[cons.indices], cons.values)
+    np.testing.assert_allclose(small_res.values, [0.0, 1.0, 1.0, 0.5, 0.5, 0.5], atol=1e-9)
 
 
 def test_validation_and_constraint_errors():

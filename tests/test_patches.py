@@ -24,112 +24,87 @@ def test_lattice_constraints_make_nine_patches():
     assert dom.n_nodes == 9 * 36
 
 
+def pinned_coords(dom):
+    return {tuple(c) for c in dom.node_points[dom.pin_nodes]}
+
+
 def test_four_corner_constraints_make_single_patch():
     pos = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     dom = build_patches(pos, np.arange(4.0), points_per_patch=5)
     assert len(dom.patches) == 1
-    pinned = {g.coord for g in dom.pinned}
-    assert pinned == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
+    assert pinned_coords(dom) == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
 
 
 def test_group_census_on_three_by_three_tiling():
     pos, labels = lattice_16()
     n = 6
     dom = build_patches(pos, labels, points_per_patch=n)
-    counts = {}
-    for g in dom.groups:
-        counts[g.kind] = counts.get(g.kind, 0) + 1
-    # every node copy is claimed by exactly one group
-    assert sum(len(g.members) for g in dom.groups) == dom.n_nodes
-    # 4 shared patch corners inside the square
-    assert counts["cross"] == 4
-    # 12 interface segments with n - 2 strictly interior nodes each, minus
-    # those converted to pins by the cross-constraint offsetting (2 per arm
-    # shared between adjacent crosses is impossible at n = 6, so 16 pins)
-    assert counts["iface"] == 12 * (n - 2) - 16
-    # outer boundary: 4 corner groups plus 8 interface endpoints (pinned by
-    # the lattice) leaves plain boundary nodes
-    assert counts.get("corner", 0) == 0  # the 4 domain corners carry constraints
-    assert counts.get("iface-boundary", 0) == 0  # the 8 edge lattice points are pinned
-    assert counts["pinned"] == 4 + 8 + 16
+    # every node copy maps to exactly one geometric node
+    assert dom.node_of.shape == (dom.n_nodes,)
+    copies = np.bincount(dom.node_of)
+    assert copies.size == (3 * (n - 1) + 1) ** 2
+    # 4 shared patch corners inside the square, 4 interface lines with
+    # 3 * (n - 1) + 1 nodes each, of which 2 are cross points; every other
+    # node belongs to one patch
+    assert np.sum(copies == 4) == 4
+    assert np.sum(copies == 2) == 4 * (3 * (n - 1) + 1 - 2)
+    assert np.sum(copies == 1) == copies.size - 4 - 4 * (3 * (n - 1) - 1)
+    assert copies.sum() == 9 * n * n
+    assert dom.pin_nodes.size == 16
+    assert dom.free_nodes.size == copies.size - 16
 
 
-def test_cross_constraints_are_offset_not_pinned():
+def test_cross_constraints_pin_the_shared_corner():
     pos, labels = lattice_16()
     dom = build_patches(pos, labels, points_per_patch=8)
-    cross_coords = {(round(x, 12), round(y, 12)) for x in (1 / 3, 2 / 3) for y in (1 / 3, 2 / 3)}
-    for g in dom.groups:
-        if g.coord in cross_coords:
-            assert g.kind == "cross"
-    # each cross spawns 4 offset pins on its interface arms
-    offset_pins = [g for g in dom.pinned if g.kind == "pinned" and len(g.members) == 2]
-    assert len(offset_pins) >= 16
-    assert dom.constraint_offset > 0.0
-    # one boundary-clustered collocation spacing of a width-1/3 patch
-    order = 7
-    spacing = (1.0 - np.cos(np.pi / order)) / 2.0 / 3.0
-    assert dom.constraint_offset == pytest.approx(spacing, rel=1e-12)
+    copies = np.bincount(dom.node_of)
+    # the 4 interior lattice points are the cross points: pinned exactly at
+    # their coordinates with their labels, one unknown for all 4 copies
+    for (x, y), label in zip(pos, labels):
+        k = dom.pin_nodes[np.all(dom.node_points[dom.pin_nodes] == (x, y), axis=1)]
+        assert k.size == 1
+        assert dom.pin_values[np.searchsorted(dom.pin_nodes, k[0])] == label
+        if 0.0 < x < 1.0 and 0.0 < y < 1.0:
+            assert copies[k[0]] == 4
+    assert dom.pin_nodes.size == 16
 
 
-def test_offset_labels_reevaluated_with_label_fn():
+def test_labels_checked_against_label_fn():
     def labeler(x, y):
         return 4.0 * (x - 0.5) ** 2 + (y - 0.5) ** 2
 
     pos, labels = lattice_16()
     dom = build_patches(pos, labels, points_per_patch=8, label_fn=labeler)
-    for g in dom.pinned:
-        assert g.label == pytest.approx(labeler(*g.coord), abs=1e-12)
+    np.testing.assert_array_equal(dom.pin_values, labeler(*dom.node_points[dom.pin_nodes].T))
+    with pytest.raises(ConstraintError):
+        build_patches(pos, labels + 0.1, points_per_patch=8, label_fn=labeler)
 
 
 def test_paired_copies_coincide_in_coordinates():
     pos, labels = lattice_16()
     dom = build_patches(pos, labels, points_per_patch=5)
-    for g in dom.groups:
-        if len(g.members) < 2:
-            continue
-        coords = np.array(
-            [dom.patches[pi].points[li] for pi, li in g.members]
-        )
-        assert np.ptp(coords[:, 0]) < 1e-12
-        assert np.ptp(coords[:, 1]) < 1e-12
-
-
-def test_interface_normals_are_unit_axis_vectors():
-    pos, labels = lattice_16()
-    dom = build_patches(pos, labels, points_per_patch=5)
-    for g in dom.groups:
-        if g.kind == "iface":
-            assert g.normal in {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
-            pa = dom.patches[g.members[0][0]]
-            # normal points out of members[0]'s patch toward the partner
-            x, y = g.coord
-            cx = 0.5 * (pa.bounds[0] + pa.bounds[1])
-            cy = 0.5 * (pa.bounds[2] + pa.bounds[3])
-            outward = np.sign([x - cx, y - cy])
-            assert g.normal[0] * outward[0] >= 0.0
-            assert g.normal[1] * outward[1] >= 0.0
+    np.testing.assert_array_equal(dom.points, dom.node_points[dom.node_of])
+    assert np.unique(dom.node_points, axis=0).shape == dom.node_points.shape
 
 
 def test_boundary_value_fn_pins_entire_boundary():
     dom = build_patches(
         None, None, points_per_patch=6, tiles=(2, 2), boundary_value_fn=lambda x, y: x
     )
-    for g in dom.groups:
-        x, y = g.coord
-        on_edge = min(x, y) < 1e-12 or max(x, y) > 1 - 1e-12
-        assert (g.kind == "pinned") == on_edge
-        if g.kind == "pinned":
-            assert g.label == pytest.approx(x, abs=1e-12)
+    x, y = dom.node_points.T
+    on_edge = (np.minimum(x, y) < 1e-12) | (np.maximum(x, y) > 1 - 1e-12)
+    np.testing.assert_array_equal(dom.pin_nodes, np.flatnonzero(on_edge))
+    np.testing.assert_allclose(dom.pin_values, x[on_edge], atol=1e-12)
 
 
 def test_explicit_tiles_with_interior_constraint():
     dom = build_patches(
         np.array([[0.5, 0.5]]), np.array([2.0]), points_per_patch=6, tiles=(2, 2)
     )
-    # (0.5, 0.5) is the shared corner of all 4 patches: offset into 4 pins
-    assert len(dom.pinned) == 4
-    for g in dom.pinned:
-        assert g.label == 2.0
+    # (0.5, 0.5) is the shared corner of all 4 patches: one pinned node
+    assert pinned_coords(dom) == {(0.5, 0.5)}
+    np.testing.assert_array_equal(dom.pin_values, [2.0])
+    assert np.sum(dom.node_of == dom.pin_nodes[0]) == 4
 
 
 def test_constraint_validation():
