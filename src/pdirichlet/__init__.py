@@ -33,6 +33,7 @@ from .density import (
     ReferenceDensity,
     SplineConfig,
     SplineDensityField,
+    SplineFit,
     density_gradient,
     kde_evaluate,
     reference_density,

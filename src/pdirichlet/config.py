@@ -73,7 +73,7 @@ _KEYS = {
     "seed": ("seed", int, "integer >= 0"),
     "out": ("out", str, "output directory"),
     "mesh": ("mesh", int, "integer >= 4"),
-    "points_per_patch": ("points_per_patch", int, "integer >= 4"),
+    "points_per_patch": ("points_per_patch", int, "integer in [4, 40]"),
     "svg": ("svg", None, "true or false"),
 }
 _FIELD_TO_KEY = {field: key for key, (field, _, _) in _KEYS.items()}
@@ -143,7 +143,9 @@ def validate(config: RunConfig) -> RunConfig:
         raise _fail("seed", c.seed)
     if c.mesh < 4:
         raise _fail("mesh", c.mesh)
-    if c.points_per_patch < 4:
+    # the p > 2 Newton Hessian is dense per patch, so its memory grows like
+    # 9 x points_per_patch^4; 40 keeps the 16-pin p = 3 solve under 1 GB
+    if not 4 <= c.points_per_patch <= 40:
         raise _fail("points_per_patch", c.points_per_patch)
     return c
 

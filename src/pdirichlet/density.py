@@ -3,11 +3,16 @@
 Three strictly positive reference densities drive the studies. Point clouds
 are drawn from them by inverse-transform sampling on a fine lattice. Kernel
 density estimates can be evaluated exactly (truncated sums) at arbitrary
-points or on a full uniform mesh via binned FFT convolution; the
-spline-smoothed variant fits a penalized tensor-product cubic B-spline to
-KDE values on a square knot lattice. Every estimator is exposed as a
-`DensityField` with consistent value/gradient evaluation and a positivity
-floor, which is what the continuum solver consumes.
+points or on a full uniform mesh via binned FFT convolution. The exact sums
+work in chunks of at most about 8M (point, sample) pairs, so their memory
+is bounded whatever n and h are: dense distance blocks for small problems,
+KD-tree pair lists for large ones. The spline-smoothed variant fits a
+penalized tensor-product cubic B-spline to KDE values on a square knot
+lattice; `SplineFit` factors the fit's normal matrix once, so a study
+fitting many value vectors at one (T, lam) pays for it once. Every
+estimator is exposed as a `DensityField` with consistent value/gradient
+evaluation and a positivity floor, which is what the continuum solver
+consumes.
 
 The eta-moment constant sigma (the weight appearing in front of local
 continuum energies) is computed here as well, split into a closed-form
@@ -26,6 +31,7 @@ from scipy.integrate import quad
 from scipy.interpolate import BSpline
 from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 from scipy.special import gamma as _gamma
 
 from .errors import SingularSystemError, ValidationError
@@ -36,6 +42,7 @@ __all__ = [
     "SampleSet",
     "Kernel",
     "SplineConfig",
+    "SplineFit",
     "KdeDensityField",
     "SplineDensityField",
     "reference_density",
@@ -56,6 +63,11 @@ _RHO3_NORM = 0.5031765765112621
 
 _FLOOR_RATIO = 1.0e-3
 _GAUSS_TRUNC = 5.0
+# (point, sample) pairs one chunk of an exact KDE sum may hold
+_PAIR_BUDGET = 8_000_000
+# pairs per dense distance block; blocks this small stay in cache, which
+# halves the time of a 1M-pair sum and leaves every row sum unchanged
+_DENSE_BLOCK = 1 << 16
 
 
 def uniform_mesh(mesh_size: int) -> np.ndarray:
@@ -63,6 +75,13 @@ def uniform_mesh(mesh_size: int) -> np.ndarray:
     if mesh_size < 2:
         raise ValidationError(f"mesh size must be >= 2, got {mesh_size}")
     return np.linspace(0.0, 1.0, mesh_size)
+
+
+def _mesh_points(mesh_size: int) -> np.ndarray:
+    """Points of the uniform D x D mesh, shape (D^2, 2), row-major (x fastest)."""
+    sites = uniform_mesh(mesh_size)
+    xx, yy = np.meshgrid(sites, sites)
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -113,16 +132,12 @@ class DensityField:
 
     def on_mesh(self, mesh_size: int) -> np.ndarray:
         """Raw (unclamped) values on the uniform mesh, shape (D, D), rows y."""
-        sites = uniform_mesh(mesh_size)
-        xx, yy = np.meshgrid(sites, sites)
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        pts = _mesh_points(mesh_size)
         return self.value_at(pts, clip=False).reshape(mesh_size, mesh_size)
 
     def gradient_on_mesh(self, mesh_size: int) -> np.ndarray:
         """Raw gradient on the uniform mesh, shape (D, D, 2)."""
-        sites = uniform_mesh(mesh_size)
-        xx, yy = np.meshgrid(sites, sites)
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        pts = _mesh_points(mesh_size)
         return self.gradient_at(pts, clip=False).reshape(mesh_size, mesh_size, 2)
 
 
@@ -149,15 +164,24 @@ class ReferenceDensity(DensityField):
         cached = self._sampler_cache.get(grid_size)
         if cached is not None:
             return cached
+        # the grid_size^2 tables are built by row blocks and in place, so at
+        # most two are held at once: this is the peak memory of a small study
         s = np.linspace(0.0, 1.0, grid_size)
-        xx, yy = np.meshgrid(s, s)
-        v = self._value_fn(xx.ravel(), yy.ravel()).reshape(grid_size, grid_size)
+        v = np.empty((grid_size, grid_size))
+        for j in range(0, grid_size, 64):
+            xx, yy = np.meshgrid(s, s[j : j + 64])
+            v[j : j + 64] = self._value_fn(xx, yy)
         dx = s[1] - s[0]
-        marg_x = np.trapezoid(v, dx=dx, axis=0)
+        # trapezoid increments between rows, (v_j + v_{j+1}) / 2 * dx
+        steps = v[:-1] + v[1:]
+        del v
+        steps /= 2.0
+        steps *= dx
+        marg_x = steps.sum(axis=0)
         cdf_x = np.concatenate([[0.0], np.cumsum((marg_x[:-1] + marg_x[1:]) / 2.0 * dx)])
         cdf_x /= cdf_x[-1]
-        cdf_y = np.zeros_like(v)
-        cdf_y[1:, :] = np.cumsum((v[:-1, :] + v[1:, :]) / 2.0 * dx, axis=0)
+        cdf_y = np.zeros((grid_size, grid_size))
+        np.cumsum(steps, axis=0, out=cdf_y[1:])
         cdf_y /= cdf_y[-1, :]
         self._sampler_cache[grid_size] = (s, cdf_x, cdf_y)
         return self._sampler_cache[grid_size]
@@ -332,8 +356,18 @@ def kde_evaluate(samples, h: float, points: np.ndarray, kernel_name: str = "gaus
     """Exact kernel density estimate at arbitrary points.
 
     Computes (1/n) sum_i K_h(x - x_i) with K_h(u) = h^-2 K(u/h), truncating
-    each kernel at ``truncation * h``. Small problems use dense distance
-    blocks; large ones a KD-tree over the samples.
+    each kernel at ``truncation * h``. Two branches give the same sums:
+
+    - dense, when n * m is at most 8M: squared distances of a block of
+      points to all samples (`cdist`), about 64k pairs per block (a single
+      point to all samples when n is larger);
+    - KD-tree, otherwise: the (point, sample) pairs within the truncation
+      radius, listed for chunks of points holding at most 8M pairs each (a
+      single point whose neighbourhood is larger forms its own chunk), and
+      summed per point with `bincount`.
+
+    Memory is thus bounded by the pair budget (or by n), whatever n and h
+    are.
 
     Parameters
     ----------
@@ -356,23 +390,30 @@ def kde_evaluate(samples, h: float, points: np.ndarray, kernel_name: str = "gaus
     data = _sample_array(samples)
     k = kernel(kernel_name)
     n = data.shape[0]
-    radius = k.truncation * h
+    m = pts.shape[0]
     scale = 1.0 / (n * h * h)
-    if n * pts.shape[0] <= 8_000_000:
-        out = np.empty(pts.shape[0])
-        step = max(1, 8_000_000 // max(n, 1))
-        for start in range(0, pts.shape[0], step):
-            block = pts[start : start + step]
-            d2 = ((block[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
+    out = np.empty(m)
+    if n * m <= _PAIR_BUDGET:
+        step = max(1, _DENSE_BLOCK // max(n, 1))
+        for start in range(0, m, step):
+            d2 = cdist(pts[start : start + step], data, "sqeuclidean")
             out[start : start + step] = k.value(d2 / (h * h)).sum(axis=1) * scale
         return out
+    radius = k.truncation * h
     tree = cKDTree(data)
-    out = np.zeros(pts.shape[0])
-    neighborhoods = tree.query_ball_point(pts, radius)
-    for i, idx in enumerate(neighborhoods):
-        if idx:
-            d2 = ((pts[i] - data[idx]) ** 2).sum(axis=1)
-            out[i] = k.value(d2 / (h * h)).sum() * scale
+    counts = tree.query_ball_point(pts, radius, return_length=True)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < m:
+        # the longest run of points from `start` within the pair budget
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, side="right")))
+        pairs = cKDTree(pts[start:stop]).sparse_distance_matrix(
+            tree, radius, output_type="ndarray"
+        )
+        weights = k.value(pairs["v"] ** 2 / (h * h))
+        out[start:stop] = np.bincount(pairs["i"], weights=weights, minlength=stop - start) * scale
+        start = stop
     return out
 
 
@@ -380,7 +421,7 @@ def _kde_gradient(data: np.ndarray, h: float, pts: np.ndarray, k: Kernel) -> np.
     n = data.shape[0]
     scale = 1.0 / (n * h**4)
     out = np.empty((pts.shape[0], 2))
-    step = max(1, 8_000_000 // max(n, 1))
+    step = max(1, _PAIR_BUDGET // max(n, 1))
     for start in range(0, pts.shape[0], step):
         block = pts[start : start + step]
         diff = block[:, None, :] - data[None, :, :]
@@ -493,9 +534,7 @@ class SplineConfig:
 
 def spline_knots(config: SplineConfig) -> np.ndarray:
     """Data-site lattice of the fit, shape (T, 2), x fastest."""
-    s = np.linspace(0.0, 1.0, config.grid_size)
-    xx, yy = np.meshgrid(s, s)
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    return _mesh_points(config.grid_size)
 
 
 def _open_knot_vector(sites: np.ndarray, degree: int = 3) -> np.ndarray:
@@ -584,7 +623,53 @@ class SplineDensityField(DensityField):
         return out
 
 
-def skde_fit(values: np.ndarray, config: SplineConfig) -> SplineDensityField:
+class SplineFit:
+    """The spline fit's operator for one `SplineConfig`, factored once.
+
+    Holds the open knot vector, the tensor design matrix on the knot lattice
+    and the sparse LU factorization of the (SPD) normal matrix, all of which
+    depend only on (T, lam). `fit` then costs one right-hand side and one
+    pair of triangular solves per value vector. Build one per study; it is
+    read-only after construction, so threads may share it.
+    """
+
+    def __init__(self, config: SplineConfig):
+        g = config.grid_size
+        sites = np.linspace(0.0, 1.0, g)
+        t = _open_knot_vector(sites)
+        b1 = BSpline.design_matrix(sites, t, 3)
+        design = sp.kron(b1, b1, format="csr")  # rows: y outer, x inner
+        g0 = sp.csr_matrix(_bspline_gram(t, 3, 0))
+        g1 = sp.csr_matrix(_bspline_gram(t, 3, 1))
+        g2 = sp.csr_matrix(_bspline_gram(t, 3, 2))
+        penalty = sp.kron(g0, g2) + 2.0 * sp.kron(g1, g1) + sp.kron(g2, g0)
+        normal = (design.T @ design) / (g * g) + config.lam * penalty
+        try:
+            self._lu = spla.splu(sp.csc_matrix(normal), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SingularSystemError(f"spline normal equations are singular: {exc}") from exc
+        self.config = config
+        self.knot_vector = t
+        self.design = design
+
+    def fit(self, values: np.ndarray) -> SplineDensityField:
+        """Spline field fitted to values on the knot lattice (see `skde_fit`)."""
+        g = self.config.grid_size
+        f = np.asarray(values, dtype=float)
+        if f.shape == (g, g):
+            f = f.ravel()
+        if f.shape != (g * g,):
+            raise ValidationError(f"expected {g * g} values (or a {g}x{g} array), got {f.shape}")
+        coefs = self._lu.solve(self.design.T @ f / (g * g))
+        if not np.all(np.isfinite(coefs)):
+            raise SingularSystemError("spline fit produced non-finite coefficients")
+        nb = len(self.knot_vector) - 4
+        return SplineDensityField(self.knot_vector, coefs.reshape(nb, nb), self.config)
+
+
+def skde_fit(
+    values: np.ndarray, config: SplineConfig, operator: SplineFit | None = None
+) -> SplineDensityField:
     """Fit the smoothing spline to density values on the knot lattice.
 
     Minimizes (1/T) sum_i (u(t_i) - f_i)^2 + lam * |Hessian u|^2_{L2} over
@@ -598,41 +683,19 @@ def skde_fit(values: np.ndarray, config: SplineConfig) -> SplineDensityField:
         Density values at the knot lattice, shape (T,) in knot order or
         (sqrt(T), sqrt(T)) with rows indexing y.
     config : SplineConfig
+    operator : SplineFit, optional
+        A factored operator for `config`, shared by many fits; without one
+        the call builds and factors its own.
 
     Returns
     -------
     SplineDensityField
     """
-    g = config.grid_size
-    f = np.asarray(values, dtype=float)
-    if f.shape == (g, g):
-        f = f.ravel()
-    if f.shape != (g * g,):
-        raise ValidationError(f"expected {g * g} values (or a {g}x{g} array), got {f.shape}")
-    sites = np.linspace(0.0, 1.0, g)
-    t = _open_knot_vector(sites)
-    b1 = BSpline.design_matrix(sites, t, 3)
-    a = sp.kron(b1, b1, format="csr")  # rows: y outer, x inner
-    g0 = _bspline_gram(t, 3, 0)
-    g1 = _bspline_gram(t, 3, 1)
-    g2 = _bspline_gram(t, 3, 2)
-    penalty = (
-        sp.kron(sp.csr_matrix(g0), sp.csr_matrix(g2))
-        + 2.0 * sp.kron(sp.csr_matrix(g1), sp.csr_matrix(g1))
-        + sp.kron(sp.csr_matrix(g2), sp.csr_matrix(g0))
-    )
-    npts = g * g
-    normal = (a.T @ a) / npts + config.lam * penalty
-    rhs = a.T @ f / npts
-    try:
-        solve = spla.splu(sp.csc_matrix(normal))
-        coefs = solve.solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"spline normal equations are singular: {exc}") from exc
-    if not np.all(np.isfinite(coefs)):
-        raise SingularSystemError("spline fit produced non-finite coefficients")
-    nb = len(t) - 4
-    return SplineDensityField(t, coefs.reshape(nb, nb), config)
+    if operator is None:
+        operator = SplineFit(config)
+    elif operator.config != config:
+        raise ValidationError("the spline operator was built for a different SplineConfig")
+    return operator.fit(values)
 
 
 def density_gradient(field: DensityField, points: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .csvio import Table
 from .density import (
     KdeDensityField,
     SplineConfig,
+    SplineFit,
     reference_density,
     sample_density,
     skde_fit,
@@ -249,6 +250,8 @@ def density_error_study(config: StudyConfig) -> StudyResult:
     exact_grad = rho.gradient_on_mesh(mesh)
     spline_config = SplineConfig(num_knots=config.T, lam=config.lam)
     knots = spline_knots(spline_config)
+    # one factored spline operator serves every fit of the study
+    spline_op = SplineFit(spline_config) if "skde" in config.estimators else None
 
     cells = [(n, h) for n in config.n_values for h in config.bandwidths_for(n)]
 
@@ -268,7 +271,7 @@ def density_error_study(config: StudyConfig) -> StudyResult:
                 times["kde"].append(kde_time)
             if "skde" in rows:
                 start = time.perf_counter()
-                spline = skde_fit(kde.value_at(knots), spline_config)
+                spline = skde_fit(kde.value_at(knots), spline_config, spline_op)
                 skde_value = spline.on_mesh(mesh)
                 skde_grad = spline.gradient_on_mesh(mesh)
                 rows["skde"].append(
@@ -345,12 +348,6 @@ def _field_errors(value, grad, exact_value, exact_grad, region):
     return (l2v, linfv, l2x, linfx, l2y, linfy)
 
 
-def _mesh_points(mesh_size: int) -> np.ndarray:
-    sites = uniform_mesh(mesh_size)
-    mx, my = np.meshgrid(sites, sites)
-    return np.column_stack([mx.ravel(), my.ravel()])
-
-
 def minimizer_comparison(config: StudyConfig) -> StudyResult:
     """Minimizer discrepancy and timing sweep over the sample sizes.
 
@@ -366,18 +363,14 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
     """
     rho = reference_density(config.density)
     constraints = constraint_labels()
-    mesh_pts = _mesh_points(config.mesh_size)
     region = config.region
-    in_region = (
-        (mesh_pts[:, 0] >= region[0])
-        & (mesh_pts[:, 0] <= region[1])
-        & (mesh_pts[:, 1] >= region[2])
-        & (mesh_pts[:, 1] <= region[3])
-    )
+    in_region = _region_mask(config.mesh_size, region).ravel()  # row-major, as on_mesh
     spline_config = SplineConfig(num_knots=config.T, lam=config.lam)
     knots = spline_knots(spline_config)
+    spline_op = SplineFit(spline_config) if "skde" in config.estimators else None
 
-    # one patch domain, with its static operators, serves every solve
+    # one patch domain, with its static operators, and one factored spline
+    # operator serve every solve and fit of the study
     domain = build_patches(
         constraints.positions,
         constraints.values,
@@ -393,7 +386,7 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
     start = time.perf_counter()
     reference = solve_continuum(rho)
     reference_seconds = time.perf_counter() - start
-    f_ref = reference.field.on_mesh(config.mesh_size).ravel()  # row-major, as mesh_pts
+    f_ref = reference.field.on_mesh(config.mesh_size).ravel()
     masked_ref = f_ref[in_region]
     denom = float(config.mesh_size) ** 2
 
@@ -419,7 +412,7 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
             if est == "kde":
                 density = kde
             else:
-                density = skde_fit(kde_knots, spline_config)
+                density = skde_fit(kde_knots, spline_config, spline_op)
             fit_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
             res = solve_continuum(density)

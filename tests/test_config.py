@@ -130,6 +130,7 @@ def test_out_of_range_values_name_their_key():
         ("seed=-1\n", "seed"),
         ("mesh=3\n", "mesh"),
         ("points_per_patch=3\n", "points_per_patch"),
+        ("points_per_patch=41\n", "points_per_patch"),
         ("epsilon=0\n", "epsilon"),
         ("k=0\n", "k"),
         ("density=rho9\n", "density"),

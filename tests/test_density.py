@@ -1,10 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+import pdirichlet.density as density_module
 from pdirichlet.density import (
     KdeDensityField,
     SplineConfig,
+    SplineFit,
     kde_evaluate,
     kde_field,
     kernel,
@@ -80,6 +85,23 @@ def test_sampling_is_deterministic_and_inside_domain():
     assert a.points.min() >= 0.0 and a.points.max() <= 1.0
 
 
+@pytest.mark.parametrize("name", ["rho1", "rho3"])
+def test_sampler_tables_equal_the_trapezoid_formulas(name):
+    # the tables are built in place; the plain expressions are the reference
+    grid = 200
+    s, cdf_x, cdf_y = reference_density(name)._sampler(grid)
+    xx, yy = np.meshgrid(s, s)
+    v = reference_density(name).value_at(np.column_stack([xx.ravel(), yy.ravel()]))
+    v = v.reshape(grid, grid)
+    dx = s[1] - s[0]
+    marg_x = np.trapezoid(v, dx=dx, axis=0)
+    ref_x = np.concatenate([[0.0], np.cumsum((marg_x[:-1] + marg_x[1:]) / 2.0 * dx)])
+    ref_y = np.zeros_like(v)
+    ref_y[1:, :] = np.cumsum((v[:-1, :] + v[1:, :]) / 2.0 * dx, axis=0)
+    np.testing.assert_array_equal(cdf_x, ref_x / ref_x[-1])
+    np.testing.assert_array_equal(cdf_y, ref_y / ref_y[-1, :])
+
+
 def test_sampling_matches_rho2_mean():
     # E[x] under rho2 is (1/6 + 1/10) / 0.45
     rho = reference_density("rho2")
@@ -124,16 +146,26 @@ def test_kde_peak_value_single_sample():
     assert vals[0] == pytest.approx(1.0 / (2 * np.pi * h * h), rel=1e-12)
 
 
-def test_kde_brute_and_tree_paths_agree():
+def test_kde_brute_and_tree_paths_agree(monkeypatch):
     rng = np.random.default_rng(8)
     data = rng.random((4000, 2))
     pts = rng.random((50, 2))
     h = 0.05
     brute = kde_evaluate(data, h, pts)
-    # force the tree path by replicating the data past the brute-force cutoff
+    # force the tree path by replicating the data past the brute-force cutoff;
+    # its 16.4M pairs fill three chunks of the 8M-pair budget
     big = np.tile(data, (501, 1))
     tree = kde_evaluate(big, h, pts)
     np.testing.assert_allclose(brute, tree, rtol=1e-10)
+    # many chunks: a pair budget under n * m takes the tree path, and one
+    # under a whole neighbourhood (860 pairs at most here) leaves one point
+    # per chunk; the first point sits on a sample (zero distance) and the
+    # last has no sample within the truncation radius
+    pts = np.vstack([data[:1], pts, [[2.0, 2.0]]])
+    brute = kde_evaluate(data, h, pts)
+    for budget in (5000, 100):
+        monkeypatch.setattr(density_module, "_PAIR_BUDGET", budget)
+        np.testing.assert_allclose(kde_evaluate(data, h, pts), brute, rtol=1e-10)
 
 
 def test_kde_mesh_path_matches_exact_evaluation():
@@ -237,6 +269,41 @@ def test_skde_gradient_matches_finite_differences():
             field.value_at(pts + shift, clip=False) - field.value_at(pts - shift, clip=False)
         ) / (2 * eps)
         np.testing.assert_allclose(grad[:, axis], fd, rtol=2e-5, atol=2e-6)
+
+
+def test_one_operator_serves_several_fits():
+    cfg = SplineConfig(num_knots=20 * 20, lam=1e-5)
+    knots = spline_knots(cfg)
+    operator = SplineFit(cfg)
+    rng = np.random.default_rng(29)
+    for vals in (
+        reference_density("rho3").value_at(knots),
+        1.0 + 0.5 * knots[:, 0] + 0.1 * rng.standard_normal(len(knots)),
+    ):
+        shared = skde_fit(vals, cfg, operator)
+        fresh = skde_fit(vals, cfg)
+        np.testing.assert_allclose(shared.coefs, fresh.coefs, rtol=1e-12, atol=1e-12)
+        assert shared.floor == pytest.approx(fresh.floor, rel=1e-12)
+    with pytest.raises(ValidationError):
+        skde_fit(vals, SplineConfig(num_knots=20 * 20, lam=1e-4), operator)
+
+
+def test_shared_operator_fits_from_threads():
+    cfg = SplineConfig(num_knots=16 * 16, lam=1e-5)
+    operator = SplineFit(cfg)
+    rng = np.random.default_rng(37)
+    batches = [rng.random(cfg.num_knots) + 1.0 for _ in range(48)]
+    serial = [operator.fit(v).coefs for v in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(skde_fit, v, cfg, operator) for v in batches]
+            threaded = [f.result(timeout=60).coefs for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_skde_smooths_noisy_values():

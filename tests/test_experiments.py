@@ -162,6 +162,11 @@ def test_density_study_threads_do_not_change_results():
     serial = density_error_study(StudyConfig(**TINY))
     threaded = density_error_study(StudyConfig(**TINY, threads=2))
     assert serial.results.rows == threaded.results.rows
+    # the pool's cells share one spline factorization
+    small = dict(TINY, points_per_patch=6, max_iter=60)
+    serial = minimizer_comparison(StudyConfig(**small))
+    threaded = minimizer_comparison(StudyConfig(**small, threads=2))
+    assert serial.results.rows == threaded.results.rows
 
 
 def test_density_study_explicit_bandwidth_sweep():
