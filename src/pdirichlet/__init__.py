@@ -1,7 +1,7 @@
 """Constrained p-Dirichlet energy minimization on 2D point clouds.
 
 Tools for extending a handful of labeled points to a full labeling: discrete
-graph energies with Newton and accelerated-descent minimizers, their local
+graph energies with a certified Newton minimizer, their local
 and nonlocal continuum counterparts discretized by Chebyshev spectral
 elements on patched domains, density estimation (KDE and spline-smoothed
 KDE) feeding the continuum weights, and reproducible error/timing studies
@@ -10,7 +10,6 @@ comparing the routes.
 
 from .chebyshev import (
     ChebGrid1D,
-    DiffOperator,
     QuadratureRule,
     chebyshev_diff_matrix,
     chebyshev_nodes,
@@ -34,7 +33,6 @@ from .density import (
     SplineConfig,
     SplineDensityField,
     SplineFit,
-    density_gradient,
     kde_evaluate,
     reference_density,
     sample_density,
@@ -44,7 +42,6 @@ from .density import (
 )
 from .graph import (
     ConstraintSet,
-    GraphLabeling,
     MinimizerResult,
     WeightedGraph,
     build_epsilon_graph,
@@ -76,7 +73,6 @@ from .errors import (
     ConvergenceError,
     PDirichletError,
     SingularSystemError,
-    StepSizeError,
     ValidationError,
 )
 

@@ -19,7 +19,6 @@ from .errors import ValidationError
 
 __all__ = [
     "ChebGrid1D",
-    "DiffOperator",
     "QuadratureRule",
     "chebyshev_nodes",
     "chebyshev_diff_matrix",
@@ -51,28 +50,6 @@ class ChebGrid1D:
     @property
     def size(self) -> int:
         return self.order + 1
-
-
-@dataclass(frozen=True)
-class DiffOperator:
-    """Linear differentiation operator acting on flattened node values.
-
-    ``entries`` is a dense matrix for 1D operators and a sparse CSR matrix
-    for tensor-product operators, where the dense Kronecker form would be
-    prohibitively large. Either way ``apply`` is a plain matrix-vector
-    product.
-    """
-
-    entries: np.ndarray | sp.csr_matrix
-    size: int
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.size:
-            raise ValidationError(
-                f"operator of size {self.size} applied to {values.shape[0]} values"
-            )
-        return self.entries @ values
 
 
 @dataclass(frozen=True)
@@ -144,7 +121,7 @@ def _barycentric_weights(order: int) -> np.ndarray:
     return w
 
 
-def chebyshev_diff_matrix(grid: ChebGrid1D) -> DiffOperator:
+def chebyshev_diff_matrix(grid: ChebGrid1D) -> np.ndarray:
     """First-derivative collocation matrix for a Lobatto grid.
 
     Built in barycentric form: off-diagonal entries (w_j / w_i) / (x_i - x_j)
@@ -153,30 +130,28 @@ def chebyshev_diff_matrix(grid: ChebGrid1D) -> DiffOperator:
     all polynomials up to the grid order.
     """
     x = grid.nodes
-    n = grid.size
     w = _barycentric_weights(grid.order)
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
     d = (w[None, :] / w[:, None]) / dx
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
-    return DiffOperator(entries=d, size=n)
+    return d
 
 
-def tensor_diff_ops(grid_x: ChebGrid1D, grid_y: ChebGrid1D) -> tuple[DiffOperator, DiffOperator]:
+def tensor_diff_ops(grid_x: ChebGrid1D, grid_y: ChebGrid1D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Partial-derivative operators on the tensor grid of two 1D grids.
 
     Fields are flattened x-fastest: node (ix, iy) sits at flat index
-    ``iy * grid_x.size + ix``. Returns (Dx, Dy) as sparse operators of size
-    ``grid_x.size * grid_y.size``.
+    ``iy * grid_x.size + ix``. Returns (Dx, Dy) as sparse CSR matrices of
+    size ``grid_x.size * grid_y.size``.
     """
-    d1x = chebyshev_diff_matrix(grid_x).entries
-    d1y = chebyshev_diff_matrix(grid_y).entries
+    d1x = chebyshev_diff_matrix(grid_x)
+    d1y = chebyshev_diff_matrix(grid_y)
     nx, ny = grid_x.size, grid_y.size
     dx = sp.kron(sp.identity(ny, format="csr"), sp.csr_matrix(d1x), format="csr")
     dy = sp.kron(sp.csr_matrix(d1y), sp.identity(nx, format="csr"), format="csr")
-    size = nx * ny
-    return DiffOperator(entries=dx, size=size), DiffOperator(entries=dy, size=size)
+    return dx, dy
 
 
 def clenshaw_curtis_weights(order: int, interval: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:

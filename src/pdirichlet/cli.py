@@ -49,7 +49,6 @@ _EXIT_CODES = {
     "validation": 3,
     "constraint": 3,
     "convergence": 4,
-    "step-size": 4,
     "singular-system": 4,
     "runtime": 5,
 }

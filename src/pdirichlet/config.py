@@ -65,7 +65,7 @@ _KEYS = {
     "n": ("n", int, "integer >= 1"),
     "h": ("h", float, "real > 0"),
     "T": ("T", int, "perfect square >= 16"),
-    "lambda": ("lam", float, "real >= 0"),
+    "lambda": ("lam", float, "real > 0"),
     "p": ("p", float, "real >= 1 (> 2 for the continuum solver)"),
     "epsilon": ("epsilon", float, "real > 0"),
     "k": ("k", int, "integer >= 1"),
@@ -121,8 +121,8 @@ def validate(config: RunConfig) -> RunConfig:
     g = int(round(math.sqrt(c.T)))
     if g * g != c.T or g < 4:
         raise _fail("T", c.T)
-    if c.lam < 0.0:
-        raise ConfigError(f"config key 'lambda' = {c.lam!r} rejected; the penalty weight is >= 0")
+    if not (c.lam > 0.0):
+        raise ConfigError(f"config key 'lambda' = {c.lam!r} rejected; the penalty weight is > 0")
     if c.p < 1.0:
         raise _fail("p", c.p)
     # both continuum pipelines pin isolated points, which have zero capacity

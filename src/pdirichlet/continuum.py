@@ -55,21 +55,16 @@ class ContinuumProblem:
 
     ``sigma`` defaults to the kernel surface moment for the indicator kernel
     at the given ``p``; it scales reported energies but not the minimizer.
-    ``delta``, relative to the label range, floors the gradient magnitude in
-    the Newton Hessian weights, which vanish where grad u = 0 for p > 2.
     """
 
     domain: PatchedDomain
     density: DensityField
     p: float
     sigma: float | None = None
-    delta: float = 1.0e-8
 
     def __post_init__(self) -> None:
         if self.p < 2.0:
             raise ValidationError(f"the continuum solver needs p >= 2, got {self.p}")
-        if not self.delta > 0.0:
-            raise ValidationError(f"delta must be positive, got {self.delta}")
         if self.sigma is None:
             self.sigma = sigma_eta(self.p, "indicator")
         rho = self.density.value_at(self.domain.points)
@@ -126,7 +121,9 @@ def local_energy_gradient(u: np.ndarray, problem: ContinuumProblem) -> np.ndarra
 class _RitzEnergy:
     """The quadrature energy as a function of the geometric-node values,
     with gradient and Hessian over the free (unpinned) nodes, in the form
-    the shared Newton iteration (`graph._newton`) takes."""
+    the shared Newton iteration (`graph._newton`) takes, unsmoothed."""
+
+    s = bias = 0.0
 
     def __init__(self, problem: ContinuumProblem):
         self.p = problem.p
@@ -202,9 +199,8 @@ def minimize_continuum(
     dom = problem.domain
     v = np.full(dom.node_points.shape[0], float(dom.pin_values.mean()))
     v[dom.pin_nodes] = dom.pin_values
-    delta = problem.delta * max(float(np.ptp(dom.pin_values)), 1e-12)
     v, energies, iterations, residual, reason, decrement = _newton(
-        _RitzEnergy(problem), v, tol, max_iter, delta, _factor_solve
+        _RitzEnergy(problem), v, tol, max_iter, _factor_solve
     )
     u = v[dom.node_of]
     return MinimizerResult(

@@ -49,10 +49,8 @@ __all__ = [
     "sample_density",
     "kernel",
     "kde_evaluate",
-    "kde_field",
     "spline_knots",
     "skde_fit",
-    "density_gradient",
     "sigma_eta",
     "uniform_mesh",
 ]
@@ -497,11 +495,6 @@ class KdeDensityField(DensityField):
         return np.stack([gx, gy], axis=-1)
 
 
-def kde_field(samples, h: float, kernel_name: str = "gaussian") -> KdeDensityField:
-    """Wrap a sample cloud as an evaluable KDE field."""
-    return KdeDensityField(samples, h, kernel_name)
-
-
 @dataclass(frozen=True)
 class SplineConfig:
     """Settings of the spline-smoothed KDE fit.
@@ -522,8 +515,8 @@ class SplineConfig:
             raise ValidationError(f"num_knots must be a perfect square, got {self.num_knots}")
         if g < 4:
             raise ValidationError(f"need at least a 4x4 knot lattice, got {g}x{g}")
-        if self.lam < 0:
-            raise ValidationError(f"lam must be >= 0, got {self.lam}")
+        if not self.lam > 0:
+            raise ValidationError(f"lam must be > 0, got {self.lam}")
         if self.penalty_order != 2:
             raise ValidationError("only a second-order roughness penalty is supported")
 
@@ -696,16 +689,6 @@ def skde_fit(
     elif operator.config != config:
         raise ValidationError("the spline operator was built for a different SplineConfig")
     return operator.fit(values)
-
-
-def density_gradient(field: DensityField, points: np.ndarray) -> np.ndarray:
-    """Gradient of a density field at arbitrary points, shape (m, 2).
-
-    Differentiates the field's own representation (analytic formula, kernel
-    derivatives, or spline derivatives); zero wherever the positivity floor
-    is active.
-    """
-    return field.gradient_at(points)
 
 
 def sigma_eta(p: float, eta: str = "indicator", d: int = 2) -> float:

@@ -36,12 +36,6 @@ class ConvergenceError(PDirichletError):
     category = "convergence"
 
 
-class StepSizeError(PDirichletError):
-    """Step-size control failed: no admissible descent step could be found."""
-
-    category = "step-size"
-
-
 class SingularSystemError(PDirichletError):
     """A linear system required by a solver or fit is singular or ill-posed."""
 

@@ -136,8 +136,8 @@ class StudyConfig:
                 raise ValidationError("h_values contain duplicates")
         if not (self.h_scale > 0.0):
             raise ValidationError(f"h_scale must be positive, got {self.h_scale}")
-        if self.lam < 0.0:
-            raise ValidationError(f"lam must be >= 0, got {self.lam}")
+        if not (self.lam > 0.0):
+            raise ValidationError(f"lam must be > 0, got {self.lam}")
         if self.p < 1.0:
             raise ValidationError(f"p must be >= 1, got {self.p}")
         if not (0.0 <= self.region[0] < self.region[1] <= 1.0) or not (

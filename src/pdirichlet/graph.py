@@ -6,17 +6,19 @@ energy
 
     E(f) = (1 / (eps^p n^2)) * sum_ij W_ij |f_i - f_j|^p
 
-over the other nodes. For p >= 2 `minimize_discrete` runs a damped Newton
-method: it starts from the exact p = 2 minimizer, solves each step's
-weighted-Laplacian Hessian system by Jacobi-preconditioned CG, takes an
-Armijo backtracking step, and stops on the Newton decrement, so ``tol`` is
-a relative energy-gap certificate. For 1 < p < 2 the Hessian degenerates
-where neighbouring values meet, and accelerated projected descent runs
-instead. Both accept a step only if the energy does not increase, so
-recorded energy traces are monotone by construction. For p = 2 the
-minimizer is also available as a direct sparse linear solve, which serves
-as an exact cross-check. The same Newton iteration also minimizes the
-continuum quadrature energy of `pdirichlet.continuum`.
+over the other nodes. `minimize_discrete` runs one damped Newton method
+for every p > 1: it starts from the exact p = 2 minimizer, solves each
+step's weighted-Laplacian Hessian system by Jacobi-preconditioned CG, takes
+an Armijo backtracking step, and stops on a certificate of the relative
+energy gap, so ``tol`` means the same for every p. For 1 < p < 2 the
+Hessian blows up where neighbouring values meet, so Newton runs on the
+smoothed energy with |t|^p replaced by (t^2 + s^2)^(p/2), along a ladder
+of shrinking s; the smoothing adds at most sum_ij W_ij s^p (scaled) to the
+gap, and the certificate counts it. Steps are accepted only if the energy
+does not increase, so recorded energy traces are monotone by construction.
+For p = 2 the minimizer is also available as a direct sparse linear solve,
+which serves as an exact cross-check. The same Newton iteration also
+minimizes the continuum quadrature energy of `pdirichlet.continuum`.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .density import kernel
-from .errors import ConstraintError, ConvergenceError, StepSizeError, ValidationError
+from .errors import ConstraintError, ConvergenceError, ValidationError
 
 __all__ = [
     "WeightedGraph",
     "ConstraintSet",
-    "GraphLabeling",
     "MinimizerResult",
     "default_epsilon",
     "build_epsilon_graph",
@@ -98,14 +99,6 @@ class ConstraintSet:
     def check_against(self, n: int) -> None:
         if self.indices.min() < 0 or self.indices.max() >= n:
             raise ConstraintError(f"constraint indices out of range for {n} nodes")
-
-
-@dataclass(frozen=True)
-class GraphLabeling:
-    """Node values on a graph, with the constraint set that produced them."""
-
-    values: np.ndarray
-    constraints: ConstraintSet
 
 
 @dataclass
@@ -251,12 +244,6 @@ def discrete_energy_gradient(graph: WeightedGraph, values: np.ndarray, p: float)
     return 2.0 * p * _energy_scale(graph, p) * grad
 
 
-def _default_step(graph: WeightedGraph, p: float, label_range: float) -> float:
-    degree = np.asarray(graph.weights.sum(axis=1)).ravel().max()
-    curvature = max(label_range, 1e-12) ** (p - 2.0)
-    return 0.9 * graph.epsilon**p * graph.n**2 / (2.0 * p * max(degree, 1e-300) * curvature)
-
-
 # Newton: PCG relative residual, PCG iteration cap per unknown, Armijo
 # sufficient-decrease fraction, and the step length at which the line
 # search gives up
@@ -264,29 +251,58 @@ _PCG_RTOL = 1e-10
 _PCG_MAX_ITER_FACTOR = 4
 _ARMIJO = 1e-4
 _MIN_NEWTON_STEP = 2.0**-40
+# smoothing ladder (1 < p < 2): a stage ends once its decrement is below
+# _STAGE_TOL times its smoothing bias, the most by which its own minimum
+# can be off, and the next divides s by _SMOOTHING_RATIO
+_STAGE_TOL = 1e-2
+_SMOOTHING_RATIO = 10.0
+
+
+def _start_values(graph: WeightedGraph, constraints: ConstraintSet):
+    """Start field and the mask of the nodes whose components are solved.
+
+    A connected component is solved when its pins carry at least two
+    values. Every node of a component whose pins all agree takes that
+    value, its exact minimizer; every node of a pin-free component
+    (isolated nodes included) takes the constraint mean.
+    """
+    pins, vals = constraints.indices, constraints.values
+    ncomp, comp = sp.csgraph.connected_components(graph.weights, directed=False)
+    lo = np.full(ncomp, np.inf)
+    hi = np.full(ncomp, -np.inf)
+    np.minimum.at(lo, comp[pins], vals)
+    np.maximum.at(hi, comp[pins], vals)
+    f = np.where(lo == hi, lo, float(vals.mean()))[comp]
+    f[pins] = vals
+    return f, (lo < hi)[comp]
 
 
 class _PinnedEdges:
     """The free part of a constrained graph energy, with each edge stored once.
 
-    Only the connected components that carry a pin are solved: ``free`` lists
-    their unpinned nodes, and nodes of pin-free components keep their start
+    Only the nodes marked ``solved`` (see `_start_values`) are solved:
+    ``free`` lists the unpinned ones, and every other node keeps its start
     value. Edges (i < j) and the sparsity pattern of the free-node Hessian
     are built once here, so each Newton step only refills the Hessian data.
+
+    With smoothing ``s`` > 0 each edge term |t|^p, t = f_i - f_j, becomes
+    (t^2 + s^2)^(p/2). For p <= 2 that term exceeds |t|^p by at most s^p,
+    so ``bias`` = scale sum w s^p bounds how far the smoothed energy lies
+    above the true one at any f.
     """
 
-    def __init__(self, graph: WeightedGraph, constraints: ConstraintSet, p: float):
-        pins = constraints.indices
-        _, comp = sp.csgraph.connected_components(graph.weights, directed=False)
-        solved = np.isin(comp, comp[pins])
+    def __init__(self, graph: WeightedGraph, constraints: ConstraintSet, p: float,
+                 solved: np.ndarray, s: float):
         upper = sp.triu(graph.weights, k=1).tocoo()
         keep = solved[upper.row]
         self.i, self.j, self.w = upper.row[keep], upper.col[keep], upper.data[keep]
-        solved[pins] = False
+        solved = solved.copy()
+        solved[constraints.indices] = False
         self.free = np.flatnonzero(solved)
         self.n, self.p = graph.n, p
         # sum_ij counts every edge twice
         self.scale = 2.0 * _energy_scale(graph, p)
+        self.smooth(s)
         nf = self.free.size
         local = np.full(graph.n, -1)
         local[self.free] = np.arange(nf)
@@ -305,22 +321,40 @@ class _PinnedEdges:
         self._order = pattern.data.astype(np.int64) - 1
         self._indices, self._indptr = pattern.indices, pattern.indptr
 
+    def smooth(self, s: float) -> None:
+        """Set the smoothing ``s`` and its energy bias bound."""
+        self.s = s
+        self.bias = self.scale * float(self.w.sum()) * s**self.p
+
+    def _gaps(self, f: np.ndarray):
+        """t = f_i - f_j per edge and its smoothed size u = sqrt(t^2 + s^2),
+        which is |t| exactly when s = 0."""
+        t = f[self.i] - f[self.j]
+        return t, np.sqrt(t * t + self.s**2)
+
     def energy(self, f: np.ndarray) -> float:
-        return self.scale * float(np.dot(self.w, np.abs(f[self.i] - f[self.j]) ** self.p))
+        return self.scale * float(np.dot(self.w, self._gaps(f)[1] ** self.p))
 
     def gradient(self, f: np.ndarray, p: float) -> np.ndarray:
-        """Free-node gradient of the energy with exponent ``p``, under this
-        problem's normalization (a common factor, which Newton steps cancel)."""
-        diff = f[self.i] - f[self.j]
-        contrib = self.w * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        """Free-node gradient of the (smoothed) energy with exponent ``p``,
+        under this problem's normalization (a common factor, which Newton
+        steps cancel)."""
+        t, u = self._gaps(f)
+        # t / u is the smoothed sign, sign(t) when s = 0
+        sign = np.divide(t, u, out=np.zeros_like(t), where=u > 0.0)
+        contrib = self.w * u ** (p - 1.0) * sign
         grad = np.bincount(self.i, contrib, self.n) - np.bincount(self.j, contrib, self.n)
         return p * self.scale * grad[self.free]
 
     def hessian(self, f: np.ndarray, p: float, delta: float) -> sp.csr_matrix:
-        """Free-node Hessian of the exponent-``p`` energy: a weighted Laplacian
-        with edge weights scale * p (p - 1) w max(|f_i - f_j|, delta)^(p - 2)."""
-        gap = np.maximum(np.abs(f[self.i] - f[self.j]), delta)
-        curv = p * (p - 1.0) * self.scale * self.w * gap ** (p - 2.0)
+        """Free-node Hessian of the (smoothed) exponent-``p`` energy: a weighted
+        Laplacian with edge weights scale p (p - 1 - (p - 2) s^2 / u^2) w u^(p - 2).
+        A positive s keeps u >= s; without it, u is floored at ``delta``,
+        since the curvature vanishes with u for p > 2."""
+        u = self._gaps(f)[1]
+        if not self.s:
+            u = np.maximum(u, delta)
+        curv = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale * self.w * u ** (p - 2.0)
         diag = np.bincount(self.i, curv, self.n) + np.bincount(self.j, curv, self.n)
         off = -curv[self._both]
         data = np.concatenate([off, off, diag[self.free]])[self._order]
@@ -353,16 +387,34 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton(problem, f: np.ndarray, tol: float, max_iter: int, delta: float, solve=_pcg):
-    """Damped Newton from the exact p = 2 minimizer, stopped on the decrement.
+def _newton(problem, f: np.ndarray, tol: float, max_iter: int, solve=_pcg):
+    """Damped Newton from the exact p = 2 minimizer, stopped on a gap bound.
 
     Shared by both routes. ``problem`` exposes the free unknowns
-    (``free``, indices into ``f``), ``p``, and ``energy(f)``,
-    ``gradient(f, p)`` and ``hessian(f, p, delta)`` of the exponent-``p``
-    energy over the free unknowns; ``solve(h, b)`` solves one Newton system,
-    and ``delta`` floors the gradient magnitudes in the Hessian weights.
+    (``free``, indices into ``f``), ``p``, the smoothing ``s`` with its
+    energy bias bound ``bias`` (both set by ``smooth(s)``, which is called
+    only if s > 0), and ``energy(f)``, ``gradient(f, p)`` and
+    ``hessian(f, p, delta)`` of the exponent-``p`` energy over the free
+    unknowns; ``solve(h, b)`` solves one Newton system. ``delta``,
+    sqrt(machine eps) times the range of the start values, floors the
+    gradient magnitudes in the Hessian weights, which vanish with them for
+    p > 2.
+
+    The run stops when the bound decrement + bias <= tol * (E - bias),
+    where E is the current (smoothed) energy: the decrement lambda^2 / 2
+    estimates the gap to the smoothed minimum, and the bias bounds how far
+    that minimum lies above the true one and E above the true energy, so
+    the bound caps the true gap at ``tol`` times the true energy. Until
+    then, a problem with s > 0 runs a ladder of stages: a stage whose
+    decrement is below _STAGE_TOL times its bias ends, and the next, with
+    s divided by _SMOOTHING_RATIO, continues from the same iterate.
+
+    Returns the values, the energies after every accepted step (the
+    smoothed ones, then the true energy once if s > 0), the step count,
+    the max free-node gradient, the stop reason and the last gap bound.
     """
     free = problem.free
+    delta = np.sqrt(np.finfo(float).eps) * max(float(np.ptp(f)), 1e-12)
     f[free] += solve(problem.hessian(f, 2.0, delta), -problem.gradient(f, 2.0))
     energy = problem.energy(f)
     energies = [energy]
@@ -371,10 +423,15 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int, delta: float, sol
         grad = problem.gradient(f, problem.p)
         step = solve(problem.hessian(f, problem.p, delta), -grad)
         decrement = -0.5 * float(grad @ step)
-        certified = decrement <= tol * energy
+        bias = problem.bias
+        certified = decrement + bias <= tol * (energy - bias)
         if iterations >= max_iter:
             reason = "converged" if certified else "budget"
             break
+        if problem.s and not certified and decrement <= _STAGE_TOL * bias:
+            problem.smooth(problem.s / _SMOOTHING_RATIO)
+            energy = problem.energy(f)
+            continue
         # Armijo backtracking (lambda^2 = 2 * decrement is the decrease the
         # model predicts at t = 1); a certified step is only tried at full
         # length, which costs one energy evaluation and squares the gap
@@ -398,60 +455,10 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int, delta: float, sol
             reason = "stalled"
             break
     residual = float(np.abs(problem.gradient(f, problem.p)).max()) if free.size else 0.0
-    return f, energies, iterations, residual, reason, decrement
-
-
-def _nesterov(problem: _PinnedEdges, graph: WeightedGraph, f: np.ndarray, tol: float,
-              max_iter: int, label_range: float):
-    """Accelerated projected descent with energy-decrease acceptance (1 < p < 2)."""
-    p, free = problem.p, problem.free
-    tau = _default_step(graph, p, label_range)
-    grad_scale = (
-        2.0 * p * _energy_scale(graph, p)
-        * np.asarray(graph.weights.sum(axis=1)).ravel().max()
-        * max(label_range, 1e-12) ** (p - 1.0)
-    )
-
-    def residual_of(vals):
-        g = problem.gradient(vals, p)
-        return float(np.abs(g).max()) if g.size else 0.0
-
-    energy = problem.energy(f)
-    energies = [energy]
-    residual = residual_of(f)
-    y = f.copy()
-    iterations = 0
-    converged = residual <= tol * grad_scale
-    stagnated = False
-    while not converged and not stagnated and iterations < max_iter:
-        accepted = False
-        while not accepted and not stagnated:
-            cand = y.copy()
-            cand[free] -= tau * problem.gradient(y, p)
-            cand_energy = problem.energy(cand)
-            if cand_energy <= energy:
-                accepted = True
-            elif not np.array_equal(y, f):
-                y = f.copy()  # restart momentum, retry from the accepted iterate
-            elif cand_energy - energy <= 16.0 * np.finfo(float).eps * max(abs(energy), 1e-300):
-                # descent is blocked by roundoff only: converged to precision
-                stagnated = True
-            else:
-                tau /= 2.0
-                if tau < 1e-300:
-                    raise StepSizeError("step size underflow: no descent step found")
-        if not accepted:
-            break
-        prev = f
-        f = cand
-        energy = cand_energy
-        energies.append(energy)
-        iterations += 1
-        y = f + iterations / (iterations + 3.0) * (f - prev)
-        residual = residual_of(f)
-        converged = residual <= tol * grad_scale
-    reason = "stalled" if stagnated else "converged" if converged else "budget"
-    return f, energies, iterations, residual, reason, float("nan")
+    if problem.s:
+        problem.smooth(0.0)
+        energies.append(problem.energy(f))
+    return f, energies, iterations, residual, reason, decrement + bias
 
 
 def minimize_discrete(
@@ -459,32 +466,37 @@ def minimize_discrete(
     constraints: ConstraintSet,
     p: float,
     tol: float = 1e-8,
-    max_iter: int = 200_000,
+    max_iter: int = 100,
     strict: bool = True,
 ) -> MinimizerResult:
     """Minimize the graph energy with the constrained nodes held fixed.
 
-    Only the connected components that carry a pin are solved; every other
-    node (pin-free components, isolated nodes) keeps the constraint mean.
+    Only the connected components whose pins carry two or more values are
+    solved. Every node of a component whose pins agree takes their value,
+    and every other node (pin-free components, isolated nodes) keeps the
+    constraint mean.
 
-    For p >= 2 the solver is a damped Newton method. It starts from the
-    exact p = 2 minimizer (one Newton step of the p = 2 energy from the
-    constraint-mean field). Each step solves the weighted-Laplacian Hessian
-    system, with edge curvature floored at a gap of sqrt(machine eps) times
-    the label range, by Jacobi-preconditioned CG and takes an Armijo
-    backtracking step. It stops when the Newton decrement lambda^2 / 2 =
+    The solver is a damped Newton method for every p > 1. It starts from
+    the exact p = 2 minimizer (one Newton step of the p = 2 energy from the
+    start values). Each step solves the weighted-Laplacian Hessian system
+    by Jacobi-preconditioned CG and takes an Armijo backtracking step. For
+    p >= 2, with edge curvature floored at a gap of sqrt(machine eps) times
+    the label range, it stops when the Newton decrement lambda^2 / 2 =
     -g.d / 2, an estimate of the remaining energy gap E - E_min, drops to
-    ``tol * E``; ``tol`` is thus a relative energy-gap certificate. The
-    certified step is still taken at full length when it lowers the energy
-    (one energy evaluation, and the gap is about squared). A line search
-    that cannot lower the energy ends the run unconverged ("stalled").
+    ``tol * E``. The certified step is still taken at full length when it
+    lowers the energy (one energy evaluation, and the gap is about
+    squared). A line search that cannot lower the energy ends the run
+    unconverged ("stalled").
 
-    For 1 < p < 2 the Hessian degenerates, and accelerated projected descent
-    runs instead: a step is accepted only if the energy does not increase
-    (a rejected candidate first restarts the momentum, then halves the
-    step), and the run stops when the free-node gradient drops below ``tol``
-    times its natural scale, or when descent is blocked by roundoff alone
-    (stop reason "stalled", counted as converged).
+    For 1 < p < 2 the Hessian blows up at zero gaps, so Newton runs on the
+    smoothed energy E_s, with |t|^p replaced by (t^2 + s^2)^(p/2). The
+    smoothing starts at the label range and shrinks tenfold per stage, each
+    stage starting from the previous iterate. Since (t^2 + s^2)^(p/2) <=
+    |t|^p + s^p, E_s exceeds E by at most B = (2 / (eps^p n^2)) sum_(i<j)
+    W_ij s^p, so the gap to the true minimum is at most decrement + B. A
+    stage ends once its decrement is below 1e-2 B, and the run stops once
+    the bound is at most ``tol * (E_s - B)``, which is at most ``tol * E``.
+    So for every p, ``tol`` is a relative energy-gap certificate.
 
     Parameters
     ----------
@@ -493,10 +505,9 @@ def minimize_discrete(
     p : float
         Energy exponent, > 1.
     tol : float, optional
-        Relative energy-gap tolerance for p >= 2, relative gradient
-        tolerance for p < 2 (default 1e-8).
+        Relative energy-gap tolerance (default 1e-8).
     max_iter : int, optional
-        Accepted-step budget (default 200000).
+        Accepted-step budget over all stages (default 100).
     strict : bool, optional
         If True (default) raise ConvergenceError when the run ends
         unconverged; otherwise return the last iterate flagged unconverged.
@@ -504,35 +515,26 @@ def minimize_discrete(
     Returns
     -------
     MinimizerResult
-        ``meta["stop_reason"]`` is "converged", "budget" or "stalled", and
-        ``meta["decrement"]`` the lambda^2 / 2 of the last Newton system
-        solved (NaN for p < 2).
+        ``energies`` holds the energy after every accepted step; for p < 2
+        these are the smoothed energies, which never increase across stages
+        either, followed by the true energy. ``meta["stop_reason"]`` is
+        "converged", "budget" or "stalled" (only the first is converged),
+        and ``meta["decrement"]`` the last gap bound: the decrement of the
+        last Newton system solved, plus B for p < 2.
     """
     if p <= 1:
         raise ValidationError(f"the discrete minimizer needs p > 1, got p = {p}")
     constraints.check_against(graph.n)
     start = time.perf_counter()
-    problem = _PinnedEdges(graph, constraints, p)
-    f = np.full(graph.n, float(constraints.values.mean()))
-    f[constraints.indices] = constraints.values
-    label_range = float(constraints.values.max() - constraints.values.min())
-    if p >= 2.0:
-        method = "newton"
-        delta = np.sqrt(np.finfo(float).eps) * max(label_range, 1e-12)
-        f, energies, iterations, residual, reason, decrement = _newton(
-            problem, f, tol, max_iter, delta
-        )
-        converged = reason == "converged"
-    else:
-        method = "nesterov"
-        f, energies, iterations, residual, reason, decrement = _nesterov(
-            problem, graph, f, tol, max_iter, label_range
-        )
-        converged = reason != "budget"
+    f, solved = _start_values(graph, constraints)
+    s = float(np.ptp(constraints.values)) if p < 2.0 else 0.0
+    problem = _PinnedEdges(graph, constraints, p, solved, s)
+    f, energies, iterations, residual, reason, decrement = _newton(problem, f, tol, max_iter)
+    converged = reason == "converged"
     if not converged and strict:
         raise ConvergenceError(
-            f"discrete minimizer ({method}) stopped unconverged ({reason}) after "
-            f"{iterations} steps: residual {residual:.3e}"
+            f"discrete minimizer stopped unconverged ({reason}) after {iterations} "
+            f"steps: gap bound {decrement:.3e}"
         )
     return MinimizerResult(
         values=f,
@@ -542,7 +544,7 @@ def minimize_discrete(
         residual=residual,
         converged=converged,
         wall_time=time.perf_counter() - start,
-        method=method,
+        method="newton",
         meta={"p": p, "stop_reason": reason, "decrement": decrement},
     )
 
@@ -552,20 +554,17 @@ def solve_p2_direct(graph: WeightedGraph, constraints: ConstraintSet) -> Minimiz
 
     Free rows of (D - W) f = 0 are solved sparsely with the pinned values
     substituted; this is the reference the iterative route is checked
-    against. As in `minimize_discrete`, only the connected components that
-    carry a pin are solved (elsewhere the system is singular), and every
-    other node keeps the constraint mean.
+    against. As in `minimize_discrete`, only the connected components whose
+    pins disagree are solved (elsewhere the system is singular or the
+    answer is constant), and every other node keeps its start value.
     """
     constraints.check_against(graph.n)
     start = time.perf_counter()
     w = graph.weights
     lap = sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w
-    _, comp = sp.csgraph.connected_components(w, directed=False)
-    solved = np.isin(comp, comp[constraints.indices])
+    f, solved = _start_values(graph, constraints)
     solved[constraints.indices] = False
     free = np.flatnonzero(solved)
-    f = np.full(graph.n, float(constraints.values.mean()))
-    f[constraints.indices] = constraints.values
     if free.size:
         lap_csr = lap.tocsr()
         a = lap_csr[free][:, free].tocsc()

@@ -102,8 +102,8 @@ def _build_tiling(xlines: np.ndarray, ylines: np.ndarray, points_per_patch: int)
                     offset=offset,
                 )
             )
-            diff_x.append(dx.entries)
-            diff_y.append(dy.entries)
+            diff_x.append(dx)
+            diff_y.append(dy)
             weights.append(rule.weights)
             offset += rule.points.shape[0]
     return patches, diff_x, diff_y, weights

@@ -80,7 +80,7 @@ def test_criterion_01_spectral_exactness():
             fy = b * x**a * y ** max(b - 1, 0) if b else np.zeros_like(x)
             for op, exact in ((dx, fx), (dy, fy)):
                 scale = max(float(np.max(np.abs(exact))), 1.0)
-                worst = max(worst, float(np.max(np.abs(op.apply(f) - exact))) / scale)
+                worst = max(worst, float(np.max(np.abs(op @ f - exact))) / scale)
             integral = rule.integrate(f)
             exact_int = 1.0 / ((a + 1) * (b + 1))
             worst = max(worst, abs(integral - exact_int) / exact_int)

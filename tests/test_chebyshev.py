@@ -43,24 +43,24 @@ def test_endpoints_exact_on_mapped_interval():
 def test_diff_constant_is_zero():
     g = chebyshev_nodes(9, (0.0, 1.0))
     d = chebyshev_diff_matrix(g)
-    np.testing.assert_allclose(d.apply(np.ones(g.size)), 0.0, atol=1e-13)
+    np.testing.assert_allclose(d @ np.ones(g.size), 0.0, atol=1e-13)
 
 
 def test_diff_linear_is_one():
     g = chebyshev_nodes(6, (0.0, 1.0))
     d = chebyshev_diff_matrix(g)
-    np.testing.assert_allclose(d.apply(g.nodes), 1.0, atol=1e-12)
+    np.testing.assert_allclose(d @ g.nodes, 1.0, atol=1e-12)
 
 
 def test_diff_square_matches_derivative():
     g = chebyshev_nodes(8)
     d = chebyshev_diff_matrix(g)
-    np.testing.assert_allclose(d.apply(g.nodes**2), 2.0 * g.nodes, atol=1e-12)
+    np.testing.assert_allclose(d @ g.nodes**2, 2.0 * g.nodes, atol=1e-12)
 
 
 def test_diff_rows_sum_to_zero():
     g = chebyshev_nodes(12, (-0.5, 2.0))
-    d = chebyshev_diff_matrix(g).entries
+    d = chebyshev_diff_matrix(g)
     np.testing.assert_allclose(d.sum(axis=1), 0.0, atol=1e-11)
 
 
@@ -70,7 +70,7 @@ def test_diff_exact_on_monomials_up_to_order():
     d = chebyshev_diff_matrix(g)
     for a in range(order + 1):
         expected = a * g.nodes ** (a - 1) if a > 0 else np.zeros(g.size)
-        np.testing.assert_allclose(d.apply(g.nodes**a), expected, atol=1e-8)
+        np.testing.assert_allclose(d @ g.nodes**a, expected, atol=1e-8)
 
 
 def test_tensor_ops_on_separable_field():
@@ -79,8 +79,8 @@ def test_tensor_ops_on_separable_field():
     dx, dy = tensor_diff_ops(gx, gy)
     xx, yy = np.meshgrid(gx.nodes, gy.nodes)
     f = (xx**2 * yy).ravel()
-    np.testing.assert_allclose(dx.apply(f), (2.0 * xx * yy).ravel(), atol=1e-10)
-    np.testing.assert_allclose(dy.apply(f), (xx**2).ravel(), atol=1e-10)
+    np.testing.assert_allclose(dx @ f, (2.0 * xx * yy).ravel(), atol=1e-10)
+    np.testing.assert_allclose(dy @ f, (xx**2).ravel(), atol=1e-10)
 
 
 def test_tensor_ops_commute():
@@ -88,9 +88,9 @@ def test_tensor_ops_commute():
     gy = chebyshev_nodes(7, (0.0, 1.0))
     dx, dy = tensor_diff_ops(gx, gy)
     rng = np.random.default_rng(7)
-    f = rng.standard_normal(dx.size)
+    f = rng.standard_normal(dx.shape[1])
     np.testing.assert_allclose(
-        dx.apply(dy.apply(f)), dy.apply(dx.apply(f)), atol=1e-8 * max(1.0, np.abs(f).max())
+        dx @ (dy @ f), dy @ (dx @ f), atol=1e-8 * max(1.0, np.abs(f).max())
     )
 
 
@@ -132,7 +132,3 @@ def test_rejects_bad_inputs():
         chebyshev_nodes(0)
     with pytest.raises(ValidationError):
         chebyshev_nodes(4, (1.0, 1.0))
-    g = chebyshev_nodes(3)
-    d = chebyshev_diff_matrix(g)
-    with pytest.raises(ValidationError):
-        d.apply(np.ones(5))

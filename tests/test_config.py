@@ -127,6 +127,7 @@ def test_out_of_range_values_name_their_key():
         ("n=0\n", "n"),
         ("h=0\n", "h"),
         ("tol=0\n", "tol"),
+        ("lambda=0\n", "lambda"),
         ("seed=-1\n", "seed"),
         ("mesh=3\n", "mesh"),
         ("points_per_patch=3\n", "points_per_patch"),

@@ -421,8 +421,6 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         ContinuumProblem(domain=prob.domain, density=prob.density, p=1.5)
     with pytest.raises(ValidationError):
-        ContinuumProblem(domain=prob.domain, density=prob.density, p=2.0, delta=0.0)
-    with pytest.raises(ValidationError):
         local_energy(np.zeros(3), prob)
     with pytest.raises(ValidationError):
         local_energy_gradient(np.zeros(3), prob)

@@ -11,7 +11,6 @@ from pdirichlet.density import (
     SplineConfig,
     SplineFit,
     kde_evaluate,
-    kde_field,
     kernel,
     reference_density,
     sample_density,
@@ -171,7 +170,7 @@ def test_kde_brute_and_tree_paths_agree(monkeypatch):
 def test_kde_mesh_path_matches_exact_evaluation():
     rng = np.random.default_rng(21)
     cloud = sample_density(reference_density("rho2"), 4000, seed=21)
-    field = kde_field(cloud, h=0.1)
+    field = KdeDensityField(cloud, h=0.1)
     mesh = field.on_mesh(257)
     sites = np.linspace(0, 1, 257)
     idx = rng.integers(10, 247, size=(40, 2))
@@ -183,7 +182,7 @@ def test_kde_mesh_path_matches_exact_evaluation():
 
 def test_kde_mass_on_fine_mesh():
     cloud = sample_density(reference_density("rho1"), 3000, seed=5)
-    field = kde_field(cloud, h=0.05)
+    field = KdeDensityField(cloud, h=0.05)
     mesh = field.on_mesh(513)
     sites = np.linspace(0, 1, 513)
     mass = np.trapezoid(np.trapezoid(mesh, sites, axis=1), sites)
@@ -193,7 +192,7 @@ def test_kde_mass_on_fine_mesh():
 
 def test_kde_gradient_matches_finite_differences():
     cloud = sample_density(reference_density("rho2"), 500, seed=9)
-    field = kde_field(cloud, h=0.15)
+    field = KdeDensityField(cloud, h=0.15)
     pts = np.array([[0.4, 0.6], [0.7, 0.3], [0.5, 0.5]])
     grad = field.gradient_at(pts, clip=False)
     eps = 1e-6
@@ -307,7 +306,7 @@ def test_shared_operator_fits_from_threads():
 
 
 def test_skde_smooths_noisy_values():
-    cfg_rough = SplineConfig(num_knots=24 * 24, lam=0.0)
+    cfg_rough = SplineConfig(num_knots=24 * 24, lam=1e-10)
     cfg_smooth = SplineConfig(num_knots=24 * 24, lam=1e-4)
     knots = spline_knots(cfg_rough)
     rng = np.random.default_rng(23)

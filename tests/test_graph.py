@@ -5,9 +5,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from pdirichlet.density import reference_density, sample_density
 from pdirichlet.errors import ConstraintError, ConvergenceError, ValidationError
+from pdirichlet.experiments import constraint_labels
 from pdirichlet.graph import (
     ConstraintSet,
+    _PinnedEdges,
+    _start_values,
     build_epsilon_graph,
     build_knn_graph,
     default_epsilon,
@@ -125,6 +129,37 @@ def test_energy_trace_monotone_and_pins_held():
     np.testing.assert_array_equal(res.values[cons.indices], cons.values)
 
 
+def test_smoothed_solve_reports_the_true_energy():
+    # at a loose tol the ladder stops while the smoothing still lifts the
+    # energy it minimizes; the reported energy must be the true one
+    rng = np.random.default_rng(7)
+    pts = rng.random((200, 2))
+    g = build_epsilon_graph(pts, epsilon=0.2)
+    cons = ConstraintSet(indices=[4, 50, 101], values=[1.0, -1.0, 0.25])
+    res = minimize_discrete(g, cons, p=1.5, tol=1e-3)
+    assert res.converged and np.all(np.diff(res.energies) <= 0.0)
+    assert res.energy == pytest.approx(discrete_energy(g, res.values, 1.5), rel=1e-12)
+    assert res.meta["decrement"] <= 1e-3 * res.energy
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_pinned_edges_hessian_matches_gradient_differences(s):
+    rng = np.random.default_rng(13)
+    g = build_epsilon_graph(rng.random((40, 2)), epsilon=0.4)
+    cons = ConstraintSet(indices=[0, 1], values=[0.0, 1.0])
+    p = 1.5 if s else 3.0
+    f, solved = _start_values(g, cons)
+    problem = _PinnedEdges(g, cons, p, solved, s)
+    f[problem.free] = rng.random(problem.free.size)
+    v = rng.standard_normal(problem.free.size)
+    h = 1e-6
+    fp, fm = f.copy(), f.copy()
+    fp[problem.free] += h * v
+    fm[problem.free] -= h * v
+    fd = (problem.gradient(fp, p) - problem.gradient(fm, p)) / (2.0 * h)
+    np.testing.assert_allclose(problem.hessian(f, p, 1e-12) @ v, fd, rtol=1e-5, atol=1e-8)
+
+
 def test_minimizer_deterministic():
     rng = np.random.default_rng(9)
     pts = rng.random((80, 2))
@@ -151,12 +186,13 @@ def test_budget_exhaustion_raises_then_flags():
     assert res.meta["decrement"] > 1e-12 * res.energy
 
 
-def test_newton_reaches_lbfgs_minimum_p3():
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+def test_newton_reaches_lbfgs_minimum(p):
     rng = np.random.default_rng(23)
     pts = rng.random((150, 2))
     g = build_epsilon_graph(pts, epsilon=0.2)
     cons = ConstraintSet(indices=[3, 40, 77, 120], values=[0.0, 1.0, 0.3, -0.5])
-    res = minimize_discrete(g, cons, p=3.0, tol=1e-12)
+    res = minimize_discrete(g, cons, p=p, tol=1e-12)
     assert res.method == "newton"
     assert res.meta["stop_reason"] == "converged"
     assert res.meta["decrement"] <= 1e-12 * res.energy
@@ -167,12 +203,12 @@ def test_newton_reaches_lbfgs_minimum_p3():
     def energy_and_gradient(x):
         f = base.copy()
         f[free] = x
-        return discrete_energy(g, f, 3.0), discrete_energy_gradient(g, f, 3.0)[free]
+        return discrete_energy(g, f, p), discrete_energy_gradient(g, f, p)[free]
 
     ref = minimize(energy_and_gradient, base[free], jac=True, method="L-BFGS-B",
                    options={"maxiter": 100_000, "ftol": 1e-15, "gtol": 1e-14})
-    assert discrete_energy(g, res.values, 3.0) <= ref.fun * (1.0 + 1e-10)
-    assert res.energy == pytest.approx(discrete_energy(g, res.values, 3.0), rel=1e-12)
+    assert discrete_energy(g, res.values, p) <= ref.fun * (1.0 + 1e-10)
+    assert res.energy == pytest.approx(discrete_energy(g, res.values, p), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, pytest.param(None, id="p2-direct")])
@@ -188,11 +224,16 @@ def test_pin_free_component_and_isolated_node_keep_the_mean(p):
     pinned_part = 0.3 * rng.random((40, 2))
     pin_free_part = 0.3 * rng.random((15, 2)) + 0.6
     isolated = np.array([[0.95, 0.05]])
-    g = build_epsilon_graph(np.vstack([pinned_part, pin_free_part, isolated]), epsilon=0.12)
+    agreed_part = 0.3 * rng.random((12, 2)) + [0.0, 0.6]
+    g = build_epsilon_graph(
+        np.vstack([pinned_part, pin_free_part, isolated, agreed_part]), epsilon=0.12
+    )
     _, comp = sp.csgraph.connected_components(g.weights, directed=False)
     assert comp[0] != comp[40] and np.unique(comp[:40]).size == 1
     assert np.unique(comp[40:55]).size == 1 and np.sum(comp == comp[55]) == 1
-    cons = ConstraintSet(indices=[0, 7, 19], values=[0.0, 1.0, 0.4])
+    assert np.unique(comp[56:]).size == 1 and np.sum(comp == comp[56]) == 12
+    # the last component's two pins carry one value
+    cons = ConstraintSet(indices=[0, 7, 19, 58, 63], values=[0.0, 1.0, 0.4, 0.7, 0.7])
     # six nodes: a pinned path 0-1-2, a pin-free pair 3-4, the isolated node 5
     small = build_epsilon_graph(
         np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.5, 0.5], [0.6, 0.5], [0.9, 0.9]]),
@@ -205,9 +246,27 @@ def test_pin_free_component_and_isolated_node_keep_the_mean(p):
         small_res = solve(small, small_cons)
     assert res.converged and small_res.converged
     assert np.all(np.isfinite(res.values))
-    np.testing.assert_array_equal(res.values[40:], np.full(16, cons.values.mean()))
+    np.testing.assert_array_equal(res.values[40:56], np.full(16, cons.values.mean()))
+    np.testing.assert_array_equal(res.values[56:], np.full(12, 0.7))
     np.testing.assert_array_equal(res.values[cons.indices], cons.values)
     np.testing.assert_allclose(small_res.values, [0.0, 1.0, 1.0, 0.5, 0.5, 0.5], atol=1e-9)
+
+
+def test_agreed_pins_everywhere_give_zero_energy():
+    # at p = 1.2 the default scale leaves every pin of the 16-point lattice
+    # in a component whose pins agree, so nothing is left to solve
+    n, p = 1024, 1.2
+    labels = constraint_labels()
+    cloud = sample_density(reference_density("rho2"), n, seed=1)
+    pts = np.vstack([cloud.points, labels.positions])
+    g = build_epsilon_graph(pts, default_epsilon(pts.shape[0], p))
+    cons = labels.graph_constraints(n)
+    _, comp = sp.csgraph.connected_components(g.weights, directed=False)
+    assert np.unique(comp[cons.indices]).size == cons.indices.size
+    res = minimize_discrete(g, cons, p=p, tol=1e-5)
+    assert res.converged and res.energy == 0.0
+    assert discrete_energy(g, res.values, p) == 0.0
+    np.testing.assert_array_equal(res.values[cons.indices], cons.values)
 
 
 def test_validation_and_constraint_errors():
