@@ -19,7 +19,6 @@ from .chebyshev import (
 from .continuum import (
     ContinuumProblem,
     PatchedField,
-    evaluate_on_mesh,
     local_energy,
     local_energy_gradient,
     minimize_continuum,
@@ -27,7 +26,6 @@ from .continuum import (
 )
 from .density import (
     DensityField,
-    Kernel,
     KdeDensityField,
     ReferenceDensity,
     SplineConfig,
@@ -65,12 +63,10 @@ from .experiments import (
     error_metrics,
     label_value,
     minimizer_comparison,
-    thread_budget,
 )
 from .errors import (
     ConfigError,
     ConstraintError,
-    ConvergenceError,
     PDirichletError,
     SingularSystemError,
     ValidationError,

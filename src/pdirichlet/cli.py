@@ -5,7 +5,8 @@ with flags taking precedence), runs one pipeline, writes CSV artifacts plus
 a manifest listing the full configuration, its hash, the seeds, and the
 library versions, and prints a one-line summary per stage. Exit codes map
 error categories: 0 success, 2 configuration, 3 invalid values or
-constraints, 4 solver failures, 5 other package errors.
+constraints, 4 a singular linear system, 5 other package errors. A solve
+that ends unconverged is no error: its summary line says converged=False.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .experiments import (
     density_error_study,
     label_value,
     minimizer_comparison,
-    thread_budget,
 )
 from .graph import build_epsilon_graph, build_knn_graph, default_epsilon, minimize_discrete
 from .patches import build_patches
@@ -48,7 +48,6 @@ _EXIT_CODES = {
     "config": 2,
     "validation": 3,
     "constraint": 3,
-    "convergence": 4,
     "singular-system": 4,
     "runtime": 5,
 }
@@ -199,9 +198,8 @@ def _cmd_solve_discrete(config: RunConfig) -> None:
     _stage("graph", f"{graph.n} nodes, {graph.num_edges} edges, {scale}",
            time.perf_counter() - start)
     start = time.perf_counter()
-    result = minimize_discrete(
-        graph, labels.graph_constraints(config.n), p=config.p, tol=config.tol, strict=False
-    )
+    constraints = labels.graph_constraints(config.n)
+    result = minimize_discrete(graph, constraints, p=config.p, tol=config.tol)
     _stage(
         "solve",
         f"p={config.p:g} converged={result.converged} iterations={result.iterations} "
@@ -306,7 +304,6 @@ def _cmd_study_density(config: RunConfig) -> None:
         seeds=seeds,
         mesh_size=config.mesh,
         points_per_patch=config.points_per_patch,
-        threads=thread_budget(),
     )
     start = time.perf_counter()
     study = density_error_study(study_config)
@@ -329,7 +326,6 @@ def _cmd_study_minimizers(config: RunConfig) -> None:
         mesh_size=config.mesh,
         points_per_patch=config.points_per_patch,
         include_discrete=True,
-        threads=thread_budget(),
     )
     start = time.perf_counter()
     study = minimizer_comparison(study_config)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -206,8 +206,3 @@ def config_text(config: RunConfig) -> str:
 def config_hash(config: RunConfig) -> str:
     """Hex digest identifying the full validated configuration."""
     return hashlib.sha256(config_text(config).encode()).hexdigest()
-
-
-def with_updates(config: RunConfig, **changes) -> RunConfig:
-    """Functional update that re-runs validation."""
-    return validate(replace(config, **changes))

@@ -43,7 +43,6 @@ __all__ = [
     "local_energy_gradient",
     "nonlocal_energy",
     "minimize_continuum",
-    "evaluate_on_mesh",
 ]
 
 _NONLOCAL_MAX_CELLS = 3200
@@ -53,20 +52,19 @@ _NONLOCAL_MAX_CELLS = 3200
 class ContinuumProblem:
     """Patched domain, weight density and energy exponent bundled together.
 
-    ``sigma`` defaults to the kernel surface moment for the indicator kernel
-    at the given ``p``; it scales reported energies but not the minimizer.
+    The attribute ``sigma`` is the kernel surface moment of the indicator
+    kernel at the given ``p``; it scales reported energies but not the
+    minimizer.
     """
 
     domain: PatchedDomain
     density: DensityField
     p: float
-    sigma: float | None = None
 
     def __post_init__(self) -> None:
         if self.p < 2.0:
             raise ValidationError(f"the continuum solver needs p >= 2, got {self.p}")
-        if self.sigma is None:
-            self.sigma = sigma_eta(self.p, "indicator")
+        self.sigma = sigma_eta(self.p, "indicator")
         rho = self.density.value_at(self.domain.points)
         if not np.all(rho > 0.0):
             raise ValidationError("density is not strictly positive on the grid")
@@ -183,9 +181,10 @@ def minimize_continuum(
     Newton decrement lambda^2 / 2, an estimate of the remaining energy gap
     E - E_min, drops to ``tol * E``, so ``tol`` is a relative energy-gap
     certificate; the certified step is still taken at full length when it
-    lowers the energy. Exhausting ``max_iter`` accepted steps, or a line
-    search that cannot lower the energy, returns the last iterate flagged
-    as non-converged rather than raising.
+    lowers the energy, unless its predicted decrease is within the rounding
+    of E. Exhausting ``max_iter`` accepted steps, or a line search that
+    cannot lower the energy, returns the last iterate flagged as
+    non-converged rather than raising.
 
     Returns
     -------
@@ -292,21 +291,6 @@ class PatchedField:
             wy = _bary_matrix(axis[sy], patch.grid_y.nodes)
             out[np.ix_(sy, sx)] = wy @ self._patch_grid(patch.index) @ wx.T
         return out
-
-
-def evaluate_on_mesh(result, mesh) -> np.ndarray:
-    """Evaluate a minimizer's field on a mesh.
-
-    ``mesh`` is either an integer (the uniform lattice size; returns a
-    (mesh, mesh) array with rows indexing y) or an (n, 2) array of points
-    (returns a vector). Exact at collocation nodes.
-    """
-    fld = result.field if isinstance(result, MinimizerResult) else result
-    if fld is None:
-        raise ValidationError("result carries no continuum field")
-    if np.isscalar(mesh):
-        return fld.on_mesh(int(mesh))
-    return fld.evaluate(np.asarray(mesh, dtype=float))
 
 
 # -- nonlocal energy -------------------------------------------------------------

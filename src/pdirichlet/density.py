@@ -12,11 +12,11 @@ lattice; `SplineFit` factors the fit's normal matrix once, so a study
 fitting many value vectors at one (T, lam) pays for it once. Every
 estimator is exposed as a `DensityField` with consistent value/gradient
 evaluation and a positivity floor, which is what the continuum solver
-consumes.
+consumes. The smoothing kernel is the unit-mass Gaussian, truncated at 5
+bandwidths.
 
 The eta-moment constant sigma (the weight appearing in front of local
-continuum energies) is computed here as well, split into a closed-form
-angular factor and a 1D radial integral.
+continuum energies) is computed here as well, in closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad
 from scipy.interpolate import BSpline
 from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
@@ -40,14 +39,12 @@ __all__ = [
     "DensityField",
     "ReferenceDensity",
     "SampleSet",
-    "Kernel",
     "SplineConfig",
     "SplineFit",
     "KdeDensityField",
     "SplineDensityField",
     "reference_density",
     "sample_density",
-    "kernel",
     "kde_evaluate",
     "spline_knots",
     "skde_fit",
@@ -60,7 +57,11 @@ __all__ = [
 _RHO3_NORM = 0.5031765765112621
 
 _FLOOR_RATIO = 1.0e-3
+# the Gaussian kernel is cut off at this many bandwidths, which discards
+# less than 1e-5 of its mass
 _GAUSS_TRUNC = 5.0
+# resolution of the lattice on which `sample_density` tabulates its CDFs
+_SAMPLER_GRID = 1024
 # (point, sample) pairs one chunk of an exact KDE sum may hold
 _PAIR_BUDGET = 8_000_000
 # pairs per dense distance block; blocks this small stay in cache, which
@@ -102,7 +103,6 @@ class DensityField:
     wherever the clamp is active) and provides mesh dumps.
     """
 
-    kind: str = "field"
     floor: float = 0.0
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
@@ -141,8 +141,6 @@ class DensityField:
 
 class ReferenceDensity(DensityField):
     """Analytic density on the unit square with exact gradient and sampler."""
-
-    kind = "exact"
 
     def __init__(self, name, value_fn, grad_fn):
         self.name = name
@@ -245,15 +243,13 @@ class SampleSet:
         return self.points.shape[0]
 
 
-def sample_density(
-    density: ReferenceDensity, n: int, seed: int, grid_size: int = 1024
-) -> SampleSet:
+def sample_density(density: ReferenceDensity, n: int, seed: int) -> SampleSet:
     """Draw n points by inverse-transform sampling on a uniform lattice.
 
     The marginal CDF in x and per-column conditional CDFs in y are tabulated
-    on a ``grid_size`` lattice; draws invert them with binary search and
-    linear interpolation. Identical (density, n, seed, grid_size) inputs
-    reproduce the identical cloud.
+    on a 1024 x 1024 lattice; draws invert them with binary search and
+    linear interpolation. Identical (density, n, seed) inputs reproduce the
+    identical cloud.
 
     Parameters
     ----------
@@ -263,8 +259,6 @@ def sample_density(
         Number of points, >= 1.
     seed : int
         Seed for `numpy.random.default_rng`.
-    grid_size : int, optional
-        Lattice resolution for the tabulated CDFs (default 1024).
 
     Returns
     -------
@@ -273,16 +267,14 @@ def sample_density(
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
-    if grid_size < 2:
-        raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
-    sites, cdf_x, cdf_y = density._sampler(grid_size)
+    sites, cdf_x, cdf_y = density._sampler(_SAMPLER_GRID)
     rng = np.random.default_rng(seed)
     u = rng.random((n, 2))
     x = np.interp(u[:, 0], cdf_x, sites)
-    col = np.clip(np.rint(x * (grid_size - 1)).astype(int), 0, grid_size - 1)
+    col = np.clip(np.rint(x * (_SAMPLER_GRID - 1)).astype(int), 0, _SAMPLER_GRID - 1)
     u2 = u[:, 1]
     lo = np.zeros(n, dtype=int)
-    hi = np.full(n, grid_size - 1, dtype=int)
+    hi = np.full(n, _SAMPLER_GRID - 1, dtype=int)
     while int((hi - lo).max()) > 1:
         mid = (lo + hi) // 2
         below = cdf_y[mid, col] <= u2
@@ -296,53 +288,12 @@ def sample_density(
     return SampleSet(points=pts, density=density.name, seed=seed)
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Radial smoothing kernel, normalized to unit mass in the plane.
-
-    ``support`` is the support radius in kernel units (before scaling by the
-    bandwidth); ``truncation`` is the radius actually used in evaluations.
-    For the Gaussian the two differ: it is treated as compactly supported at
-    5 bandwidths, which discards less than 1e-5 of its mass.
-    """
-
-    name: str
-    support: float
-    truncation: float
-
-    def value(self, sq: np.ndarray) -> np.ndarray:
-        """Kernel value at squared radius ``sq`` (kernel units)."""
-        sq = np.asarray(sq, dtype=float)
-        if self.name == "gaussian":
-            out = np.exp(-sq / 2.0) / (2.0 * np.pi)
-            return np.where(sq <= self.truncation**2, out, 0.0)
-        if self.name == "uniform-ball":
-            return np.where(sq <= 1.0, 1.0 / np.pi, 0.0)
-        if self.name == "epanechnikov":
-            return np.where(sq <= 1.0, (2.0 / np.pi) * (1.0 - sq), 0.0)
-        raise ValidationError(f"unknown kernel {self.name!r}")
-
-    def grad_factor(self, sq: np.ndarray) -> np.ndarray:
-        """Factor phi with grad K(v) = -v * phi(|v|^2), in kernel units."""
-        sq = np.asarray(sq, dtype=float)
-        if self.name == "gaussian":
-            return self.value(sq)
-        if self.name == "epanechnikov":
-            return np.where(sq <= 1.0, 4.0 / np.pi, 0.0)
-        raise ValidationError(f"kernel {self.name!r} has no usable gradient")
-
-
-_KERNELS = {
-    "gaussian": Kernel("gaussian", math.inf, _GAUSS_TRUNC),
-    "uniform-ball": Kernel("uniform-ball", 1.0, 1.0),
-    "epanechnikov": Kernel("epanechnikov", 1.0, 1.0),
-}
-
-
-def kernel(name: str) -> Kernel:
-    if name not in _KERNELS:
-        raise ValidationError(f"unknown kernel {name!r}; choose from {sorted(_KERNELS)}")
-    return _KERNELS[name]
+def _gaussian(sq: np.ndarray) -> np.ndarray:
+    """Unit-mass 2D Gaussian at squared radius ``sq`` (bandwidth units),
+    zero beyond _GAUSS_TRUNC. It is also its own gradient factor:
+    grad K(v) = -v K(|v|^2)."""
+    out = np.exp(-sq / 2.0) / (2.0 * np.pi)
+    return np.where(sq <= _GAUSS_TRUNC**2, out, 0.0)
 
 
 def _sample_array(samples) -> np.ndarray:
@@ -350,11 +301,11 @@ def _sample_array(samples) -> np.ndarray:
     return _as_points(pts)
 
 
-def kde_evaluate(samples, h: float, points: np.ndarray, kernel_name: str = "gaussian") -> np.ndarray:
-    """Exact kernel density estimate at arbitrary points.
+def kde_evaluate(samples, h: float, points: np.ndarray) -> np.ndarray:
+    """Exact Gaussian kernel density estimate at arbitrary points.
 
     Computes (1/n) sum_i K_h(x - x_i) with K_h(u) = h^-2 K(u/h), truncating
-    each kernel at ``truncation * h``. Two branches give the same sums:
+    each kernel at 5 h. Two branches give the same sums:
 
     - dense, when n * m is at most 8M: squared distances of a block of
       points to all samples (`cdist`), about 64k pairs per block (a single
@@ -375,8 +326,6 @@ def kde_evaluate(samples, h: float, points: np.ndarray, kernel_name: str = "gaus
         Bandwidth, > 0.
     points : ndarray
         Evaluation points, shape (m, 2).
-    kernel_name : str, optional
-        One of gaussian (default), uniform-ball, epanechnikov.
 
     Returns
     -------
@@ -386,7 +335,6 @@ def kde_evaluate(samples, h: float, points: np.ndarray, kernel_name: str = "gaus
         raise ValidationError(f"bandwidth must be positive, got {h}")
     pts = _as_points(points)
     data = _sample_array(samples)
-    k = kernel(kernel_name)
     n = data.shape[0]
     m = pts.shape[0]
     scale = 1.0 / (n * h * h)
@@ -395,9 +343,9 @@ def kde_evaluate(samples, h: float, points: np.ndarray, kernel_name: str = "gaus
         step = max(1, _DENSE_BLOCK // max(n, 1))
         for start in range(0, m, step):
             d2 = cdist(pts[start : start + step], data, "sqeuclidean")
-            out[start : start + step] = k.value(d2 / (h * h)).sum(axis=1) * scale
+            out[start : start + step] = _gaussian(d2 / (h * h)).sum(axis=1) * scale
         return out
-    radius = k.truncation * h
+    radius = _GAUSS_TRUNC * h
     tree = cKDTree(data)
     counts = tree.query_ball_point(pts, radius, return_length=True)
     ends = np.cumsum(counts)
@@ -409,13 +357,13 @@ def kde_evaluate(samples, h: float, points: np.ndarray, kernel_name: str = "gaus
         pairs = cKDTree(pts[start:stop]).sparse_distance_matrix(
             tree, radius, output_type="ndarray"
         )
-        weights = k.value(pairs["v"] ** 2 / (h * h))
+        weights = _gaussian(pairs["v"] ** 2 / (h * h))
         out[start:stop] = np.bincount(pairs["i"], weights=weights, minlength=stop - start) * scale
         start = stop
     return out
 
 
-def _kde_gradient(data: np.ndarray, h: float, pts: np.ndarray, k: Kernel) -> np.ndarray:
+def _kde_gradient(data: np.ndarray, h: float, pts: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     scale = 1.0 / (n * h**4)
     out = np.empty((pts.shape[0], 2))
@@ -424,13 +372,13 @@ def _kde_gradient(data: np.ndarray, h: float, pts: np.ndarray, k: Kernel) -> np.
         block = pts[start : start + step]
         diff = block[:, None, :] - data[None, :, :]
         sq = (diff**2).sum(axis=2) / (h * h)
-        phi = k.grad_factor(sq)
+        phi = _gaussian(sq)
         out[start : start + step] = -(diff * phi[:, :, None]).sum(axis=1) * scale
     return out
 
 
 class KdeDensityField(DensityField):
-    """Kernel density estimate as an evaluable field.
+    """Gaussian kernel density estimate as an evaluable field.
 
     Pointwise queries use the exact truncated sums; `on_mesh` switches to a
     binned FFT convolution with the same truncated kernel, which is what the
@@ -438,21 +386,18 @@ class KdeDensityField(DensityField):
     The positivity floor is 1e-3 times the maximum found on a coarse mesh.
     """
 
-    kind = "kde"
-
-    def __init__(self, samples, h: float, kernel_name: str = "gaussian"):
+    def __init__(self, samples, h: float):
         if h <= 0:
             raise ValidationError(f"bandwidth must be positive, got {h}")
         self.samples = _sample_array(samples)
         self.h = float(h)
-        self.kernel = kernel(kernel_name)
         self.floor = _FLOOR_RATIO * float(self.on_mesh(256).max())
 
     def _values(self, pts):
-        return kde_evaluate(self.samples, self.h, pts, self.kernel.name)
+        return kde_evaluate(self.samples, self.h, pts)
 
     def _gradients(self, pts):
-        return _kde_gradient(self.samples, self.h, pts, self.kernel)
+        return _kde_gradient(self.samples, self.h, pts)
 
     def _binned_mass(self, mesh_size: int) -> np.ndarray:
         d = mesh_size
@@ -472,14 +417,14 @@ class KdeDensityField(DensityField):
 
     def _kernel_stencil(self, mesh_size: int, gradient: bool = False):
         delta = 1.0 / (mesh_size - 1)
-        radius = self.kernel.truncation * self.h
+        radius = _GAUSS_TRUNC * self.h
         span = int(np.ceil(radius / delta))
         offs = np.arange(-span, span + 1) * delta
         ox, oy = np.meshgrid(offs, offs)
         sq = (ox**2 + oy**2) / self.h**2
         if not gradient:
-            return self.kernel.value(sq) / self.h**2
-        phi = self.kernel.grad_factor(sq) / self.h**4
+            return _gaussian(sq) / self.h**2
+        phi = _gaussian(sq) / self.h**4
         return -ox * phi, -oy * phi
 
     def on_mesh(self, mesh_size: int) -> np.ndarray:
@@ -501,13 +446,11 @@ class SplineConfig:
 
     ``num_knots`` is the total number of data sites T, required to be a
     perfect square (the sites form a uniform sqrt(T) x sqrt(T) lattice over
-    the unit square). ``lam`` weights the squared second-derivative penalty;
-    ``penalty_order`` is fixed at 2.
+    the unit square). ``lam`` weights the squared second-derivative penalty.
     """
 
     num_knots: int
     lam: float
-    penalty_order: int = 2
 
     def __post_init__(self):
         g = int(round(math.sqrt(self.num_knots)))
@@ -517,8 +460,6 @@ class SplineConfig:
             raise ValidationError(f"need at least a 4x4 knot lattice, got {g}x{g}")
         if not self.lam > 0:
             raise ValidationError(f"lam must be > 0, got {self.lam}")
-        if self.penalty_order != 2:
-            raise ValidationError("only a second-order roughness penalty is supported")
 
     @property
     def grid_size(self) -> int:
@@ -572,8 +513,6 @@ def _bspline_gram(t: np.ndarray, degree: int, deriv: int) -> np.ndarray:
 
 class SplineDensityField(DensityField):
     """Penalized tensor-product cubic B-spline fit of gridded density values."""
-
-    kind = "skde"
 
     def __init__(self, knot_vector: np.ndarray, coefs: np.ndarray, config: SplineConfig):
         self.t = knot_vector
@@ -694,9 +633,11 @@ def skde_fit(
 def sigma_eta(p: float, eta: str = "indicator", d: int = 2) -> float:
     """Directional p-th moment of a radial profile over d-space.
 
-    Computes the integral of eta(|x|) |x . e1|^p, split into the closed-form
-    angular factor 2 pi^((d-1)/2) Gamma((p+1)/2) / Gamma((p+d)/2) and a 1D
-    radial integral of eta(r) r^(p+d-1).
+    Computes the integral of eta(|x|) |x . e1|^p as the angular factor
+    2 pi^((d-1)/2) Gamma((p+1)/2) / Gamma((p+d)/2) times the radial
+    integral of eta(r) r^(q-1), q = p + d, both in closed form: the radial
+    integral is 1/q for the indicator and 2^(q/2-1) Gamma(q/2) for the
+    Gaussian.
 
     Parameters
     ----------
@@ -717,10 +658,11 @@ def sigma_eta(p: float, eta: str = "indicator", d: int = 2) -> float:
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
     angular = 2.0 * np.pi ** ((d - 1) / 2.0) * _gamma((p + 1) / 2.0) / _gamma((p + d) / 2.0)
+    q = p + d
     if eta == "indicator":
-        radial = 1.0 / (p + d)
+        radial = 1.0 / q
     elif eta == "gaussian":
-        radial, _ = quad(lambda r: np.exp(-r * r / 2.0) * r ** (p + d - 1), 0.0, np.inf)
+        radial = 2.0 ** (q / 2.0 - 1.0) * _gamma(q / 2.0)
     else:
         raise ValidationError(f"unknown profile {eta!r}; choose indicator or gaussian")
     return float(angular * radial)

@@ -30,12 +30,6 @@ class ConstraintError(PDirichletError):
     category = "constraint"
 
 
-class ConvergenceError(PDirichletError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
-
-    category = "convergence"
-
-
 class SingularSystemError(PDirichletError):
     """A linear system required by a solver or fit is singular or ill-posed."""
 

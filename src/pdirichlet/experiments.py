@@ -7,14 +7,15 @@ continuum minimizer built on an estimated density lands to the one built on
 the exact density, optionally alongside the discrete graph minimizer).
 Every study is driven by a frozen `StudyConfig`, runs a fixed seed list,
 reports medians, and returns deterministic result tables (bit-identical on
-rerun) with wall times split into a separate timing table.
+rerun) with wall times split into a separate timing table. Cells run one
+after another: they hold the interpreter lock, so a thread pool made the
+studies slower, not faster. Every error norm is taken over the window
+[0.01, 0.99]^2, away from the edges of the square.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,8 @@ from .patches import build_patches
 
 _DENSITIES = ("rho1", "rho2", "rho3")
 _ESTIMATORS = ("kde", "skde")
+# evaluation window (x0, x1, y0, y1) of every study error norm
+_REGION = (0.01, 0.99, 0.01, 0.99)
 
 
 def label_value(x, y):
@@ -97,8 +100,8 @@ class StudyConfig:
     `h_values` of None selects the per-n bandwidth schedule
     h_scale * n^(-1/6) (the default coefficient 0.3 was measured to keep the
     estimate useful over the default n range); an explicit tuple sweeps
-    those bandwidths at every n instead. `region` is the evaluation window
-    (x0, x1, y0, y1) for all error norms.
+    those bandwidths at every n instead. `tol` is the relative energy-gap
+    tolerance of every solve, continuum and discrete.
     """
 
     density: str = "rho2"
@@ -109,15 +112,12 @@ class StudyConfig:
     lam: float = 1.0e-6
     p: float = 3.0
     tol: float = 1.0e-5
-    discrete_tol: float = 1.0e-5
     seeds: tuple = (1, 2, 3, 4, 5)
-    region: tuple = (0.01, 0.99, 0.01, 0.99)
     mesh_size: int = 512
     points_per_patch: int = 20
     max_iter: int = 400
     estimators: tuple = _ESTIMATORS
     include_discrete: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.density not in _DENSITIES:
@@ -140,10 +140,6 @@ class StudyConfig:
             raise ValidationError(f"lam must be > 0, got {self.lam}")
         if self.p < 1.0:
             raise ValidationError(f"p must be >= 1, got {self.p}")
-        if not (0.0 <= self.region[0] < self.region[1] <= 1.0) or not (
-            0.0 <= self.region[2] < self.region[3] <= 1.0
-        ):
-            raise ValidationError("region must be a nonempty box inside the unit square")
         if self.mesh_size < 2:
             raise ValidationError("mesh_size must be >= 2")
         if self.points_per_patch < 4:
@@ -154,15 +150,12 @@ class StudyConfig:
         estimators = tuple(self.estimators)
         if not estimators or any(e not in _ESTIMATORS for e in estimators):
             raise ValidationError(f"estimators must be drawn from {_ESTIMATORS}")
-        if not (self.tol > 0.0 and self.discrete_tol > 0.0):
-            raise ValidationError("tolerances must be positive")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
+        if not (self.tol > 0.0):
+            raise ValidationError(f"tol must be positive, got {self.tol}")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "h_values", h_values)
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "estimators", estimators)
-        object.__setattr__(self, "region", tuple(float(v) for v in self.region))
 
     def bandwidths_for(self, n: int) -> tuple:
         if self.h_values is None:
@@ -211,22 +204,6 @@ def error_metrics(a: np.ndarray, b: np.ndarray, region: tuple) -> tuple:
     return l2, linf
 
 
-def _map_cells(fn, cells, threads: int):
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(cell) for cell in cells]
-
-
-def thread_budget(requested: int | None = None) -> int:
-    """Worker cap: the PDIRICHLET_THREADS variable bounds any request."""
-    cap = os.environ.get("PDIRICHLET_THREADS")
-    limit = max(1, int(cap)) if cap else None
-    if requested is None:
-        return limit or 1
-    return min(requested, limit) if limit else requested
-
-
 def _median(values) -> float:
     return float(np.median(np.asarray(values, dtype=float)))
 
@@ -267,7 +244,7 @@ def density_error_study(config: StudyConfig) -> StudyResult:
             kde_grad = kde.gradient_on_mesh(mesh)
             kde_time = time.perf_counter() - start
             if "kde" in rows:
-                rows["kde"].append(_field_errors(kde_value, kde_grad, exact_value, exact_grad, config.region))
+                rows["kde"].append(_field_errors(kde_value, kde_grad, exact_value, exact_grad))
                 times["kde"].append(kde_time)
             if "skde" in rows:
                 start = time.perf_counter()
@@ -275,12 +252,12 @@ def density_error_study(config: StudyConfig) -> StudyResult:
                 skde_value = spline.on_mesh(mesh)
                 skde_grad = spline.gradient_on_mesh(mesh)
                 rows["skde"].append(
-                    _field_errors(skde_value, skde_grad, exact_value, exact_grad, config.region)
+                    _field_errors(skde_value, skde_grad, exact_value, exact_grad)
                 )
                 times["skde"].append(kde_time + time.perf_counter() - start)
         return cell, rows, times
 
-    outcomes = _map_cells(run_cell, cells, config.threads)
+    outcomes = [run_cell(cell) for cell in cells]
 
     metric_names = ("l2_value", "linf_value", "l2_dx", "linf_dx", "l2_dy", "linf_dy")
     result_rows = []
@@ -341,10 +318,10 @@ def density_error_study(config: StudyConfig) -> StudyResult:
     )
 
 
-def _field_errors(value, grad, exact_value, exact_grad, region):
-    l2v, linfv = error_metrics(value, exact_value, region)
-    l2x, linfx = error_metrics(grad[:, :, 0], exact_grad[:, :, 0], region)
-    l2y, linfy = error_metrics(grad[:, :, 1], exact_grad[:, :, 1], region)
+def _field_errors(value, grad, exact_value, exact_grad):
+    l2v, linfv = error_metrics(value, exact_value, _REGION)
+    l2x, linfx = error_metrics(grad[:, :, 0], exact_grad[:, :, 0], _REGION)
+    l2y, linfy = error_metrics(grad[:, :, 1], exact_grad[:, :, 1], _REGION)
     return (l2v, linfv, l2x, linfx, l2y, linfy)
 
 
@@ -363,8 +340,7 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
     """
     rho = reference_density(config.density)
     constraints = constraint_labels()
-    region = config.region
-    in_region = _region_mask(config.mesh_size, region).ravel()  # row-major, as on_mesh
+    in_region = _region_mask(config.mesh_size, _REGION).ravel()  # row-major, as on_mesh
     spline_config = SplineConfig(num_knots=config.T, lam=config.lam)
     knots = spline_knots(spline_config)
     spline_op = SplineFit(spline_config) if "skde" in config.estimators else None
@@ -440,18 +416,14 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
             graph_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
             res = minimize_discrete(
-                graph,
-                constraints.graph_constraints(n),
-                p=config.p,
-                tol=config.discrete_tol,
-                strict=False,
+                graph, constraints.graph_constraints(n), p=config.p, tol=config.tol
             )
             solve_seconds = time.perf_counter() - t0
             keep = (
-                (pts[:, 0] >= region[0])
-                & (pts[:, 0] <= region[1])
-                & (pts[:, 1] >= region[2])
-                & (pts[:, 1] <= region[3])
+                (pts[:, 0] >= _REGION[0])
+                & (pts[:, 0] <= _REGION[1])
+                & (pts[:, 1] >= _REGION[2])
+                & (pts[:, 1] <= _REGION[3])
             )
             diff = np.abs(res.values[keep] - reference.field.evaluate(pts[keep]))
             rows.append(
@@ -474,7 +446,7 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
         return rows, timing
 
     cells = [(n, seed) for n in config.n_values for seed in config.seeds]
-    outcomes = _map_cells(run_cell, cells, config.threads)
+    outcomes = [run_cell(cell) for cell in cells]
     result_rows = []
     timing_rows = []
     for rows, timing in outcomes:

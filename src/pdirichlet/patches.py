@@ -14,7 +14,7 @@ cross point where four patches meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,8 +72,6 @@ class PatchedDomain:
     pin_values: np.ndarray  # their labels
     free_nodes: np.ndarray  # the other geometric nodes, ascending
     grad: sp.csr_matrix  # free-node values -> (d/dx, d/dy) at every copy
-    constraint_positions: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -228,6 +226,4 @@ def build_patches(
         pin_values=pin_values,
         free_nodes=free_nodes,
         grad=sp.vstack([diff_x @ gather, diff_y @ gather], format="csr"),
-        constraint_positions=pos,
-        meta={"points_per_patch": points_per_patch},
     )

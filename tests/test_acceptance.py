@@ -24,7 +24,6 @@ from scipy.sparse.linalg import splu
 from pdirichlet.chebyshev import chebyshev_nodes, quadrature_2d, tensor_diff_ops
 from pdirichlet.continuum import (
     ContinuumProblem,
-    evaluate_on_mesh,
     minimize_continuum,
     nonlocal_energy,
 )
@@ -202,7 +201,7 @@ def test_criterion_05_affine_recovery():
         res = minimize_continuum(prob, tol=1.0e-5)
         _ENERGY_RUNS.append((f"criterion 5 p={p}", res.energies))
         all_converged = all_converged and res.converged
-        mesh_err = float(np.max(np.abs(evaluate_on_mesh(res, 101) - affine(xx, yy))))
+        mesh_err = float(np.max(np.abs(res.field.on_mesh(101) - affine(xx, yy))))
         node_err = float(
             np.max(np.abs(res.values - affine(dom.points[:, 0], dom.points[:, 1])))
         )
@@ -416,9 +415,7 @@ def test_criterion_12_timing_crossover():
         t0 = time.perf_counter()
         pts = np.vstack([cloud.points, pc.positions])
         graph = build_epsilon_graph(pts, default_epsilon(pts.shape[0], 3.0))
-        minimize_discrete(
-            graph, pc.graph_constraints(n), p=3.0, tol=1.0e-5, strict=False
-        )
+        minimize_discrete(graph, pc.graph_constraints(n), p=3.0, tol=1.0e-5)
         discrete_secs.append(time.perf_counter() - t0)
     continuum_growth = continuum_secs[-1] / continuum_secs[0]
     discrete_growth = discrete_secs[-1] / discrete_secs[0]

@@ -6,7 +6,6 @@ from pdirichlet.config import (
     config_text,
     parse_config,
     parse_config_text,
-    with_updates,
 )
 from pdirichlet.errors import ConfigError
 
@@ -113,13 +112,6 @@ def test_config_hash_distinguishes_configs():
     b = parse_config_text("seed=2\n", subcommand="sample")
     assert config_hash(a) != config_hash(b)
     assert len(config_hash(a)) == 64
-
-
-def test_with_updates_revalidates():
-    c = parse_config_text("", subcommand="solve-continuum")
-    assert with_updates(c, seed=5).seed == 5
-    with pytest.raises(ConfigError, match="p > d = 2"):
-        with_updates(c, p=1.2)
 
 
 def test_out_of_range_values_name_their_key():

@@ -7,7 +7,6 @@ from scipy.optimize import minimize
 from pdirichlet.continuum import (
     ContinuumProblem,
     PatchedField,
-    evaluate_on_mesh,
     local_energy,
     local_energy_gradient,
     minimize_continuum,
@@ -281,12 +280,12 @@ def test_on_mesh_agrees_with_pointwise_evaluation():
 def test_evaluate_on_mesh_dispatch():
     prob = make_problem(p=2.0, ppp=8, tiles=(2, 2), boundary=lambda x, y: x)
     res = minimize_continuum(prob, tol=1e-7)
-    grid = evaluate_on_mesh(res, 33)
+    grid = res.field.on_mesh(33)
     assert grid.shape == (33, 33)
     axis = np.linspace(0.0, 1.0, 33)
     np.testing.assert_allclose(grid[0, :], axis, atol=1e-5)  # bottom row: u = x
     pts = np.array([[0.5, 0.5], [0.123, 0.877]])
-    np.testing.assert_allclose(evaluate_on_mesh(res, pts), pts[:, 0], atol=1e-5)
+    np.testing.assert_allclose(res.field.evaluate(pts), pts[:, 0], atol=1e-5)
 
 
 def cell_kernel(eta, wx, wy, s, eps, trunc):

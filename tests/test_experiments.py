@@ -10,7 +10,6 @@ from pdirichlet.experiments import (
     error_metrics,
     label_value,
     minimizer_comparison,
-    thread_budget,
 )
 
 FULL = (0.0, 1.0, 0.0, 1.0)
@@ -98,8 +97,6 @@ def test_study_config_validation():
         StudyConfig(density="rho9")
     with pytest.raises(ValidationError, match="increasing"):
         StudyConfig(n_values=(100, 100))
-    with pytest.raises(ValidationError, match="region"):
-        StudyConfig(region=(0.0, 1.1, 0.0, 1.0))
     with pytest.raises(ValidationError, match="seeds"):
         StudyConfig(seeds=(1, 1))
     with pytest.raises(ValidationError, match="estimators"):
@@ -117,16 +114,6 @@ def test_bandwidth_schedule():
     assert explicit.bandwidths_for(4096) == (0.2, 0.1)
     with pytest.raises(ValidationError, match="h_scale"):
         StudyConfig(h_scale=0.0)
-
-
-def test_thread_budget_honors_environment(monkeypatch):
-    monkeypatch.delenv("PDIRICHLET_THREADS", raising=False)
-    assert thread_budget() == 1
-    assert thread_budget(6) == 6
-    monkeypatch.setenv("PDIRICHLET_THREADS", "2")
-    assert thread_budget() == 2
-    assert thread_budget(6) == 2
-    assert thread_budget(1) == 1
 
 
 # -------------------------------------------------------------------- studies
@@ -156,17 +143,6 @@ def test_density_study_shape_and_determinism():
     assert methods == {"kde", "skde"}
     for report in out.reports:
         assert report.sweep == (128, 256)
-
-
-def test_density_study_threads_do_not_change_results():
-    serial = density_error_study(StudyConfig(**TINY))
-    threaded = density_error_study(StudyConfig(**TINY, threads=2))
-    assert serial.results.rows == threaded.results.rows
-    # the pool's cells share one spline factorization
-    small = dict(TINY, points_per_patch=6, max_iter=60)
-    serial = minimizer_comparison(StudyConfig(**small))
-    threaded = minimizer_comparison(StudyConfig(**small, threads=2))
-    assert serial.results.rows == threaded.results.rows
 
 
 def test_density_study_explicit_bandwidth_sweep():
