@@ -262,7 +262,9 @@ def _cmd_solve_continuum(config: RunConfig) -> None:
     print(f"write: continuum_field.csv ({domain.n_nodes} rows), {manifest.name}")
 
 
-def _study_settings(config: RunConfig) -> tuple:
+def _cmd_study(config: RunConfig) -> None:
+    """Run the subcommand's study over n/4, n, 4n and seeds seed..seed+4."""
+    out = _out_dir(config)
     if config.n % 4 != 0:
         raise ConfigError(
             f"config key 'n' = {config.n} rejected: studies sweep n/4, n, 4n, "
@@ -270,10 +272,29 @@ def _study_settings(config: RunConfig) -> tuple:
         )
     n_values = (config.n // 4, config.n, config.n * 4)
     seeds = tuple(range(config.seed, config.seed + 5))
-    return n_values, seeds
-
-
-def _write_study(config: RunConfig, out: Path, name: str, study) -> None:
+    minimizers = config.subcommand == "study-minimizers"
+    study_config = StudyConfig(
+        density=config.density,
+        n_values=n_values,
+        T=config.T,
+        lam=config.lam,
+        p=config.p,
+        tol=config.tol,
+        seeds=seeds,
+        mesh_size=config.mesh,
+        points_per_patch=config.points_per_patch,
+        include_discrete=minimizers,
+    )
+    start = time.perf_counter()
+    # the study functions are looked up as module globals at call time, so
+    # a wrapper bound to one of those names is the one that runs
+    if minimizers:
+        study, noun = minimizer_comparison(study_config), "runs"
+    else:
+        study, noun = density_error_study(study_config), "cells"
+    _stage("study", f"{len(study.results.rows)} {noun} over n={n_values}",
+           time.perf_counter() - start)
+    name = config.subcommand.replace("-", "_")
     write_csv(study.results, out / f"{name}.csv")
     write_csv(study.timing, out / f"{name}_timing.csv")
     written = [f"{name}.csv", f"{name}_timing.csv"]
@@ -286,52 +307,8 @@ def _write_study(config: RunConfig, out: Path, name: str, study) -> None:
         for key, value in sorted(study.flags.items())
     )
     print(f"flags: {flags}")
-    seeds = tuple(range(config.seed, config.seed + 5))
     manifest = _write_manifest(config, out, seeds)
     print(f"write: {', '.join(written)}, {manifest.name}")
-
-
-def _cmd_study_density(config: RunConfig) -> None:
-    out = _out_dir(config)
-    n_values, seeds = _study_settings(config)
-    study_config = StudyConfig(
-        density=config.density,
-        n_values=n_values,
-        T=config.T,
-        lam=config.lam,
-        p=config.p,
-        tol=config.tol,
-        seeds=seeds,
-        mesh_size=config.mesh,
-        points_per_patch=config.points_per_patch,
-    )
-    start = time.perf_counter()
-    study = density_error_study(study_config)
-    _stage("study", f"{len(study.results.rows)} cells over n={n_values}",
-           time.perf_counter() - start)
-    _write_study(config, out, "study_density", study)
-
-
-def _cmd_study_minimizers(config: RunConfig) -> None:
-    out = _out_dir(config)
-    n_values, seeds = _study_settings(config)
-    study_config = StudyConfig(
-        density=config.density,
-        n_values=n_values,
-        T=config.T,
-        lam=config.lam,
-        p=config.p,
-        tol=config.tol,
-        seeds=seeds,
-        mesh_size=config.mesh,
-        points_per_patch=config.points_per_patch,
-        include_discrete=True,
-    )
-    start = time.perf_counter()
-    study = minimizer_comparison(study_config)
-    _stage("study", f"{len(study.results.rows)} runs over n={n_values}",
-           time.perf_counter() - start)
-    _write_study(config, out, "study_minimizers", study)
 
 
 _HANDLERS = {
@@ -339,8 +316,8 @@ _HANDLERS = {
     "density": _cmd_density,
     "solve-discrete": _cmd_solve_discrete,
     "solve-continuum": _cmd_solve_continuum,
-    "study-density": _cmd_study_density,
-    "study-minimizers": _cmd_study_minimizers,
+    "study-density": _cmd_study,
+    "study-minimizers": _cmd_study,
 }
 
 _CHART_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")

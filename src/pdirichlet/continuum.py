@@ -23,7 +23,6 @@ ever evaluated, never minimized.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,31 +188,19 @@ def minimize_continuum(
     Returns
     -------
     MinimizerResult
-        ``values`` holds the field on every node copy, ``energies`` the
-        energy after every accepted step (non-increasing),
-        ``meta["stop_reason"]`` is "converged", "budget" or "stalled", and
-        ``meta["decrement"]`` the lambda^2 / 2 of the last Newton system.
+        ``values`` holds the field on every node copy, ``field`` the same
+        field as an evaluable `PatchedField`, ``energies`` the energy after
+        every accepted step (non-increasing), ``stop_reason`` is
+        "converged", "budget" or "stalled", and ``decrement`` the
+        lambda^2 / 2 of the last Newton system.
     """
-    start = time.perf_counter()
     dom = problem.domain
     v = np.full(dom.node_points.shape[0], float(dom.pin_values.mean()))
     v[dom.pin_nodes] = dom.pin_values
-    v, energies, iterations, residual, reason, decrement = _newton(
-        _RitzEnergy(problem), v, tol, max_iter, _factor_solve
-    )
-    u = v[dom.node_of]
-    return MinimizerResult(
-        values=u,
-        energy=energies[-1],
-        energies=np.asarray(energies),
-        iterations=iterations,
-        residual=residual,
-        converged=reason == "converged",
-        wall_time=time.perf_counter() - start,
-        method="newton",
-        field=PatchedField(dom, u),
-        meta={"p": problem.p, "stop_reason": reason, "decrement": decrement},
-    )
+    result = _newton(_RitzEnergy(problem), v, tol, max_iter, _factor_solve)
+    result.values = result.values[dom.node_of]
+    result.field = PatchedField(dom, result.values)
+    return result
 
 
 # -- field evaluation ----------------------------------------------------------

@@ -1,16 +1,18 @@
 """Reproducible error and timing studies comparing the labeling routes.
 
 Two study drivers cover the package's empirical claims: density-estimation
-error sweeps (estimator accuracy for values and first derivatives over a
-sample-size/bandwidth grid) and minimizer discrepancy sweeps (how close the
-continuum minimizer built on an estimated density lands to the one built on
-the exact density, optionally alongside the discrete graph minimizer).
-Every study is driven by a frozen `StudyConfig`, runs a fixed seed list,
-reports medians, and returns deterministic result tables (bit-identical on
-rerun) with wall times split into a separate timing table. Cells run one
-after another: they hold the interpreter lock, so a thread pool made the
-studies slower, not faster. Every error norm is taken over the window
-[0.01, 0.99]^2, away from the edges of the square.
+error sweeps (estimator accuracy for values and first derivatives over the
+sample sizes, one bandwidth per size) and minimizer discrepancy sweeps (how
+close the continuum minimizer built on an estimated density lands to the
+one built on the exact density, optionally alongside the discrete graph
+minimizer). Every study is driven by a frozen `StudyConfig`, runs a fixed
+seed list, and returns deterministic result tables (bit-identical on rerun)
+with wall times split into a separate timing table. Both studies reduce
+their per-seed errors and times to the same per-method reports over n:
+medians over the seeds, with a flag for whether the L-infinity error falls
+in n. Cells run one after another: they hold the interpreter lock, so a
+thread pool made the studies slower, not faster. Every error norm is taken
+over the window [0.01, 0.99]^2, away from the edges of the square.
 """
 
 from __future__ import annotations
@@ -97,16 +99,16 @@ class ErrorReport:
 class StudyConfig:
     """Frozen inputs of one study run.
 
-    `h_values` of None selects the per-n bandwidth schedule
-    h_scale * n^(-1/6) (the default coefficient 0.3 was measured to keep the
-    estimate useful over the default n range); an explicit tuple sweeps
-    those bandwidths at every n instead. `tol` is the relative energy-gap
-    tolerance of every solve, continuum and discrete.
+    Each sample size n gets one kernel bandwidth: `h` if set, otherwise the
+    schedule h_scale * n^(-1/6) (the default coefficient 0.3 was measured
+    to keep the estimate useful over the default n range). `tol` is the
+    relative energy-gap tolerance of every solve, continuum and discrete;
+    both run on their solver's default step budget.
     """
 
     density: str = "rho2"
     n_values: tuple = (1024, 4096, 16384)
-    h_values: tuple | None = None
+    h: float | None = None
     h_scale: float = 0.3
     T: int = 4096
     lam: float = 1.0e-6
@@ -115,7 +117,6 @@ class StudyConfig:
     seeds: tuple = (1, 2, 3, 4, 5)
     mesh_size: int = 512
     points_per_patch: int = 20
-    max_iter: int = 400
     estimators: tuple = _ESTIMATORS
     include_discrete: bool = False
 
@@ -127,13 +128,10 @@ class StudyConfig:
             raise ValidationError("n_values must be positive integers")
         if any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ValidationError("n_values must be strictly increasing")
-        h_values = self.h_values
-        if h_values is not None:
-            h_values = tuple(float(h) for h in h_values)
-            if not h_values or any(h <= 0.0 for h in h_values):
-                raise ValidationError("h_values must be positive")
-            if len(set(h_values)) != len(h_values):
-                raise ValidationError("h_values contain duplicates")
+        if self.h is not None:
+            if not (self.h > 0.0):
+                raise ValidationError(f"h must be positive, got {self.h}")
+            object.__setattr__(self, "h", float(self.h))
         if not (self.h_scale > 0.0):
             raise ValidationError(f"h_scale must be positive, got {self.h_scale}")
         if not (self.lam > 0.0):
@@ -153,14 +151,14 @@ class StudyConfig:
         if not (self.tol > 0.0):
             raise ValidationError(f"tol must be positive, got {self.tol}")
         object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "h_values", h_values)
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "estimators", estimators)
 
-    def bandwidths_for(self, n: int) -> tuple:
-        if self.h_values is None:
-            return (self.h_scale * float(n) ** (-1.0 / 6.0),)
-        return self.h_values
+    def bandwidth(self, n: int) -> float:
+        """Kernel bandwidth at sample size n."""
+        if self.h is None:
+            return self.h_scale * float(n) ** (-1.0 / 6.0)
+        return self.h
 
 
 @dataclass(frozen=True)
@@ -174,11 +172,9 @@ class StudyResult:
     meta: dict = field(default_factory=dict)
 
 
-def _region_mask(mesh_size: int, region: tuple) -> np.ndarray:
-    sites = uniform_mesh(mesh_size)
-    in_x = (sites >= region[0]) & (sites <= region[1])
-    in_y = (sites >= region[2]) & (sites <= region[3])
-    return np.outer(in_y, in_x)  # rows index y
+def _in_window(x, y, region: tuple):
+    """Whether the points (x, y) lie in the window (x0, x1, y0, y1)."""
+    return (x >= region[0]) & (x <= region[1]) & (y >= region[2]) & (y <= region[3])
 
 
 def error_metrics(a: np.ndarray, b: np.ndarray, region: tuple) -> tuple:
@@ -195,7 +191,8 @@ def error_metrics(a: np.ndarray, b: np.ndarray, region: tuple) -> tuple:
         raise ValidationError(f"mesh shapes differ: {a.shape} vs {b.shape}")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected square D x D fields, got {a.shape}")
-    mask = _region_mask(a.shape[0], region)
+    sites = uniform_mesh(a.shape[0])
+    mask = _in_window(sites[None, :], sites[:, None], region)  # rows index y
     if not mask.any():
         raise ValidationError("region contains no mesh points")
     diff = np.abs(a - b)[mask]
@@ -212,8 +209,33 @@ def _nonincreasing(values) -> bool:
     return all(b <= a for a, b in zip(values, values[1:]))
 
 
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - start
+
+
+def _reports(config: StudyConfig, routes, samples: dict) -> tuple:
+    """Error reports over n and their `<route>_linf_nonincreasing_in_n` flags.
+
+    ``samples[(route, n)]`` lists one (l2, linf, seconds) triple per seed;
+    each report entry is the median of one of them over the seeds.
+    """
+    reports = []
+    flags = {}
+    for route in routes:
+        per_n = [[_median(c) for c in zip(*samples[(route, n)])] for n in config.n_values]
+        l2, linf, seconds = zip(*per_n)
+        reports.append(ErrorReport(route, config.n_values, l2, linf, seconds))
+        flags[f"{route}_linf_nonincreasing_in_n"] = (
+            len(config.n_values) > 1 and _nonincreasing(linf)
+        )
+    return tuple(reports), flags
+
+
 def density_error_study(config: StudyConfig) -> StudyResult:
-    """Estimator accuracy sweep over (estimator, n, h) cells.
+    """Estimator accuracy sweep over (estimator, n) cells.
 
     Per cell and seed: draw the cloud, build the estimator, and measure the
     L2/L-infinity errors of the density value and of both partial
@@ -230,84 +252,50 @@ def density_error_study(config: StudyConfig) -> StudyResult:
     # one factored spline operator serves every fit of the study
     spline_op = SplineFit(spline_config) if "skde" in config.estimators else None
 
-    cells = [(n, h) for n in config.n_values for h in config.bandwidths_for(n)]
+    def errors(value, grad):
+        return (
+            *error_metrics(value, exact_value, _REGION),
+            *error_metrics(grad[:, :, 0], exact_grad[:, :, 0], _REGION),
+            *error_metrics(grad[:, :, 1], exact_grad[:, :, 1], _REGION),
+        )
 
-    def run_cell(cell):
-        n, h = cell
-        rows = {est: [] for est in config.estimators}
-        times = {est: [] for est in config.estimators}
+    # (estimator, n) -> per-seed (errors, seconds)
+    cells = {(est, n): [] for n in config.n_values for est in config.estimators}
+    for n in config.n_values:
         for seed in config.seeds:
             cloud = sample_density(rho, n, seed=seed)
             start = time.perf_counter()
-            kde = KdeDensityField(cloud, h)
-            kde_value = kde.on_mesh(mesh)
-            kde_grad = kde.gradient_on_mesh(mesh)
+            kde = KdeDensityField(cloud, config.bandwidth(n))
+            fields = {"kde": (kde.on_mesh(mesh), kde.gradient_on_mesh(mesh))}
             kde_time = time.perf_counter() - start
-            if "kde" in rows:
-                rows["kde"].append(_field_errors(kde_value, kde_grad, exact_value, exact_grad))
-                times["kde"].append(kde_time)
-            if "skde" in rows:
+            times = {"kde": kde_time}
+            if spline_op is not None:
                 start = time.perf_counter()
                 spline = skde_fit(kde.value_at(knots), spline_config, spline_op)
-                skde_value = spline.on_mesh(mesh)
-                skde_grad = spline.gradient_on_mesh(mesh)
-                rows["skde"].append(
-                    _field_errors(skde_value, skde_grad, exact_value, exact_grad)
-                )
-                times["skde"].append(kde_time + time.perf_counter() - start)
-        return cell, rows, times
+                fields["skde"] = (spline.on_mesh(mesh), spline.gradient_on_mesh(mesh))
+                times["skde"] = kde_time + (time.perf_counter() - start)
+            for est in config.estimators:
+                cells[(est, n)].append((errors(*fields[est]), times[est]))
 
-    outcomes = [run_cell(cell) for cell in cells]
-
-    metric_names = ("l2_value", "linf_value", "l2_dx", "linf_dx", "l2_dy", "linf_dy")
     result_rows = []
     timing_rows = []
-    medians = {}
-    for (n, h), rows, times in outcomes:
-        for est in config.estimators:
-            per_seed = np.asarray(rows[est])
-            med = [_median(per_seed[:, k]) for k in range(per_seed.shape[1])]
-            medians[(est, n, h)] = med
-            result_rows.append((est, n, float(h), *med))
-            for seed, sec in zip(config.seeds, times[est]):
-                timing_rows.append((est, n, float(h), seed, float(sec)))
-
+    samples = {}
+    for (est, n), per_seed in cells.items():
+        h = config.bandwidth(n)
+        per_seed_errors = [errs for errs, _ in per_seed]
+        result_rows.append((est, n, h, *(_median(c) for c in zip(*per_seed_errors))))
+        timing_rows.extend((est, n, h, seed, sec)
+                           for seed, (_, sec) in zip(config.seeds, per_seed))
+        samples[(est, n)] = [(errs[0], errs[1], sec) for errs, sec in per_seed]
+    metric_names = ("l2_value", "linf_value", "l2_dx", "linf_dx", "l2_dy", "linf_dy")
     results = Table(("estimator", "n", "h", *metric_names), tuple(result_rows))
     timing = Table(("estimator", "n", "h", "seed", "seconds"), tuple(timing_rows))
 
-    reports = []
-    for est in config.estimators:
-        if config.h_values is not None and len(config.h_values) > 1 and len(config.n_values) == 1:
-            sweep = config.h_values
-            keys = [(est, config.n_values[0], h) for h in sweep]
-        else:
-            sweep = config.n_values
-            keys = [(est, n, config.bandwidths_for(n)[0]) for n in sweep]
-        secs = {(e, n, h): [] for (e, n, h) in keys}
-        for (n, h), _, times in outcomes:
-            if (est, n, h) in secs:
-                secs[(est, n, h)] = times[est]
-        reports.append(
-            ErrorReport(
-                method=est,
-                sweep=sweep,
-                l2=tuple(medians[k][0] for k in keys),
-                linf=tuple(medians[k][1] for k in keys),
-                seconds=tuple(_median(secs[k]) for k in keys),
-            )
-        )
-    reports = tuple(reports)
-
-    flags = {}
-    for report in reports:
-        flags[f"{report.method}_linf_nonincreasing_in_n"] = (
-            len(config.n_values) > 1 and _nonincreasing(report.linf)
-        )
+    reports, flags = _reports(config, config.estimators, samples)
     if set(("kde", "skde")) <= set(config.estimators):
+        by_est = {report.method: report.linf for report in reports}
         flags["skde_no_worse_than_kde"] = all(
-            medians[("skde", n, h)][1] <= medians[("kde", n, h)][1]
-            for n in config.n_values
-            for h in config.bandwidths_for(n)
+            s <= k for s, k in zip(by_est["skde"], by_est["kde"])
         )
     return StudyResult(
         results=results,
@@ -316,13 +304,6 @@ def density_error_study(config: StudyConfig) -> StudyResult:
         flags=flags,
         meta={"exact_density": config.density, "mesh_size": mesh},
     )
-
-
-def _field_errors(value, grad, exact_value, exact_grad):
-    l2v, linfv = error_metrics(value, exact_value, _REGION)
-    l2x, linfx = error_metrics(grad[:, :, 0], exact_grad[:, :, 0], _REGION)
-    l2y, linfy = error_metrics(grad[:, :, 1], exact_grad[:, :, 1], _REGION)
-    return (l2v, linfv, l2x, linfx, l2y, linfy)
 
 
 def minimizer_comparison(config: StudyConfig) -> StudyResult:
@@ -340,7 +321,7 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
     """
     rho = reference_density(config.density)
     constraints = constraint_labels()
-    in_region = _region_mask(config.mesh_size, _REGION).ravel()  # row-major, as on_mesh
+    mesh = config.mesh_size
     spline_config = SplineConfig(num_knots=config.T, lam=config.lam)
     knots = spline_knots(spline_config)
     spline_op = SplineFit(spline_config) if "skde" in config.estimators else None
@@ -357,156 +338,80 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
 
     def solve_continuum(density):
         problem = ContinuumProblem(domain=domain, density=density, p=config.p)
-        return minimize_continuum(problem, tol=config.tol, max_iter=config.max_iter)
+        return minimize_continuum(problem, tol=config.tol)
 
-    start = time.perf_counter()
-    reference = solve_continuum(rho)
-    reference_seconds = time.perf_counter() - start
-    f_ref = reference.field.on_mesh(config.mesh_size).ravel()
-    masked_ref = f_ref[in_region]
-    denom = float(config.mesh_size) ** 2
+    reference, reference_seconds = _timed(solve_continuum, rho)
+    reference_on_mesh = reference.field.on_mesh(mesh)
 
-    def field_error(values_on_mesh):
-        diff = np.abs(values_on_mesh[in_region] - masked_ref)
-        return float(np.sqrt(np.sum(diff**2) / denom)), float(np.max(diff))
-
-    def run_cell(cell):
-        n, seed = cell
-        h = config.bandwidths_for(n)[0]
-        rows = []
-        timing = []
-        t0 = time.perf_counter()
-        cloud = sample_density(rho, n, seed=seed)
-        sample_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        kde = KdeDensityField(cloud, h)
-        kde_knots = kde.value_at(knots)
-        kde_seconds = time.perf_counter() - t0
-        fit_seconds = 0.0
-        for est in config.estimators:
-            t0 = time.perf_counter()
-            if est == "kde":
-                density = kde
-            else:
-                density = skde_fit(kde_knots, spline_config, spline_op)
-            fit_seconds = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            res = solve_continuum(density)
-            solve_seconds = time.perf_counter() - t0
-            l2, linf = field_error(res.field.on_mesh(config.mesh_size).ravel())
-            rows.append(
-                (
-                    est,
-                    n,
-                    seed,
-                    l2,
-                    linf,
-                    int(res.converged),
-                    res.iterations,
-                    float(res.residual),
-                    int(np.all(np.diff(res.energies) <= 0.0)),
-                )
-            )
-            pipeline = sample_seconds + kde_seconds + fit_seconds + solve_seconds
-            timing.append((est, n, seed, sample_seconds, kde_seconds + fit_seconds, solve_seconds, pipeline))
-        if config.include_discrete:
-            t0 = time.perf_counter()
-            pts = np.vstack([cloud.points, constraints.positions])
-            graph = build_epsilon_graph(pts, default_epsilon(pts.shape[0], config.p))
-            graph_seconds = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            res = minimize_discrete(
-                graph, constraints.graph_constraints(n), p=config.p, tol=config.tol
-            )
-            solve_seconds = time.perf_counter() - t0
-            keep = (
-                (pts[:, 0] >= _REGION[0])
-                & (pts[:, 0] <= _REGION[1])
-                & (pts[:, 1] >= _REGION[2])
-                & (pts[:, 1] <= _REGION[3])
-            )
-            diff = np.abs(res.values[keep] - reference.field.evaluate(pts[keep]))
-            rows.append(
-                (
-                    "discrete",
-                    n,
-                    seed,
-                    float(np.sqrt(np.mean(diff**2))),
-                    float(np.max(diff)),
-                    int(res.converged),
-                    res.iterations,
-                    float(res.residual),
-                    int(np.all(np.diff(res.energies) <= 0.0)),
-                )
-            )
-            timing.append(
-                ("discrete", n, seed, sample_seconds, graph_seconds, solve_seconds,
-                 sample_seconds + graph_seconds + solve_seconds)
-            )
-        return rows, timing
-
-    cells = [(n, seed) for n in config.n_values for seed in config.seeds]
-    outcomes = [run_cell(cell) for cell in cells]
     result_rows = []
     timing_rows = []
-    for rows, timing in outcomes:
-        result_rows.extend(rows)
-        timing_rows.extend(timing)
+    samples = {}  # (route, n) -> per-seed (l2, linf, pipeline seconds)
 
-    header = ("route", "n", "seed", "l2", "linf", "converged", "iterations", "residual",
-              "energy_monotone")
-    results = Table(header, tuple(result_rows))
+    def record(route, n, seed, l2, linf, res, sample_s, estimate_s, solve_s):
+        pipeline = sample_s + estimate_s + solve_s
+        result_rows.append((route, n, seed, l2, linf, int(res.converged), res.iterations,
+                            float(res.residual), int(np.all(np.diff(res.energies) <= 0.0))))
+        timing_rows.append((route, n, seed, sample_s, estimate_s, solve_s, pipeline))
+        samples.setdefault((route, n), []).append((l2, linf, pipeline))
+
+    for n in config.n_values:
+        for seed in config.seeds:
+            cloud, sample_seconds = _timed(sample_density, rho, n, seed=seed)
+            start = time.perf_counter()
+            kde = KdeDensityField(cloud, config.bandwidth(n))
+            kde_knots = kde.value_at(knots)
+            kde_seconds = time.perf_counter() - start
+            for est in config.estimators:
+                start = time.perf_counter()
+                density = kde if est == "kde" else skde_fit(kde_knots, spline_config, spline_op)
+                estimate_seconds = kde_seconds + (time.perf_counter() - start)
+                res, solve_seconds = _timed(solve_continuum, density)
+                l2, linf = error_metrics(res.field.on_mesh(mesh), reference_on_mesh, _REGION)
+                record(est, n, seed, l2, linf, res, sample_seconds, estimate_seconds,
+                       solve_seconds)
+            if config.include_discrete:
+                start = time.perf_counter()
+                pts = np.vstack([cloud.points, constraints.positions])
+                graph = build_epsilon_graph(pts, default_epsilon(pts.shape[0], config.p))
+                graph_seconds = time.perf_counter() - start
+                res, solve_seconds = _timed(
+                    minimize_discrete, graph, constraints.graph_constraints(n), p=config.p,
+                    tol=config.tol,
+                )
+                keep = _in_window(pts[:, 0], pts[:, 1], _REGION)
+                diff = np.abs(res.values[keep] - reference.field.evaluate(pts[keep]))
+                record("discrete", n, seed, float(np.sqrt(np.mean(diff**2))),
+                       float(np.max(diff)), res, sample_seconds, graph_seconds, solve_seconds)
+
+    results = Table(
+        ("route", "n", "seed", "l2", "linf", "converged", "iterations", "residual",
+         "energy_monotone"),
+        tuple(result_rows),
+    )
     timing = Table(
         ("route", "n", "seed", "sample_seconds", "estimate_seconds", "solve_seconds",
          "pipeline_seconds"),
         tuple(timing_rows),
     )
-
-    routes = list(config.estimators) + (["discrete"] if config.include_discrete else [])
-    reports = []
-    flags = {}
+    routes = config.estimators + (("discrete",) if config.include_discrete else ())
+    reports, flags = _reports(config, routes, samples)
     for route in routes:
-        per_n_linf = []
-        per_n_l2 = []
-        per_n_secs = []
-        for n in config.n_values:
-            rows = [r for r in result_rows if r[0] == route and r[1] == n]
-            per_n_l2.append(_median([r[3] for r in rows]))
-            per_n_linf.append(_median([r[4] for r in rows]))
-            secs = [t[6] for t in timing_rows if t[0] == route and t[1] == n]
-            per_n_secs.append(_median(secs))
-        reports.append(
-            ErrorReport(
-                method=route,
-                sweep=config.n_values,
-                l2=tuple(per_n_l2),
-                linf=tuple(per_n_linf),
-                seconds=tuple(per_n_secs),
-            )
-        )
-        flags[f"{route}_linf_nonincreasing_in_n"] = (
-            len(config.n_values) > 1 and _nonincreasing(per_n_linf)
-        )
-
-    first_seed = config.seeds[0]
-    for route in routes:
-        spans = [
-            next(t[6] for t in timing_rows if t[0] == route and t[1] == n and t[2] == first_seed)
-            for n in config.n_values
-        ]
+        # pipeline seconds of the first seed at each n
+        spans = [samples[(route, n)][0][2] for n in config.n_values]
         if len(spans) > 1 and spans[0] > 0.0:
             flags[f"{route}_time_growth"] = spans[-1] / spans[0]
 
+    schedule = f"{config.h_scale:g} * n^(-1/6)" if config.h is None else f"{config.h:g}"
     return StudyResult(
         results=results,
         timing=timing,
-        reports=tuple(reports),
+        reports=reports,
         flags=flags,
         meta={
             "reference_converged": int(reference.converged),
             "reference_residual": float(reference.residual),
             "reference_seconds": reference_seconds,
             "discrete_comparison": "reference field interpolated at the sample positions",
-            "bandwidth_schedule": "0.3 * n^(-1/6)" if config.h_values is None else "explicit",
+            "bandwidth_schedule": schedule,
         },
     )

@@ -23,8 +23,7 @@ minimizes the continuum quadrature energy of `pdirichlet.continuum`.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,6 +105,10 @@ class MinimizerResult:
 
     ``energies`` lists the energy after every accepted step (starting from
     the initial iterate), so monotonicity can be audited after the fact.
+    ``stop_reason`` is "converged", "budget" or "stalled"; only the first
+    is converged. ``decrement`` is the last bound on the energy gap (0 for
+    a direct solve). ``field`` is the evaluable continuum field, None for
+    graph labelings.
     """
 
     values: np.ndarray
@@ -113,11 +116,13 @@ class MinimizerResult:
     energies: np.ndarray
     iterations: int
     residual: float
-    converged: bool
-    wall_time: float
-    method: str
+    stop_reason: str
+    decrement: float
     field: object = None
-    meta: dict = _dc_field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def default_epsilon(n: int, p: float, d: int = 2) -> float:
@@ -409,9 +414,10 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int, solve=_pcg):
     decrement is below _STAGE_TOL times its bias ends, and the next, with
     s divided by _SMOOTHING_RATIO, continues from the same iterate.
 
-    Returns the values, the energies after every accepted step (the
-    smoothed ones, then the true energy once if s > 0), the step count,
-    the max free-node gradient, the stop reason and the last gap bound.
+    Returns the `MinimizerResult` over ``f``: the energies after every
+    accepted step (the smoothed ones, then the true energy once if s > 0),
+    the max free-node gradient as the residual, and the last gap bound as
+    the decrement.
     """
     free = problem.free
     delta = np.sqrt(_EPS) * max(float(np.ptp(f)), 1e-12)
@@ -463,7 +469,15 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int, solve=_pcg):
     if problem.s:
         problem.smooth(0.0)
         energies.append(problem.energy(f))
-    return f, energies, iterations, residual, reason, decrement + bias
+    return MinimizerResult(
+        values=f,
+        energy=energies[-1],
+        energies=np.asarray(energies),
+        iterations=iterations,
+        residual=residual,
+        stop_reason=reason,
+        decrement=decrement + bias,
+    )
 
 
 def minimize_discrete(
@@ -523,30 +537,17 @@ def minimize_discrete(
         last iterate with ``converged`` False. ``energies`` holds the energy
         after every accepted step; for p < 2 these are the smoothed
         energies, which never increase across stages either, followed by
-        the true energy. ``meta["stop_reason"]`` is "converged", "budget"
-        or "stalled" (only the first is converged), and
-        ``meta["decrement"]`` the last gap bound: the decrement of the last
-        Newton system solved, plus B for p < 2.
+        the true energy. ``stop_reason`` is "converged", "budget" or
+        "stalled" (only the first is converged), and ``decrement`` the last
+        gap bound: the decrement of the last Newton system solved, plus B
+        for p < 2.
     """
     if p <= 1:
         raise ValidationError(f"the discrete minimizer needs p > 1, got p = {p}")
     constraints.check_against(graph.n)
-    start = time.perf_counter()
     f, solved = _start_values(graph, constraints)
     s = float(np.ptp(constraints.values)) if p < 2.0 else 0.0
-    problem = _PinnedEdges(graph, constraints, p, solved, s)
-    f, energies, iterations, residual, reason, decrement = _newton(problem, f, tol, max_iter)
-    return MinimizerResult(
-        values=f,
-        energy=energies[-1],
-        energies=np.asarray(energies),
-        iterations=iterations,
-        residual=residual,
-        converged=reason == "converged",
-        wall_time=time.perf_counter() - start,
-        method="newton",
-        meta={"p": p, "stop_reason": reason, "decrement": decrement},
-    )
+    return _newton(_PinnedEdges(graph, constraints, p, solved, s), f, tol, max_iter)
 
 
 def solve_p2_direct(graph: WeightedGraph, constraints: ConstraintSet) -> MinimizerResult:
@@ -559,7 +560,6 @@ def solve_p2_direct(graph: WeightedGraph, constraints: ConstraintSet) -> Minimiz
     answer is constant), and every other node keeps its start value.
     """
     constraints.check_against(graph.n)
-    start = time.perf_counter()
     w = graph.weights
     lap = sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w
     f, solved = _start_values(graph, constraints)
@@ -579,7 +579,6 @@ def solve_p2_direct(graph: WeightedGraph, constraints: ConstraintSet) -> Minimiz
         energies=np.asarray([energy]),
         iterations=1,
         residual=float(np.abs(grad).max()),
-        converged=True,
-        wall_time=time.perf_counter() - start,
-        method="p2-direct",
+        stop_reason="converged",
+        decrement=0.0,
     )

@@ -298,7 +298,7 @@ def test_criterion_08_skde_no_worse_than_kde():
         StudyConfig(
             density="rho1",
             n_values=(10000,),
-            h_values=(0.03,),
+            h=0.03,
             T=4096,
             lam=1.0e-6,
             seeds=(1, 2, 3, 4, 5),
@@ -326,7 +326,6 @@ def test_criterion_09_minimizer_error_trend():
             mesh_size=512,
             points_per_patch=20,
             tol=1.0e-5,
-            max_iter=400,
             T=4096,
             lam=1.0e-6,
             estimators=("skde",),

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from pdirichlet.cli import run
-from pdirichlet.csvio import read_csv
+from pdirichlet.csvio import read_csv, write_csv
+from pdirichlet.experiments import StudyConfig, minimizer_comparison
 
 TINY = ["--n", "128", "--T", "256", "--mesh", "32", "--points-per-patch", "8",
         "--tol", "0.001", "--h", "0.1"]
@@ -76,6 +77,28 @@ def test_study_density_csv_shape(tmp_path):
     assert len(timing.rows) == 2 * 3 * 5  # five seeds per cell
     svg = (tmp_path / "study_density.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_study_minimizers_matches_the_library_study(tmp_path, capsys):
+    args = ["--density", "rho2", "--n", "32", "--T", "256", "--mesh", "32",
+            "--points-per-patch", "4",
+            "--tol", "0.001", "--seed", "4"]
+    assert run(["study-minimizers", *args, "--out", str(tmp_path)]) == 0
+    assert "study: 45 runs over n=(8, 32, 128)" in capsys.readouterr().out
+    study = minimizer_comparison(
+        StudyConfig(density="rho2", n_values=(8, 32, 128), T=256, tol=0.001,
+                    seeds=(4, 5, 6, 7, 8), mesh_size=32, points_per_patch=4,
+                    include_discrete=True)
+    )
+    write_csv(study.results, tmp_path / "library.csv")
+    assert (tmp_path / "study_minimizers.csv").read_bytes() == (
+        tmp_path / "library.csv"
+    ).read_bytes()
+    timing = read_csv(tmp_path / "study_minimizers_timing.csv")
+    assert timing.header == study.timing.header
+    assert [row[:3] for row in timing.rows] == [row[:3] for row in study.timing.rows]
+    manifest = (tmp_path / "study_minimizers_manifest.txt").read_text()
+    assert "seeds=4,5,6,7,8" in manifest
 
 
 def test_study_rejects_indivisible_n(tmp_path):

@@ -154,7 +154,7 @@ def test_minimize_recovers_affine_from_mean_start():
         prob = make_problem(p=p, ppp=14, tiles=(2, 2), boundary=lambda x, y: x)
         res = minimize_continuum(prob, tol=1e-5)
         assert res.converged
-        assert res.meta["stop_reason"] == "converged"
+        assert res.stop_reason == "converged"
         exact = node_values(prob.domain, lambda x, y: x)
         assert np.max(np.abs(res.values - exact)) < 1e-5
         assert np.all(np.diff(res.energies) <= 0.0)
@@ -211,8 +211,8 @@ def test_minimize_nonconverged_flag():
     res = minimize_continuum(prob, tol=1e-12, max_iter=1)
     assert not res.converged
     assert res.iterations == 1
-    assert res.meta["stop_reason"] == "budget"
-    assert res.meta["decrement"] > 1e-12 * res.energy
+    assert res.stop_reason == "budget"
+    assert res.decrement > 1e-12 * res.energy
 
 
 def test_newton_reaches_lbfgs_minimum_p3():
@@ -222,9 +222,8 @@ def test_newton_reaches_lbfgs_minimum_p3():
     dom = build_patches(pos, np.array([0.0, 1.0, 0.5, -0.4, 1.2]), 6, tiles=(2, 2))
     prob = ContinuumProblem(domain=dom, density=reference_density("rho2"), p=3.0)
     res = minimize_continuum(prob, tol=1e-12)
-    assert res.method == "newton"
-    assert res.meta["stop_reason"] == "converged"
-    assert res.meta["decrement"] <= 1e-12 * res.energy
+    assert res.stop_reason == "converged"
+    assert res.decrement <= 1e-12 * res.energy
     base = np.zeros(dom.node_points.shape[0])
     base[dom.pin_nodes] = dom.pin_values
 

@@ -101,17 +101,20 @@ def test_study_config_validation():
         StudyConfig(seeds=(1, 1))
     with pytest.raises(ValidationError, match="estimators"):
         StudyConfig(estimators=("kde", "other"))
-    with pytest.raises(ValidationError, match="h_values"):
-        StudyConfig(h_values=(0.1, 0.1))
+    with pytest.raises(ValidationError, match="h must be positive"):
+        StudyConfig(h=0.0)
+    with pytest.raises(ValidationError, match="h must be positive"):
+        StudyConfig(h=-0.1)
 
 
 def test_bandwidth_schedule():
     c = StudyConfig()
-    assert c.bandwidths_for(4096) == (pytest.approx(0.3 * 4096 ** (-1 / 6)),)
-    assert c.bandwidths_for(64)[0] > c.bandwidths_for(4096)[0]
-    assert StudyConfig(h_scale=1.0).bandwidths_for(4096) == (pytest.approx(4096 ** (-1 / 6)),)
-    explicit = StudyConfig(h_values=(0.2, 0.1))
-    assert explicit.bandwidths_for(4096) == (0.2, 0.1)
+    assert c.bandwidth(4096) == pytest.approx(0.3 * 4096 ** (-1 / 6))
+    assert c.bandwidth(64) > c.bandwidth(4096)
+    assert StudyConfig(h_scale=1.0).bandwidth(4096) == pytest.approx(4096 ** (-1 / 6))
+    explicit = StudyConfig(h=0.2)
+    assert explicit.bandwidth(4096) == 0.2
+    assert explicit.bandwidth(64) == 0.2
     with pytest.raises(ValidationError, match="h_scale"):
         StudyConfig(h_scale=0.0)
 
@@ -128,15 +131,24 @@ TINY = dict(
 )
 
 
-def test_density_study_shape_and_determinism():
-    cfg = StudyConfig(**TINY)
-    out = density_error_study(cfg)
+@pytest.fixture(scope="module")
+def density_study():
+    return density_error_study(StudyConfig(**TINY))
+
+
+@pytest.fixture(scope="module")
+def minimizer_study():
+    return minimizer_comparison(StudyConfig(**TINY, points_per_patch=8, include_discrete=True))
+
+
+def test_density_study_shape_and_determinism(density_study):
+    out = density_study
     assert out.results.header[:3] == ("estimator", "n", "h")
     # one row per (estimator, n) since the bandwidth schedule gives one h per n
     assert len(out.results.rows) == 4
     assert len(out.timing.rows) == 8  # one per (estimator, n, seed)
     assert all(v > 0 for row in out.results.rows for v in row[3:])
-    again = density_error_study(cfg)
+    again = density_error_study(StudyConfig(**TINY))
     assert again.results.rows == out.results.rows
     assert again.flags == out.flags
     methods = {r.method for r in out.reports}
@@ -145,11 +157,11 @@ def test_density_study_shape_and_determinism():
         assert report.sweep == (128, 256)
 
 
-def test_density_study_explicit_bandwidth_sweep():
+def test_density_study_explicit_bandwidth():
     cfg = StudyConfig(
         density="rho1",
-        n_values=(256,),
-        h_values=(0.3, 0.15),
+        n_values=(128, 256),
+        h=0.15,
         T=256,
         seeds=(1,),
         mesh_size=32,
@@ -157,18 +169,25 @@ def test_density_study_explicit_bandwidth_sweep():
     )
     out = density_error_study(cfg)
     assert len(out.results.rows) == 2
+    assert out.results.column("h") == [0.15, 0.15]
+    assert [row[2] for row in out.timing.rows] == [0.15, 0.15]
     (report,) = out.reports
-    assert report.sweep == (0.3, 0.15)
+    assert report.sweep == (128, 256)
 
 
-def test_minimizer_comparison_rows_and_flags():
-    cfg = StudyConfig(
-        **TINY,
-        points_per_patch=8,
-        max_iter=60,
-        include_discrete=True,
-    )
-    out = minimizer_comparison(cfg)
+def test_density_study_reports_are_row_medians(density_study):
+    results, timing = density_study.results, density_study.timing
+    for report in density_study.reports:
+        for k, n in enumerate(report.sweep):
+            (row,) = [r for r in results.rows if r[0] == report.method and r[1] == n]
+            assert report.l2[k] == row[results.header.index("l2_value")]
+            assert report.linf[k] == row[results.header.index("linf_value")]
+            secs = [t[-1] for t in timing.rows if t[0] == report.method and t[1] == n]
+            assert report.seconds[k] == float(np.median(secs))
+
+
+def test_minimizer_comparison_rows_and_flags(minimizer_study):
+    out = minimizer_study
     routes = {row[0] for row in out.results.rows}
     assert routes == {"kde", "skde", "discrete"}
     # 3 routes x 2 n x 2 seeds
@@ -178,5 +197,26 @@ def test_minimizer_comparison_rows_and_flags():
     assert all(flag == 1 for flag in out.results.column("energy_monotone"))
     assert "kde_time_growth" in out.flags and "discrete_time_growth" in out.flags
     assert out.meta["discrete_comparison"]
-    again = minimizer_comparison(cfg)
+    assert out.meta["bandwidth_schedule"] == "0.3 * n^(-1/6)"
+    again = minimizer_comparison(StudyConfig(**TINY, points_per_patch=8, include_discrete=True))
     assert again.results.rows == out.results.rows
+
+
+def test_minimizer_comparison_reports_are_row_medians(minimizer_study):
+    results, timing = minimizer_study.results, minimizer_study.timing
+    assert [r.method for r in minimizer_study.reports] == ["kde", "skde", "discrete"]
+    for report in minimizer_study.reports:
+        for k, n in enumerate(report.sweep):
+            rows = [r for r in results.rows if r[0] == report.method and r[1] == n]
+            assert report.l2[k] == float(np.median([r[3] for r in rows]))
+            assert report.linf[k] == float(np.median([r[4] for r in rows]))
+            secs = [t[6] for t in timing.rows if t[0] == report.method and t[1] == n]
+            assert report.seconds[k] == float(np.median(secs))
+
+
+def test_minimizer_comparison_meta_names_its_bandwidths():
+    tiny = dict(TINY, n_values=(128,), seeds=(1,), points_per_patch=4, estimators=("kde",))
+    scaled = minimizer_comparison(StudyConfig(**tiny, h_scale=1.0))
+    assert scaled.meta["bandwidth_schedule"] == "1 * n^(-1/6)"
+    explicit = minimizer_comparison(StudyConfig(**tiny, h=0.25))
+    assert explicit.meta["bandwidth_schedule"] == "0.25"

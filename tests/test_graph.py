@@ -141,7 +141,7 @@ def test_smoothed_solve_reports_the_true_energy():
     res = minimize_discrete(g, cons, p=1.5, tol=1e-3)
     assert res.converged and np.all(np.diff(res.energies) <= 0.0)
     assert res.energy == pytest.approx(discrete_energy(g, res.values, 1.5), rel=1e-12)
-    assert res.meta["decrement"] <= 1e-3 * res.energy
+    assert res.decrement <= 1e-3 * res.energy
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
@@ -182,8 +182,8 @@ def test_budget_exhaustion_flags_unconverged():
     res = minimize_discrete(g, cons, p=3.0, tol=1e-12, max_iter=1)
     assert not res.converged
     assert res.iterations == 1
-    assert res.meta["stop_reason"] == "budget"
-    assert res.meta["decrement"] > 1e-12 * res.energy
+    assert res.stop_reason == "budget"
+    assert res.decrement > 1e-12 * res.energy
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
@@ -193,9 +193,8 @@ def test_newton_reaches_lbfgs_minimum(p):
     g = build_epsilon_graph(pts, epsilon=0.2)
     cons = ConstraintSet(indices=[3, 40, 77, 120], values=[0.0, 1.0, 0.3, -0.5])
     res = minimize_discrete(g, cons, p=p, tol=1e-12)
-    assert res.method == "newton"
-    assert res.meta["stop_reason"] == "converged"
-    assert res.meta["decrement"] <= 1e-12 * res.energy
+    assert res.stop_reason == "converged"
+    assert res.decrement <= 1e-12 * res.energy
     free = np.setdiff1d(np.arange(g.n), cons.indices)
     base = np.full(g.n, cons.values.mean())
     base[cons.indices] = cons.values
