@@ -8,55 +8,74 @@ small and flat (`x,y` sample clouds, `x,y,value` grid dumps, `i,j,w` edge
 lists, `i,x,y,f` labelings, `patch,x,y,u` converged fields, study tables),
 so the dialect supports no quoting: cells must not contain separators or
 line breaks.
+
+Tables are stored column-major. `write_csv` formats numpy number columns
+in bulk and other columns cell by cell, `_CHUNK_ROWS` rows at a time, and
+writes each chunk before formatting the next: it never holds the whole
+file, a list of all its lines, or row tuples.
 """
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
 _INT_CELL = re.compile(r"^[+-]?\d+$")
+# rows formatted, joined and written at a time by `write_csv`
+_CHUNK_ROWS = 8192
 
 
-@dataclass(frozen=True)
 class Table:
-    """Rectangular table: a header tuple and a tuple of row tuples."""
+    """Rectangular table: a header tuple and one column per header entry.
 
-    header: tuple
-    rows: tuple
+    `from_columns` keeps numpy columns as they are (no copy); `Table(header,
+    rows)` transposes its rows once. `rows` is a read-only tuple of row
+    tuples, derived from the columns on each access.
+    """
 
-    def __post_init__(self):
-        header = tuple(str(name) for name in self.header)
-        if not header:
+    def __init__(self, header, rows):
+        self.header = tuple(str(name) for name in header)
+        if not self.header:
             raise ValidationError("table needs at least one column")
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(tuple(row) for row in rows)
         for row in rows:
-            if len(row) != len(header):
+            if len(row) != len(self.header):
                 raise ValidationError(
-                    f"ragged table: row of width {len(row)}, header of width {len(header)}"
+                    f"ragged table: row of width {len(row)}, header of width {len(self.header)}"
                 )
-        object.__setattr__(self, "header", header)
-        object.__setattr__(self, "rows", rows)
+        self.columns = tuple(zip(*rows)) if rows else ((),) * len(self.header)
 
     @classmethod
     def from_columns(cls, header, columns) -> "Table":
         """Build a table from per-column sequences of equal length."""
-        cols = [list(c) for c in columns]
-        if len(cols) != len(tuple(header)):
+        table = cls(header, ())
+        cols = [c if isinstance(c, np.ndarray) else tuple(c) for c in columns]
+        if len(cols) != len(table.header):
             raise ValidationError("one column sequence per header entry required")
-        if cols and any(len(c) != len(cols[0]) for c in cols):
+        if any(len(c) != len(cols[0]) for c in cols):
             raise ValidationError("columns differ in length")
-        return cls(tuple(header), tuple(zip(*cols)) if cols and cols[0] else ())
+        table.columns = tuple(cols)
+        return table
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(zip(*self.columns))
 
     def column(self, name: str) -> list:
         if name not in self.header:
             raise ValidationError(f"no column named {name!r}")
-        k = self.header.index(name)
-        return [row[k] for row in self.rows]
+        return list(self.columns[self.header.index(name)])
+
+    def __eq__(self, other):
+        if not isinstance(other, Table):
+            return NotImplemented
+        return self.header == other.header and all(
+            list(a) == list(b) for a, b in zip(self.columns, other.columns)
+        )
 
 
 def _format_cell(value) -> str:
@@ -76,6 +95,21 @@ def _format_cell(value) -> str:
     return text
 
 
+def _format_column(values) -> list:
+    """Cell texts of a column slice, equal to `_format_cell` on each cell."""
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+    if kind in "iu":
+        return list(map(str, values.tolist()))
+    if kind == "f":
+        x = np.asarray(values, dtype=np.float64)
+        text = list(map("%.17g".__mod__, x.tolist()))
+        # "%.17g" prints exactly the whole values below 1e17 without a point
+        for k in np.flatnonzero((x == np.trunc(x)) & (np.abs(x) < 1e17)).tolist():
+            text[k] += ".0"
+        return text
+    return list(map(_format_cell, values))
+
+
 def _parse_cell(text: str):
     if _INT_CELL.match(text):
         return int(text)
@@ -86,12 +120,16 @@ def _parse_cell(text: str):
 
 
 def write_csv(table: Table, path) -> None:
-    """Write a table; `read_csv` on the result reproduces it exactly."""
-    lines = [",".join(_format_cell(name) for name in table.header)]
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a table; `read_csv` reproduces it exactly. A bad cell leaves no file."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(map(_format_cell, table.header)) + "\n")
+            for start in range(0, len(table.columns[0]), _CHUNK_ROWS):
+                texts = [_format_column(c[start:start + _CHUNK_ROWS]) for c in table.columns]
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+    except ValidationError:
+        os.remove(path)
+        raise
 
 
 def read_csv(path) -> Table:

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pdirichlet
 from pdirichlet.cli import run
 from pdirichlet.csvio import read_csv, write_csv
 from pdirichlet.experiments import StudyConfig, minimizer_comparison
@@ -121,12 +124,23 @@ def test_config_file_flags_precedence(tmp_path):
     assert "seed=9" in manifest
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports the package this process imported."""
+    src = str(Path(pdirichlet.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pdirichlet.cli", "--help"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _python("-m", "pdirichlet.cli", "--help")
     assert proc.returncode == 0
     for name in ("sample", "solve-continuum", "study-minimizers"):
         assert name in proc.stdout
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # importing scipy.signal loads scipy.stats: about 0.25 s of every CLI start
+    proc = _python("-c", "import sys, pdirichlet.cli; print('scipy.signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pdirichlet.csvio import Table, read_csv, write_csv
+from pdirichlet import csvio
+from pdirichlet.csvio import Table, _format_cell, read_csv, write_csv
 from pdirichlet.errors import ValidationError
 
 
@@ -74,6 +75,73 @@ def test_written_file_uses_lf_and_trailing_newline(tmp_path):
     assert raw == b"a\n1\n"
 
 
+# ------------------------------------------------------------ column writer
+
+_FLOATS = [
+    0.0, -0.0, 1.0, -3.0, 2.0**53, 1e16, -1e16, 1e17, -1e17, 9.999999999999998e16,
+    5e-324, 2.2250738585072014e-308 / 3, float("nan"), float("inf"), float("-inf"),
+    0.1, -1.0 / 3.0, 123456.5, 1.7976931348623157e308,
+]
+_N = len(_FLOATS)
+
+
+def _adversarial_columns():
+    ints = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 7]
+    uints = [np.iinfo(np.uint64).max, 0, 2**63, 1]
+    mixed = [3, 2.0, -0.0, 10**20, 1e17, 5, 0.5]
+    words = ["alpha", "", "+x", "1e3", "-", "nan"]
+    return {
+        "f64": np.array(_FLOATS),
+        "f32": np.array(_FLOATS[:-1] + [3.4028234663852886e38], dtype=np.float32),
+        "f32_whole": np.array([1e17, 16777216.0, -0.0, 0.1] * 5, dtype=np.float32)[:_N],
+        "i64": np.resize(np.array(ints, dtype=np.int64), _N),
+        "u64": np.resize(np.array(uints, dtype=np.uint64), _N),
+        "mixed": (mixed * 3)[:_N],
+        "words": (words * 4)[:_N],
+        "str_array": np.resize(np.array(words), _N),
+    }
+
+
+def _reference_bytes(header, columns) -> bytes:
+    """The row-at-a-time writer: `_format_cell` on every cell."""
+    lines = [",".join(header)]
+    lines += [",".join(_format_cell(v) for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, _N - 1, _N, _N + 1])
+def test_column_writer_matches_cell_formatter(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk)
+    columns = _adversarial_columns()
+    header = tuple(columns)
+    path = tmp_path / "adv.csv"
+    write_csv(Table.from_columns(header, columns.values()), path)
+    raw = path.read_bytes()
+    assert raw == _reference_bytes(header, columns.values())
+    # spot checks on the float marker and the 1e17 switch to exponent form
+    first_rows = raw.split(b"\n")[1:3]
+    assert first_rows[0].startswith(b"0.0,0.0,99999998430674944.0,")
+    assert first_rows[1].startswith(b"-0.0,-0.0,16777216.0,")
+    assert b"\n1e+17,99999998430674944.0," in raw
+    assert b"\n99999999999999984.0," in raw
+
+
+def test_row_and_column_tables_write_the_same_bytes(tmp_path):
+    columns = _adversarial_columns()
+    header = tuple(columns)
+    by_columns = Table.from_columns(header, columns.values())
+    by_rows = Table(header, by_columns.rows)
+    assert by_columns.columns[0] is columns["f64"]  # numpy columns are kept, not copied
+    write_csv(by_columns, tmp_path / "c.csv")
+    write_csv(by_rows, tmp_path / "r.csv")
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+    # nan != nan, so equality is checked on the columns that hold none
+    names = ("i64", "u64", "mixed", "words")
+    subset = Table.from_columns(names, [columns[k] for k in names])
+    assert subset == Table(names, subset.rows)
+    assert subset != Table(names, subset.rows[1:] + subset.rows[:1])
+
+
 # ------------------------------------------------------------------ bad cells
 
 
@@ -87,6 +155,21 @@ def test_separator_in_string_cell_rejected(tmp_path):
     t = Table(("s",), (("a,b",),))
     with pytest.raises(ValidationError, match="separator"):
         write_csv(t, tmp_path / "sep.csv")
+
+
+def test_numpy_bool_column_rejected(tmp_path):
+    t = Table.from_columns(("x", "flag"), (np.arange(3.0), np.array([True, False, True])))
+    with pytest.raises(ValidationError, match="0/1"):
+        write_csv(t, tmp_path / "bool.csv")
+    assert not (tmp_path / "bool.csv").exists()
+
+
+def test_bad_cell_in_a_later_chunk_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 2)
+    t = Table.from_columns(("i", "s"), (np.arange(5), ["a", "b", "c", "d\ne", "f"]))
+    with pytest.raises(ValidationError, match="line break"):
+        write_csv(t, tmp_path / "late.csv")
+    assert not (tmp_path / "late.csv").exists()
 
 
 # ------------------------------------------------------------------ bad files

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.signal import fftconvolve
 
 import pdirichlet.density as density_module
 from pdirichlet.density import (
@@ -176,6 +177,15 @@ def test_kde_mesh_path_matches_exact_evaluation():
     exact = kde_evaluate(cloud, 0.1, pts)
     approx = mesh[idx[:, 1], idx[:, 0]]
     np.testing.assert_allclose(approx, exact, rtol=2e-4, atol=2e-4)
+
+
+@pytest.mark.parametrize("mesh, width", [(2, 3), (33, 8), (257, 63), (300, 301)])
+def test_mesh_convolution_equals_scipy_signal(mesh, width):
+    rng = np.random.default_rng(mesh)
+    mass = rng.random((mesh, mesh))
+    stencil = rng.standard_normal((width, width))
+    same = fftconvolve(mass, stencil, mode="same")
+    assert np.array_equal(density_module._convolve_same(mass, stencil), same)
 
 
 def test_kde_mass_on_fine_mesh():

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from pdirichlet.density import KdeDensityField
 from pdirichlet.errors import ValidationError
 from pdirichlet.experiments import (
     ErrorReport,
@@ -173,6 +176,23 @@ def test_density_study_explicit_bandwidth():
     assert [row[2] for row in out.timing.rows] == [0.15, 0.15]
     (report,) = out.reports
     assert report.sweep == (128, 256)
+
+
+def test_density_study_charges_skde_only_its_own_work(monkeypatch):
+    # skde shares the KDE build but never uses the KDE's mesh evaluation
+    kde_gradient_on_mesh = KdeDensityField.gradient_on_mesh
+
+    def slow_gradient_on_mesh(self, mesh_size):
+        time.sleep(0.2)
+        return kde_gradient_on_mesh(self, mesh_size)
+
+    monkeypatch.setattr(KdeDensityField, "gradient_on_mesh", slow_gradient_on_mesh)
+    out = density_error_study(StudyConfig(**dict(TINY, seeds=(1,))))
+    for estimator, _, _, _, seconds in out.timing.rows:
+        if estimator == "kde":
+            assert seconds > 0.2
+        else:
+            assert seconds < 0.2
 
 
 def test_density_study_reports_are_row_medians(density_study):
