@@ -144,3 +144,33 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     proc = _python("-c", "import sys, pdirichlet.cli; print('scipy.signal' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_run_keeps_large_buffers_on_the_heap(tmp_path):
+    # glibc only: after a CLI call a 16 MiB buffer comes from the heap, not
+    # from a mapping of its own, however the run before it left the heap
+    code = f"""
+import ctypes
+import numpy as np
+from pdirichlet.cli import run
+
+class Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    print("skip")
+    raise SystemExit
+libc.mallinfo2.restype = Info
+assert run(["sample", "--n", "8", "--out", {str(tmp_path)!r}]) == 0
+mapped = libc.mallinfo2().hblks
+buffer = np.ones(2**21)
+print(libc.mallinfo2().hblks - mapped)
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.split()[-1] == "skip":
+        pytest.skip("C library without mallinfo2")
+    assert proc.stdout.split()[-1] == "0"
