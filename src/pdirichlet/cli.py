@@ -103,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stage(name: str, detail: str, seconds: float) -> None:
-    print(f"{name}: {detail} ({seconds:.2f}s)")
+def _stage(name: str, detail: str, seconds: float, tail: str = "") -> None:
+    print(f"{name}: {detail} ({seconds:.2f}s){tail}")
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -214,6 +214,7 @@ def _cmd_solve_discrete(config: RunConfig) -> None:
         f"p={config.p:g} converged={result.converged} iterations={result.iterations} "
         f"residual={result.residual:.3e} energy={result.energy:.6e}",
         time.perf_counter() - start,
+        f" stop={result.stop_reason} decrement={result.decrement:.3e}",
     )
     upper = sp.triu(graph.weights, k=1).tocoo()
     write_csv(Table.from_columns(("i", "j", "w"),
@@ -256,6 +257,7 @@ def _cmd_solve_continuum(config: RunConfig) -> None:
         f"p={config.p:g} converged={result.converged} iterations={result.iterations} "
         f"residual={result.residual:.3e} energy={result.energy:.6e}",
         time.perf_counter() - start,
+        f" stop={result.stop_reason} decrement={result.decrement:.3e}",
     )
     patch_ids = np.concatenate(
         [np.full(patch.size, patch.index) for patch in domain.patches]

@@ -13,7 +13,8 @@ Pins fix geometric-node values, so continuity, flux balance across
 interfaces and the natural boundary condition need no equations of their
 own. The energy is convex in v, and `minimize_continuum` minimizes it by
 damped Newton with sparse direct solves, on the same Newton iteration as
-the discrete route.
+the discrete route. Each step fills the data of the Hessian pattern that
+`build_patches` lays out once per domain.
 
 The module also evaluates the nonlocal relative of the energy,
 eps^-p * double integral of eta_eps(|x-z|) |u(x)-u(z)|^p rho(x) rho(z),
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 _NONLOCAL_MAX_CELLS = 3200
+# entries of the patch blocks that one chunk of a Hessian refill holds
+_BLOCK_BUDGET = 1 << 21
 
 
 @dataclass
@@ -137,25 +140,55 @@ class _RitzEnergy:
         return np.bincount(node_of, per_copy, v.size)[self.free]
 
     def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
-        """G^T M G with G the free-node gradient operator and M holding, per
-        copy, the 2x2 Hessian a I + b g g^T of weight * |g|^p with |g|
-        floored at ``delta``: a = p weight |g|^(p-2) and b = (p - 2) a / |g|^2.
-        For p > 2 the g g^T part couples every pair of nodes of a patch."""
+        """Q^T B Q over the free nodes; B holds per patch D^T M D, D = (Dx, Dy)
+        and M, per copy, the 2x2 Hessian a I + b g g^T of weight * |g|^p with
+        |g| floored at ``delta``: a = p weight |g|^(p-2), b = (p - 2) a / |g|^2.
+        As Dx and Dy are Kronecker products, the xx and yy terms are
+        d1^T diag(m) d1 along each grid line and the cross term is
+        d1x[jx, ix] mxy[iy, jx] d1y[iy, jy], which for p > 2 couples every
+        pair of copies of a patch. Pinned copies' rows and columns are zeroed,
+        and the blocks are added, a chunk of patches at a time, into the data
+        of the domain's fixed pattern."""
         dom = self._dom
         u = v[dom.node_of]
         gx, gy = dom.diff_x @ u, dom.diff_y @ u
         sq = np.maximum(gx * gx + gy * gy, delta * delta)
         a = p * self._problem._weight * sq ** ((p - 2.0) / 2.0)
         if p == 2.0:
-            m = sp.diags(np.concatenate([a, a]))
+            (indices, indptr, slots), mxx, myy, mxy = dom.pattern_p2, a, a, a
         else:
             b = (p - 2.0) * a / sq
-            bxy = sp.diags(b * gx * gy)
-            m = sp.bmat(
-                [[sp.diags(a + b * gx * gx), bxy], [bxy, sp.diags(a + b * gy * gy)]],
-                format="csr",
-            )
-        return dom.grad.T @ (m @ dom.grad)
+            indices, indptr, slots = dom.pattern
+            mxx, myy, mxy = a + b * gx * gx, a + b * gy * gy, b * gx * gy
+        # per patch [iy, ix]; myy transposed to [ix, iy], as its lines run along y
+        mxx, mxy = mxx.reshape(dom.d1x.shape), mxy.reshape(dom.d1x.shape)
+        myy = myy.reshape(dom.d1x.shape).transpose(0, 2, 1)
+        data = np.zeros(max(indices.size, 1))  # slot 0 exists even with no free node
+        chunk = max(1, _BLOCK_BUDGET // dom.d1x.shape[1] ** 4)
+        for lo in range(0, dom.d1x.shape[0], chunk):
+            at = slice(lo, lo + chunk)
+            d1x, d1y, free = dom.d1x[at], dom.d1y[at], dom.free_of[at] >= 0
+            d1xt, d1yt = d1x.transpose(0, 2, 1), d1y.transpose(0, 2, 1)
+            # [patch, ix, iy, jx] and [patch, ix, iy, jy], as the slots run
+            xx = (d1xt[:, :, None] * mxx[at][:, None]) @ d1x[:, None]
+            xx *= free[..., None] & free.transpose(0, 2, 1)[:, None]
+            yy = (d1yt[:, None] * myy[at][:, :, None]) @ d1y[:, None]
+            yy *= free[..., None] & free[:, :, None]
+            if p == 2.0:
+                sx, sy = slots[0][at], slots[1][at]
+            else:
+                # [patch, ix, iy, jx, jy]
+                cross = (d1xt[:, :, None] * mxy[at][:, None] * free[..., None])[..., None]
+                cross = cross * (d1y[:, :, None] * free[:, None])[:, None]
+                starts, ranks, kind = slots
+                where = starts[at][..., None, None] + ranks[at][:, kind]
+                block = np.add(cross, cross.transpose(0, 3, 4, 1, 2), order="C")
+                np.add.at(data, where.ravel(), block.ravel())
+                sx, sy = np.einsum("pxyXy->pxyX", where), np.einsum("pxyxY->pxyY", where)
+            # flat, as ufunc.at takes its fast path on 1D indices only
+            np.add.at(data, sx.ravel(), xx.ravel())
+            np.add.at(data, sy.ravel(), yy.ravel())
+        return sp.csc_matrix((data[: indices.size], indices, indptr), shape=(self.free.size,) * 2)
 
 
 def _factor_solve(h: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:

@@ -367,7 +367,7 @@ def _kde_gradient(data: np.ndarray, h: float, pts: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     scale = 1.0 / (n * h**4)
     out = np.empty((pts.shape[0], 2))
-    step = max(1, _PAIR_BUDGET // max(n, 1))
+    step = max(1, _DENSE_BLOCK // max(n, 1))
     for start in range(0, pts.shape[0], step):
         block = pts[start : start + step]
         diff = block[:, None, :] - data[None, :, :]

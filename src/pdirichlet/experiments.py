@@ -396,11 +396,11 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
     )
     routes = config.estimators + (("discrete",) if config.include_discrete else ())
     reports, flags = _reports(config, routes, samples)
-    for route in routes:
-        # pipeline seconds of the first seed at each n
-        spans = [samples[(route, n)][0][2] for n in config.n_values]
+    for report in reports:
+        # median pipeline seconds over the seeds, at the largest n over the smallest
+        spans = report.seconds
         if len(spans) > 1 and spans[0] > 0.0:
-            flags[f"{route}_time_growth"] = spans[-1] / spans[0]
+            flags[f"{report.method}_time_growth"] = spans[-1] / spans[0]
 
     schedule = f"{config.h_scale:g} * n^(-1/6)" if config.h is None else f"{config.h:g}"
     return StudyResult(

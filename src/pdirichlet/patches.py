@@ -8,7 +8,9 @@ sends geometric-node values to the copies, so every field is continuous
 across patches by construction. This module owns the geometry and the
 static operators built from it: the tiling, the matching of copies to
 geometric nodes, the per-copy spectral derivatives and quadrature weights,
-and the pins. A constraint pins its geometric node exactly, including a
+the pins, and the fixed CSC pattern of the free-node Newton Hessian with the
+slot of every per-patch block entry in its data, so that a Newton step only
+refills the data. A constraint pins its geometric node exactly, including a
 cross point where four patches meet.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .chebyshev import chebyshev_nodes, quadrature_2d, tensor_diff_ops
+from .chebyshev import chebyshev_diff_matrix, chebyshev_nodes, quadrature_2d
 from .errors import ConstraintError, ValidationError
 
 __all__ = ["Patch", "PatchedDomain", "build_patches"]
@@ -53,10 +55,10 @@ class PatchedDomain:
 
     Arrays over node copies run patch by patch in patch-local order (the
     layout of field values); arrays over geometric nodes follow
-    ``node_points``. ``grad`` maps the values of the free (unpinned)
-    geometric nodes to the partial derivatives at every copy, d/dx in its
-    first ``n_nodes`` rows and d/dy in the rest: the per-patch derivatives
-    times the free columns of Q.
+    ``node_points``. ``d1x``/``d1y`` stack the patches' 1D derivative
+    matrices; ``pattern`` and ``pattern_p2`` hold the CSC indices, indptr and
+    block-entry slots of the free-node Hessian for p > 2 and p = 2 (see
+    `build_patches`).
     """
 
     patches: list
@@ -71,7 +73,11 @@ class PatchedDomain:
     pin_nodes: np.ndarray  # pinned geometric nodes, ascending
     pin_values: np.ndarray  # their labels
     free_nodes: np.ndarray  # the other geometric nodes, ascending
-    grad: sp.csr_matrix  # free-node values -> (d/dx, d/dy) at every copy
+    d1x: np.ndarray  # per-patch 1D d/dx, shape (patches, N, N)
+    d1y: np.ndarray
+    free_of: np.ndarray  # free index of every copy, -1 if pinned, [patch, ix, iy]
+    pattern: tuple
+    pattern_p2: tuple
 
     @property
     def n_nodes(self) -> int:
@@ -80,15 +86,14 @@ class PatchedDomain:
 
 
 def _build_tiling(xlines: np.ndarray, ylines: np.ndarray, points_per_patch: int) -> tuple:
-    """The patches, and per patch its d/dx, d/dy and quadrature weights."""
-    patches, diff_x, diff_y, weights = [], [], [], []
+    """The patches, and per patch its 1D d/dx, d/dy and quadrature weights."""
+    patches, d1x, d1y, weights = [], [], [], []
     offset = 0
     order = points_per_patch - 1
     for j in range(len(ylines) - 1):
         for i in range(len(xlines) - 1):
             gx = chebyshev_nodes(order, (xlines[i], xlines[i + 1]))
             gy = chebyshev_nodes(order, (ylines[j], ylines[j + 1]))
-            dx, dy = tensor_diff_ops(gx, gy)
             rule = quadrature_2d(gx, gy)
             patches.append(
                 Patch(
@@ -100,11 +105,32 @@ def _build_tiling(xlines: np.ndarray, ylines: np.ndarray, points_per_patch: int)
                     offset=offset,
                 )
             )
-            diff_x.append(dx)
-            diff_y.append(dy)
+            d1x.append(chebyshev_diff_matrix(gx))
+            d1y.append(chebyshev_diff_matrix(gy))
             weights.append(rule.weights)
             offset += rule.points.shape[0]
-    return patches, diff_x, diff_y, weights
+    return patches, np.array(d1x), np.array(d1y), weights
+
+
+def _coupling(free_of: np.ndarray, groups: list, pairs: list) -> tuple:
+    """CSC indices and indptr of the pattern of the free nodes (``free_of``)
+    with copies in a common group, the node-group incidence times its
+    transpose, and the data slots of the (row, column) ``pairs``; a pinned
+    index (-1) reads as node 0."""
+    keep = free_of >= 0
+    labels = np.concatenate([np.broadcast_to(g, free_of.shape)[keep] for g in groups])
+    rows = np.tile(free_of[keep], len(groups))
+    shape = (int(free_of.max()) + 1, max(int(np.max(g)) for g in groups) + 1)
+    incidence = sp.csr_matrix((np.ones(labels.size, np.int8), (rows, labels)), shape=shape)
+    pattern = (incidence @ incidence.T).T  # symmetric: the CSR product read as CSC
+    pattern.sort_indices()
+    pattern.data = np.arange(pattern.nnz, dtype=np.int32)
+    slots = []
+    for r, c in pairs:
+        r, c = np.broadcast_arrays(np.maximum(r, 0), np.maximum(c, 0))
+        found = pattern[r.ravel(), c.ravel()] if pattern.nnz else np.zeros(r.size, np.int32)
+        slots.append(np.asarray(found).reshape(r.shape))
+    return pattern.indices, pattern.indptr, slots
 
 
 def _lines_from_positions(values: np.ndarray) -> np.ndarray:
@@ -170,7 +196,7 @@ def build_patches(
     else:
         xlines = _lines_from_positions(pos[:, 0])
         ylines = _lines_from_positions(pos[:, 1])
-    patches, diff_x, diff_y, weights = _build_tiling(xlines, ylines, points_per_patch)
+    patches, d1x, d1y, weights = _build_tiling(xlines, ylines, points_per_patch)
     points = np.vstack([p.points for p in patches])
     # copies of a shared node are computed from the same tiling line, so
     # their coordinates agree exactly and rounding only guards the lookup
@@ -205,25 +231,50 @@ def build_patches(
     pin_nodes = np.array(sorted(pins), dtype=int)
     pin_values = np.array([pins[k] for k in pin_nodes], dtype=float)
     free_nodes = np.setdiff1d(np.arange(node_points.shape[0]), pin_nodes)
-    n_copies = points.shape[0]
-    gather = sp.csr_matrix(
-        (np.ones(n_copies), (np.arange(n_copies), node_of)),
-        shape=(n_copies, node_points.shape[0]),
-    )[:, free_nodes]
-    diff_x = sp.block_diag(diff_x, format="csr")
-    diff_y = sp.block_diag(diff_y, format="csr")
+    n_patches, n = len(patches), points_per_patch
+    eye = sp.identity(n, format="csr")
+    # free index of every copy (-1 if pinned), [patch, ix, iy]: x-major like
+    # the node numbering, so that a refill walks each CSC column in order
+    free_of = np.where(np.isin(node_of, pin_nodes), -1, np.searchsorted(free_nodes, node_of))
+    free_of = free_of.reshape(n_patches, n, n).transpose(0, 2, 1)
+    # p > 2: a block couples all copies of its patch, so a column's rows are
+    # the free nodes of the patches holding its node. They depend only on
+    # the node's kind (inside, on one of four sides or at one of four
+    # corners): an entry's slot is its column's start plus its row's rank in
+    # a free column ``rep`` of that kind.
+    side = (np.arange(n) > 0) + (np.arange(n) == n - 1).astype(int)
+    kind = 3 * side[:, None] + side
+    rep = np.full((n_patches, 9), -1)
+    np.maximum.at(rep, (np.arange(n_patches)[:, None, None], kind), free_of)
+    indices, indptr, (ranks,) = _coupling(
+        free_of, [np.arange(n_patches)[:, None, None]], [(free_of[:, None], rep[..., None, None])]
+    )
+    ranks = np.maximum(ranks - indptr[np.maximum(rep, 0)][..., None, None], 0)
+    # p = 2: a block couples the copies on one grid line; entries run
+    # [patch, ix, iy, jx] on y-lines and [patch, ix, iy, jy] on x-lines
+    line = np.arange(n_patches * n).reshape(n_patches, n)
+    lines = _coupling(
+        free_of,
+        [line[:, None, :], line.size + line[:, :, None]],
+        [(free_of.transpose(0, 2, 1)[:, None], free_of[..., None]),
+         (free_of[:, :, None], free_of[..., None])],
+    )
     return PatchedDomain(
         patches=patches,
         xlines=xlines,
         ylines=ylines,
         points=points,
         quad_weights=np.concatenate(weights),
-        diff_x=diff_x,
-        diff_y=diff_y,
+        diff_x=sp.block_diag([sp.kron(eye, d) for d in d1x], format="csr"),
+        diff_y=sp.block_diag([sp.kron(d, eye) for d in d1y], format="csr"),
         node_of=node_of,
         node_points=node_points,
         pin_nodes=pin_nodes,
         pin_values=pin_values,
         free_nodes=free_nodes,
-        grad=sp.vstack([diff_x @ gather, diff_y @ gather], format="csr"),
+        d1x=d1x,
+        d1y=d1y,
+        free_of=free_of,
+        pattern=(indices, indptr, (indptr[np.maximum(free_of, 0)], ranks, kind)),
+        pattern_p2=lines,
     )

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,22 @@ def test_solve_continuum_writes_field(tmp_path, capsys):
     assert len(t.rows) == 9 * 8 * 8  # 3x3 patches at 8 points per dimension
     manifest = (tmp_path / "solve_continuum_manifest.txt").read_text()
     assert "config_hash=" in manifest and "seeds=1" in manifest
+
+
+@pytest.mark.parametrize("command", ["solve-discrete", "solve-continuum"])
+def test_solve_line_ends_with_the_certificate(tmp_path, capsys, command):
+    assert run([command, *TINY, "--out", str(tmp_path)]) == 0
+    line = re.search(
+        r"^solve: p=\S+ converged=(\S+) iterations=\d+ residual=\S+ energy=(\S+) "
+        r"\(\d+\.\d\ds\) stop=(\S+) decrement=(\S+)$",
+        capsys.readouterr().out,
+        re.M,
+    )
+    assert line is not None
+    converged, energy, stop, decrement = line.groups()
+    assert (converged, stop) == ("True", "converged")
+    # the decrement certifies the relative energy gap at the CLI's --tol
+    assert 0.0 <= float(decrement) <= 1e-3 * float(energy)
 
 
 def test_study_density_csv_shape(tmp_path):

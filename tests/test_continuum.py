@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from pdirichlet.continuum import (
     ContinuumProblem,
+    _RitzEnergy,
     PatchedField,
     local_energy,
     local_energy_gradient,
@@ -239,6 +241,83 @@ def test_newton_reaches_lbfgs_minimum_p3():
                    options={"maxiter": 100_000, "ftol": 1e-15, "gtol": 1e-14})
     assert local_energy(res.values, prob) <= ref.fun * (1.0 + 1e-10)
     assert res.energy == pytest.approx(local_energy(res.values, prob), rel=1e-12)
+
+
+def hessian_domain(kind, ppp):
+    if kind == "lattice":
+        return build_patches(*constraint_lattice(), ppp)
+    return build_patches(None, None, ppp, tiles=(2, 2), boundary_value_fn=lambda x, y: x * y)
+
+
+def hessian_point(kind, ppp, p):
+    """A Ritz energy on one of the two domains and a random iterate."""
+    dom = hessian_domain(kind, ppp)
+    energy = _RitzEnergy(ContinuumProblem(domain=dom, density=reference_density("rho2"), p=p))
+    v = np.zeros(dom.node_points.shape[0])
+    v[dom.pin_nodes] = dom.pin_values
+    v[dom.free_nodes] = np.random.default_rng(ppp).random(dom.free_nodes.size)
+    return dom, energy, v
+
+
+def reference_hessian(dom, energy, v, p, delta):
+    """G^T M G, G the free-node gradient operator built from the per-copy
+    derivatives and the gather, M the per-copy 2x2 blocks."""
+    n = dom.n_nodes
+    gather = sp.csr_matrix(
+        (np.ones(n), (np.arange(n), dom.node_of)), shape=(n, dom.node_points.shape[0])
+    )[:, dom.free_nodes]
+    g = sp.vstack([dom.diff_x @ gather, dom.diff_y @ gather], format="csr")
+    u = v[dom.node_of]
+    gx, gy = dom.diff_x @ u, dom.diff_y @ u
+    sq = np.maximum(gx * gx + gy * gy, delta * delta)
+    a = p * energy._problem._weight * sq ** ((p - 2.0) / 2.0)
+    if p == 2.0:
+        m = sp.diags(np.concatenate([a, a]))
+    else:
+        b = (p - 2.0) * a / sq
+        bxy = sp.diags(b * gx * gy)
+        m = sp.bmat([[sp.diags(a + b * gx * gx), bxy], [bxy, sp.diags(a + b * gy * gy)]])
+    return g.T @ (m @ g)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "boundary"])
+@pytest.mark.parametrize("ppp", [4, 7])
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+def test_ritz_hessian_matches_gradient_differences(kind, ppp, p):
+    dom, energy, v = hessian_point(kind, ppp, p)
+    w = np.random.default_rng(1).standard_normal(dom.free_nodes.size)
+    h = 1e-6
+    vp, vm = v.copy(), v.copy()
+    vp[dom.free_nodes] += h * w
+    vm[dom.free_nodes] -= h * w
+    fd = (energy.gradient(vp, p) - energy.gradient(vm, p)) / (2.0 * h)
+    hw = energy.hessian(v, p, 1e-12) @ w
+    np.testing.assert_allclose(hw, fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
+
+
+@pytest.mark.parametrize("kind", ["lattice", "boundary"])
+@pytest.mark.parametrize("ppp", [4, 7])
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+def test_ritz_hessian_equals_gtmg(kind, ppp, p):
+    dom, energy, v = hessian_point(kind, ppp, p)
+    h = energy.hessian(v, p, 1e-3)
+    ref = reference_hessian(dom, energy, v, p, 1e-3)
+    assert h.shape == ref.shape == (dom.free_nodes.size,) * 2
+    assert abs(h - ref).max() <= 1e-13 * abs(ref).max()
+    if p == 2.0:
+        # the p = 2 pattern carries no cross-term slots
+        assert h.nnz == ref.nnz
+
+
+def test_minimize_with_every_node_pinned():
+    # no free node leaves an empty Hessian pattern; the pinned field is the answer
+    dom = build_patches(None, None, 4, tiles=(1, 1), boundary_value_fn=lambda x, y: x)
+    inner = dom.node_points[dom.free_nodes]
+    dom = build_patches(inner, inner[:, 0], 4, tiles=(1, 1), boundary_value_fn=lambda x, y: x)
+    assert dom.free_nodes.size == 0
+    res = minimize_continuum(ContinuumProblem(dom, reference_density("rho1"), 3.0))
+    assert res.converged
+    np.testing.assert_array_equal(res.values, dom.points[:, 0])
 
 
 def test_evaluate_exact_at_collocation_nodes():

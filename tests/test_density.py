@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -211,6 +212,27 @@ def test_kde_gradient_matches_finite_differences():
             field.value_at(pts + shift, clip=False) - field.value_at(pts - shift, clip=False)
         ) / (2 * eps)
         np.testing.assert_allclose(grad[:, axis], fd, rtol=1e-5, atol=1e-7)
+
+
+def test_kde_gradient_blocks_match_brute_loop_in_bounded_memory():
+    rng = np.random.default_rng(17)
+    data = rng.random((8000, 2))
+    pts = rng.random((1000, 2))
+    h = 0.05
+    field = KdeDensityField(data, h)
+    tracemalloc.start()
+    grad = field.gradient_at(pts, clip=False)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # 8M pairs in blocks of 64k: a few MB, not the 366 MB of one 8M-pair block
+    assert peak < 32 * 2**20
+    brute = np.empty_like(grad)
+    for k, x in enumerate(pts):
+        diff = x - data
+        sq = (diff**2).sum(axis=1) / (h * h)
+        phi = np.where(sq <= 25.0, np.exp(-sq / 2.0) / (2.0 * np.pi), 0.0)
+        brute[k] = -(diff * phi[:, None]).sum(axis=0) / (data.shape[0] * h**4)
+    np.testing.assert_allclose(grad, brute, rtol=1e-14, atol=1e-14 * np.abs(brute).max())
 
 
 def test_kde_floor_active_far_from_samples():

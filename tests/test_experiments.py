@@ -234,6 +234,17 @@ def test_minimizer_comparison_reports_are_row_medians(minimizer_study):
             assert report.seconds[k] == float(np.median(secs))
 
 
+def test_minimizer_time_growth_is_a_ratio_of_medians(minimizer_study):
+    timing = minimizer_study.timing
+    n_values = sorted(set(timing.column("n")))
+    for route in ("kde", "skde", "discrete"):
+        medians = [
+            float(np.median([t[6] for t in timing.rows if t[0] == route and t[1] == n]))
+            for n in n_values
+        ]
+        assert minimizer_study.flags[f"{route}_time_growth"] == medians[-1] / medians[0]
+
+
 def test_minimizer_comparison_meta_names_its_bandwidths():
     tiny = dict(TINY, n_values=(128,), seeds=(1,), points_per_patch=4, estimators=("kde",))
     scaled = minimizer_comparison(StudyConfig(**tiny, h_scale=1.0))
