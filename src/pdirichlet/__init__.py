@@ -20,7 +20,6 @@ from .continuum import (
     ContinuumProblem,
     PatchedField,
     local_energy,
-    local_energy_gradient,
     minimize_continuum,
     nonlocal_energy,
 )
@@ -50,7 +49,7 @@ from .graph import (
     minimize_discrete,
     solve_p2_direct,
 )
-from .patches import Patch, PatchedDomain, build_patches
+from .patches import PatchedDomain, build_patches
 from .csvio import Table, read_csv, write_csv
 from .config import RunConfig, config_hash, config_text, parse_config
 from .experiments import (

@@ -259,9 +259,8 @@ def _cmd_solve_continuum(config: RunConfig) -> None:
         time.perf_counter() - start,
         f" stop={result.stop_reason} decrement={result.decrement:.3e}",
     )
-    patch_ids = np.concatenate(
-        [np.full(patch.size, patch.index) for patch in domain.patches]
-    )
+    n_patches, n, _ = domain.d1x.shape
+    patch_ids = np.repeat(np.arange(n_patches), n * n)
     write_csv(
         Table.from_columns(
             ("patch", "x", "y", "u"),

@@ -116,6 +116,12 @@ def validate(config: RunConfig) -> RunConfig:
         raise _fail("density", c.density)
     if c.n < 1:
         raise _fail("n", c.n)
+    # nan fails every comparison and inf passes every lower bound, so the
+    # range checks below cannot catch them
+    for key in ("h", "lambda", "p", "epsilon", "tol"):
+        value = getattr(c, _KEYS[key][0])
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"config key '{key}' = {value!r} rejected; expected a finite real")
     if not (c.h > 0.0):
         raise _fail("h", c.h)
     g = int(round(math.sqrt(c.T)))

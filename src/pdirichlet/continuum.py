@@ -40,7 +40,6 @@ __all__ = [
     "ContinuumProblem",
     "PatchedField",
     "local_energy",
-    "local_energy_gradient",
     "nonlocal_energy",
     "minimize_continuum",
 ]
@@ -70,8 +69,10 @@ class ContinuumProblem:
         rho = self.density.value_at(self.domain.points)
         if not np.all(rho > 0.0):
             raise ValidationError("density is not strictly positive on the grid")
-        # energy weight sigma * w * rho^2 of every node copy
-        self._weight = self.sigma * self.domain.quad_weights * rho * rho
+        # energy weight sigma * w * rho^2 of every node copy, [patch, iy, ix]
+        self._weight = (self.sigma * self.domain.quad_weights * rho * rho).reshape(
+            self.domain.d1x.shape
+        )
 
     @property
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -80,13 +81,10 @@ class ContinuumProblem:
         return dom.node_points[dom.pin_nodes], dom.pin_values
 
 
-def _copy_values(u: np.ndarray, problem: ContinuumProblem) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (problem.domain.n_nodes,):
-        raise ValidationError(
-            f"field has shape {u.shape}, expected ({problem.domain.n_nodes},)"
-        )
-    return u
+def _spectral_gradient(u: np.ndarray, dom: PatchedDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Per-patch d/dx and d/dy of node-copy values, both [patch, iy, ix]."""
+    u = u.reshape(dom.d1x.shape)
+    return u @ dom.d1x.transpose(0, 2, 1), dom.d1y @ u
 
 
 def local_energy(u: np.ndarray, problem: ContinuumProblem) -> float:
@@ -95,27 +93,13 @@ def local_energy(u: np.ndarray, problem: ContinuumProblem) -> float:
     Spectral gradients per patch, Clenshaw-Curtis quadrature, no gradient
     regularization (the reported value is the energy itself).
     """
-    u = _copy_values(u, problem)
-    dom = problem.domain
-    gx, gy = dom.diff_x @ u, dom.diff_y @ u
-    return float(problem._weight @ (gx * gx + gy * gy) ** (problem.p / 2.0))
-
-
-def _copy_gradient(u: np.ndarray, problem: ContinuumProblem, p: float) -> np.ndarray:
-    # gradient of the exponent-p energy with this problem's weights
-    dom = problem.domain
-    gx, gy = dom.diff_x @ u, dom.diff_y @ u
-    q = p * problem._weight * (gx * gx + gy * gy) ** ((p - 2.0) / 2.0)
-    return dom.diff_x.T @ (q * gx) + dom.diff_y.T @ (q * gy)
-
-
-def local_energy_gradient(u: np.ndarray, problem: ContinuumProblem) -> np.ndarray:
-    """Gradient of `local_energy` with respect to the node-copy values.
-
-    The gradient with respect to a geometric node's value is the sum over
-    its copies.
-    """
-    return _copy_gradient(_copy_values(u, problem), problem, problem.p)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (problem.domain.n_nodes,):
+        raise ValidationError(
+            f"field has shape {u.shape}, expected ({problem.domain.n_nodes},)"
+        )
+    gx, gy = _spectral_gradient(u, problem.domain)
+    return float(np.vdot(problem._weight, (gx * gx + gy * gy) ** (problem.p / 2.0)))
 
 
 class _RitzEnergy:
@@ -135,23 +119,27 @@ class _RitzEnergy:
         return local_energy(v[self._dom.node_of], self._problem)
 
     def gradient(self, v: np.ndarray, p: float) -> np.ndarray:
-        node_of = self._dom.node_of
-        per_copy = _copy_gradient(v[node_of], self._problem, p)
-        return np.bincount(node_of, per_copy, v.size)[self.free]
+        """Gradient of the exponent-p energy over the free nodes: per copy
+        Dx^T (q gx) + Dy^T (q gy), q = p weight |g|^(p-2), summed over the
+        copies of each node."""
+        dom = self._dom
+        gx, gy = _spectral_gradient(v[dom.node_of], dom)
+        q = p * self._problem._weight * (gx * gx + gy * gy) ** ((p - 2.0) / 2.0)
+        per_copy = (q * gx) @ dom.d1x + dom.d1y.transpose(0, 2, 1) @ (q * gy)
+        return np.bincount(dom.node_of, per_copy.ravel(), v.size)[self.free]
 
     def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
         """Q^T B Q over the free nodes; B holds per patch D^T M D, D = (Dx, Dy)
         and M, per copy, the 2x2 Hessian a I + b g g^T of weight * |g|^p with
         |g| floored at ``delta``: a = p weight |g|^(p-2), b = (p - 2) a / |g|^2.
-        As Dx and Dy are Kronecker products, the xx and yy terms are
+        As Dx and Dy act along grid lines, the xx and yy terms are
         d1^T diag(m) d1 along each grid line and the cross term is
         d1x[jx, ix] mxy[iy, jx] d1y[iy, jy], which for p > 2 couples every
         pair of copies of a patch. Pinned copies' rows and columns are zeroed,
         and the blocks are added, a chunk of patches at a time, into the data
         of the domain's fixed pattern."""
         dom = self._dom
-        u = v[dom.node_of]
-        gx, gy = dom.diff_x @ u, dom.diff_y @ u
+        gx, gy = _spectral_gradient(v[dom.node_of], dom)
         sq = np.maximum(gx * gx + gy * gy, delta * delta)
         a = p * self._problem._weight * sq ** ((p - 2.0) / 2.0)
         if p == 2.0:
@@ -160,9 +148,8 @@ class _RitzEnergy:
             b = (p - 2.0) * a / sq
             indices, indptr, slots = dom.pattern
             mxx, myy, mxy = a + b * gx * gx, a + b * gy * gy, b * gx * gy
-        # per patch [iy, ix]; myy transposed to [ix, iy], as its lines run along y
-        mxx, mxy = mxx.reshape(dom.d1x.shape), mxy.reshape(dom.d1x.shape)
-        myy = myy.reshape(dom.d1x.shape).transpose(0, 2, 1)
+        # myy transposed to [patch, ix, iy], as its lines run along y
+        myy = myy.transpose(0, 2, 1)
         data = np.zeros(max(indices.size, 1))  # slot 0 exists even with no free node
         chunk = max(1, _BLOCK_BUDGET // dom.d1x.shape[1] ** 4)
         for lo in range(0, dom.d1x.shape[0], chunk):
@@ -265,10 +252,10 @@ class PatchedField:
         if self.values.shape != (self.domain.n_nodes,):
             raise ValidationError("field values do not match the domain size")
 
-    def _patch_grid(self, patch_index: int) -> np.ndarray:
-        patch = self.domain.patches[patch_index]
-        ny, nx = patch.grid_y.size, patch.grid_x.size
-        return self.values[patch.offset : patch.offset + patch.size].reshape(ny, nx)
+    def _patch_arrays(self) -> tuple:
+        """Per patch its x nodes, y nodes and values [iy, ix]."""
+        grid = self.domain.points.reshape(*self.domain.d1x.shape, 2)
+        return grid[:, 0, :, 0], grid[:, :, 0, 1], self.values.reshape(grid.shape[:3])
 
     def _tile_of(self, coords: np.ndarray, lines: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(lines, coords, side="right") - 1, 0, lines.size - 2)
@@ -283,14 +270,13 @@ class PatchedField:
         dom = self.domain
         ntx = dom.xlines.size - 1
         tiles = self._tile_of(pts[:, 1], dom.ylines) * ntx + self._tile_of(pts[:, 0], dom.xlines)
+        nodes_x, nodes_y, values = self._patch_arrays()
         out = np.empty(pts.shape[0])
-        for patch_index in np.unique(tiles):
-            sel = np.nonzero(tiles == patch_index)[0]
-            patch = dom.patches[patch_index]
-            wx = _bary_matrix(pts[sel, 0], patch.grid_x.nodes)
-            wy = _bary_matrix(pts[sel, 1], patch.grid_y.nodes)
-            grid = self._patch_grid(patch_index)
-            out[sel] = np.einsum("kj,ji,ki->k", wy, grid, wx)
+        for patch in np.unique(tiles):
+            sel = np.nonzero(tiles == patch)[0]
+            wx = _bary_matrix(pts[sel, 0], nodes_x[patch])
+            wy = _bary_matrix(pts[sel, 1], nodes_y[patch])
+            out[sel] = np.einsum("kj,ji,ki->k", wy, values[patch], wx)
         return out
 
     def on_mesh(self, mesh_size: int) -> np.ndarray:
@@ -299,17 +285,17 @@ class PatchedField:
         dom = self.domain
         tx = self._tile_of(axis, dom.xlines)
         ty = self._tile_of(axis, dom.ylines)
+        nodes_x, nodes_y, values = self._patch_arrays()
         out = np.empty((mesh_size, mesh_size))
-        for patch in dom.patches:
-            ntx = dom.xlines.size - 1
-            ix, iy = patch.index % ntx, patch.index // ntx
+        for patch in range(values.shape[0]):
+            iy, ix = divmod(patch, dom.xlines.size - 1)
             sx = np.nonzero(tx == ix)[0]
             sy = np.nonzero(ty == iy)[0]
             if sx.size == 0 or sy.size == 0:
                 continue
-            wx = _bary_matrix(axis[sx], patch.grid_x.nodes)
-            wy = _bary_matrix(axis[sy], patch.grid_y.nodes)
-            out[np.ix_(sy, sx)] = wy @ self._patch_grid(patch.index) @ wx.T
+            wx = _bary_matrix(axis[sx], nodes_x[patch])
+            wy = _bary_matrix(axis[sy], nodes_y[patch])
+            out[np.ix_(sy, sx)] = wy @ values[patch] @ wx.T
         return out
 
 

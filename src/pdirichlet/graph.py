@@ -68,10 +68,6 @@ class WeightedGraph:
     def num_edges(self) -> int:
         return self.weights.nnz // 2
 
-    def is_connected(self) -> bool:
-        ncomp = sp.csgraph.connected_components(self.weights, directed=False, return_labels=False)
-        return int(ncomp) == 1
-
 
 @dataclass(frozen=True)
 class ConstraintSet:

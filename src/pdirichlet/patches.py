@@ -1,17 +1,20 @@
 """Rectangular patch decompositions of the unit square for spectral elements.
 
 The square is tiled by axis-aligned patches, each carrying its own
-Chebyshev-Gauss-Lobatto tensor grid. A node on a shared edge exists once per
+Chebyshev-Gauss-Lobatto tensor grid. Every field and operator over node
+copies has one layout, the stacked ``[patch, iy, ix]`` array: patches run
+x-tile fastest, and within a patch x runs fastest, so a field's flat value
+vector reshapes to ``d1x.shape``. A node on a shared edge exists once per
 touching patch (a node copy), but all copies of one geometric node share a
 single unknown: the gather map ``node_of`` (the 0/1 matrix Q in index form)
 sends geometric-node values to the copies, so every field is continuous
 across patches by construction. This module owns the geometry and the
 static operators built from it: the tiling, the matching of copies to
-geometric nodes, the per-copy spectral derivatives and quadrature weights,
-the pins, and the fixed CSC pattern of the free-node Newton Hessian with the
-slot of every per-patch block entry in its data, so that a Newton step only
-refills the data. A constraint pins its geometric node exactly, including a
-cross point where four patches meet.
+geometric nodes, the per-patch 1D derivative matrices and per-copy
+quadrature weights, the pins, and the fixed CSC pattern of the free-node
+Newton Hessian with the slot of every per-patch block entry in its data, so
+that a Newton step only refills the data. A constraint pins its geometric
+node exactly, including a cross point where four patches meet.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .chebyshev import chebyshev_diff_matrix, chebyshev_nodes, quadrature_2d
+from .chebyshev import chebyshev_diff_matrix, chebyshev_nodes, clenshaw_curtis_weights
 from .errors import ConstraintError, ValidationError
 
-__all__ = ["Patch", "PatchedDomain", "build_patches"]
+__all__ = ["PatchedDomain", "build_patches"]
 
 _KEY_DECIMALS = 12
 
@@ -34,40 +37,22 @@ def _key(x: float, y: float) -> tuple[float, float]:
 
 
 @dataclass
-class Patch:
-    """One rectangular tile with its collocation grid."""
-
-    index: int
-    bounds: tuple[float, float, float, float]  # x0, x1, y0, y1
-    grid_x: object
-    grid_y: object
-    points: np.ndarray
-    offset: int
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass
 class PatchedDomain:
     """Patch tiling, copy-to-node matching, static operators and pins.
 
-    Arrays over node copies run patch by patch in patch-local order (the
-    layout of field values); arrays over geometric nodes follow
-    ``node_points``. ``d1x``/``d1y`` stack the patches' 1D derivative
-    matrices; ``pattern`` and ``pattern_p2`` hold the CSC indices, indptr and
-    block-entry slots of the free-node Hessian for p > 2 and p = 2 (see
-    `build_patches`).
+    Arrays over node copies are the flat ``[patch, iy, ix]`` layout of field
+    values (patch ``iy_tile * (xlines.size - 1) + ix_tile``); arrays over
+    geometric nodes follow ``node_points``. ``d1x``/``d1y`` stack the
+    patches' 1D derivative matrices, so a field ``u`` reshaped to
+    ``d1x.shape`` has d/dx ``u @ d1x^T`` and d/dy ``d1y @ u``. ``pattern``
+    and ``pattern_p2`` hold the CSC indices, indptr and block-entry slots of
+    the free-node Hessian for p > 2 and p = 2 (see `build_patches`).
     """
 
-    patches: list
-    xlines: np.ndarray
+    xlines: np.ndarray  # tile boundaries along x, ascending
     ylines: np.ndarray
     points: np.ndarray  # coordinates of every node copy
     quad_weights: np.ndarray  # Clenshaw-Curtis weight of every node copy
-    diff_x: sp.csr_matrix  # per-patch d/dx, node copies -> node copies
-    diff_y: sp.csr_matrix
     node_of: np.ndarray  # geometric node of every copy
     node_points: np.ndarray  # coordinates of every geometric node
     pin_nodes: np.ndarray  # pinned geometric nodes, ascending
@@ -85,31 +70,15 @@ class PatchedDomain:
         return self.points.shape[0]
 
 
-def _build_tiling(xlines: np.ndarray, ylines: np.ndarray, points_per_patch: int) -> tuple:
-    """The patches, and per patch its 1D d/dx, d/dy and quadrature weights."""
-    patches, d1x, d1y, weights = [], [], [], []
-    offset = 0
+def _tile_axis(lines: np.ndarray, points_per_patch: int) -> tuple:
+    """Nodes, 1D derivative and Clenshaw-Curtis weights of every tile of one axis."""
     order = points_per_patch - 1
-    for j in range(len(ylines) - 1):
-        for i in range(len(xlines) - 1):
-            gx = chebyshev_nodes(order, (xlines[i], xlines[i + 1]))
-            gy = chebyshev_nodes(order, (ylines[j], ylines[j + 1]))
-            rule = quadrature_2d(gx, gy)
-            patches.append(
-                Patch(
-                    index=len(patches),
-                    bounds=(xlines[i], xlines[i + 1], ylines[j], ylines[j + 1]),
-                    grid_x=gx,
-                    grid_y=gy,
-                    points=rule.points,
-                    offset=offset,
-                )
-            )
-            d1x.append(chebyshev_diff_matrix(gx))
-            d1y.append(chebyshev_diff_matrix(gy))
-            weights.append(rule.weights)
-            offset += rule.points.shape[0]
-    return patches, np.array(d1x), np.array(d1y), weights
+    grids = [chebyshev_nodes(order, (a, b)) for a, b in zip(lines[:-1], lines[1:])]
+    return (
+        np.array([g.nodes for g in grids]),
+        np.array([chebyshev_diff_matrix(g) for g in grids]),
+        np.array([clenshaw_curtis_weights(order, g.interval) for g in grids]),
+    )
 
 
 def _coupling(free_of: np.ndarray, groups: list, pairs: list) -> tuple:
@@ -196,8 +165,16 @@ def build_patches(
     else:
         xlines = _lines_from_positions(pos[:, 0])
         ylines = _lines_from_positions(pos[:, 1])
-    patches, d1x, d1y, weights = _build_tiling(xlines, ylines, points_per_patch)
-    points = np.vstack([p.points for p in patches])
+    n = points_per_patch
+    nodes_x, deriv_x, weights_x = _tile_axis(xlines, n)
+    nodes_y, deriv_y, weights_y = _tile_axis(ylines, n)
+    # x tile and y tile of every patch, x tile fastest
+    tile_y, tile_x = np.divmod(np.arange((xlines.size - 1) * (ylines.size - 1)), xlines.size - 1)
+    n_patches = tile_x.size
+    d1x, d1y = deriv_x[tile_x], deriv_y[tile_y]
+    px, py = np.broadcast_arrays(nodes_x[tile_x][:, None, :], nodes_y[tile_y][:, :, None])
+    points = np.column_stack([px.ravel(), py.ravel()])
+    quad_weights = (weights_y[tile_y][:, :, None] * weights_x[tile_x][:, None, :]).ravel()
     # copies of a shared node are computed from the same tiling line, so
     # their coordinates agree exactly and rounding only guards the lookup
     _, first, node_of = np.unique(
@@ -231,8 +208,6 @@ def build_patches(
     pin_nodes = np.array(sorted(pins), dtype=int)
     pin_values = np.array([pins[k] for k in pin_nodes], dtype=float)
     free_nodes = np.setdiff1d(np.arange(node_points.shape[0]), pin_nodes)
-    n_patches, n = len(patches), points_per_patch
-    eye = sp.identity(n, format="csr")
     # free index of every copy (-1 if pinned), [patch, ix, iy]: x-major like
     # the node numbering, so that a refill walks each CSC column in order
     free_of = np.where(np.isin(node_of, pin_nodes), -1, np.searchsorted(free_nodes, node_of))
@@ -260,13 +235,10 @@ def build_patches(
          (free_of[:, :, None], free_of[..., None])],
     )
     return PatchedDomain(
-        patches=patches,
         xlines=xlines,
         ylines=ylines,
         points=points,
-        quad_weights=np.concatenate(weights),
-        diff_x=sp.block_diag([sp.kron(eye, d) for d in d1x], format="csr"),
-        diff_y=sp.block_diag([sp.kron(d, eye) for d in d1y], format="csr"),
+        quad_weights=quad_weights,
         node_of=node_of,
         node_points=node_points,
         pin_nodes=pin_nodes,

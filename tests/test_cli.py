@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pdirichlet
 from pdirichlet.cli import run
 from pdirichlet.csvio import read_csv, write_csv
-from pdirichlet.experiments import StudyConfig, minimizer_comparison
+from pdirichlet.experiments import StudyConfig, constraint_labels, label_value, minimizer_comparison
+from pdirichlet.patches import build_patches
 
 TINY = ["--n", "128", "--T", "256", "--mesh", "32", "--points-per-patch", "8",
         "--tol", "0.001", "--h", "0.1"]
@@ -67,6 +69,11 @@ def test_solve_continuum_writes_field(tmp_path, capsys):
     t = read_csv(tmp_path / "continuum_field.csv")
     assert t.header == ("patch", "x", "y", "u")
     assert len(t.rows) == 9 * 8 * 8  # 3x3 patches at 8 points per dimension
+    # rows run [patch, iy, ix] over the domain's node copies
+    np.testing.assert_array_equal(t.column("patch"), np.repeat(np.arange(9), 64))
+    labels = constraint_labels()
+    dom = build_patches(labels.positions, labels.values, 8, tiles=(3, 3), label_fn=label_value)
+    np.testing.assert_array_equal(np.column_stack([t.column("x"), t.column("y")]), dom.points)
     manifest = (tmp_path / "solve_continuum_manifest.txt").read_text()
     assert "config_hash=" in manifest and "seeds=1" in manifest
 

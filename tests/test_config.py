@@ -7,6 +7,7 @@ from pdirichlet.config import (
     parse_config,
     parse_config_text,
 )
+from pdirichlet.cli import run
 from pdirichlet.errors import ConfigError
 
 
@@ -61,6 +62,16 @@ def test_continuum_rejects_p_below_two():
     for sub in ("solve-continuum", "study-minimizers"):
         with pytest.raises(ConfigError, match="p > d = 2 required"):
             parse_config_text("p=2\n", subcommand=sub)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["p", "h", "lambda", "epsilon", "tol"])
+def test_non_finite_reals_rejected(key, value, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"config key '{key}' = {value} rejected"):
+        parse_config_text(f"{key}={value}\n", subcommand="solve-discrete")
+    for sub in ("solve-discrete", "solve-continuum"):
+        assert run([sub, f"--{key}={value}", "--out", str(tmp_path)]) == 2
+        assert f"error[config]: config key '{key}'" in capsys.readouterr().err
 
 
 def test_negative_penalty_weight_rejected():

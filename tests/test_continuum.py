@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from pdirichlet.chebyshev import chebyshev_nodes, quadrature_2d, tensor_diff_ops
 from pdirichlet.continuum import (
     ContinuumProblem,
     _RitzEnergy,
     PatchedField,
     local_energy,
-    local_energy_gradient,
     minimize_continuum,
     nonlocal_energy,
 )
@@ -36,26 +36,79 @@ def node_values(dom, fn):
     return fn(dom.points[:, 0], dom.points[:, 1])
 
 
-def single_copy_free(dom):
-    """Copies whose geometric node is free and has no other copy."""
-    copies = np.bincount(dom.node_of)
-    free = np.zeros(copies.size, dtype=bool)
-    free[dom.free_nodes] = True
-    return np.flatnonzero((copies == 1)[dom.node_of] & free[dom.node_of])
+def geometric_values(dom, fn):
+    return fn(dom.node_points[:, 0], dom.node_points[:, 1])
 
 
-def newton_rhs(u, prob):
+def newton_rhs(v, prob):
     """-dE/dv at the free geometric nodes: the right-hand side of the
     Newton system, summed over the copies of each node."""
-    dom = prob.domain
-    grad = np.bincount(dom.node_of, local_energy_gradient(u, prob))
-    return -grad[dom.free_nodes]
+    return -_RitzEnergy(prob).gradient(v, prob.p)
+
+
+def reference_operators(dom):
+    """Per-copy d/dx, d/dy (block-diagonal sparse), coordinates and
+    quadrature weights, built patch by patch from `tensor_diff_ops` and
+    `quadrature_2d`, independently of the domain's stacked arrays."""
+    order = dom.d1x.shape[1] - 1
+    grids = [
+        (chebyshev_nodes(order, (x0, x1)), chebyshev_nodes(order, (y0, y1)))
+        for y0, y1 in zip(dom.ylines[:-1], dom.ylines[1:])
+        for x0, x1 in zip(dom.xlines[:-1], dom.xlines[1:])
+    ]
+    dx, dy = zip(*(tensor_diff_ops(gx, gy) for gx, gy in grids))
+    rules = [quadrature_2d(gx, gy) for gx, gy in grids]
+    return (
+        sp.block_diag(dx, format="csr"),
+        sp.block_diag(dy, format="csr"),
+        np.vstack([r.points for r in rules]),
+        np.concatenate([r.weights for r in rules]),
+    )
+
+
+def unequal_tiles():
+    """Pins inferring tiles of unequal widths: x-lines 0/0.25/1, y-lines 0/0.6/1."""
+    xx, yy = np.meshgrid([0.0, 0.25, 1.0], [0.0, 0.6, 1.0])
+    pos = np.column_stack([xx.ravel(), yy.ravel()])
+    return build_patches(pos, pos[:, 0] - pos[:, 1] ** 2, 7)
+
+
+def test_stacked_layout_matches_per_patch_reference():
+    dom = unequal_tiles()
+    np.testing.assert_allclose(np.diff(dom.xlines), [0.25, 0.75], rtol=1e-15)
+    np.testing.assert_allclose(np.diff(dom.ylines), [0.6, 0.4], rtol=1e-15)
+    dx, dy, points, weights = reference_operators(dom)
+    np.testing.assert_array_equal(dom.points, points)
+    np.testing.assert_array_equal(dom.quad_weights, weights)
+    u = np.random.default_rng(5).random(dom.n_nodes)
+    stacked = u.reshape(dom.d1x.shape)
+    np.testing.assert_allclose((stacked @ dom.d1x.transpose(0, 2, 1)).ravel(), dx @ u,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose((dom.d1y @ stacked).ravel(), dy @ u, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_energy_and_gradient_match_sparse_reference_on_unequal_tiles(p):
+    # swapping d/dx and d/dy, or a derivative matrix and its transpose,
+    # changes both on tiles whose widths differ in x and y
+    dom = unequal_tiles()
+    prob = ContinuumProblem(domain=dom, density=reference_density("rho2"), p=p)
+    dx, dy, points, weights = reference_operators(dom)
+    v = np.random.default_rng(11).random(dom.node_points.shape[0])
+    u = v[dom.node_of]
+    gx, gy = dx @ u, dy @ u
+    w = prob.sigma * weights * prob.density.value_at(points) ** 2
+    q = p * w * (gx * gx + gy * gy) ** ((p - 2.0) / 2.0)
+    grad = np.bincount(dom.node_of, dx.T @ (q * gx) + dy.T @ (q * gy))[dom.free_nodes]
+    assert local_energy(u, prob) == pytest.approx(w @ (gx * gx + gy * gy) ** (p / 2.0), rel=1e-12)
+    got = _RitzEnergy(prob).gradient(v, p)
+    np.testing.assert_allclose(got, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
 
 
 def test_rhs_zero_for_affine_field():
     prob = make_problem(p=2.0, boundary=lambda x, y: 2.0 * x - y)
-    u = node_values(prob.domain, lambda x, y: 2.0 * x - y)
-    assert np.max(np.abs(newton_rhs(u, prob))) < 1e-9
+    v = geometric_values(prob.domain, lambda x, y: 2.0 * x - y)
+    assert np.max(np.abs(newton_rhs(v, prob))) < 1e-9
 
 
 def test_rhs_is_laplacian_for_quadratic():
@@ -65,9 +118,9 @@ def test_rhs_is_laplacian_for_quadratic():
     # at interface and cross nodes too, since the quadrature is exact here
     prob = make_problem(p=2.0, tiles=(3, 3), boundary=lambda x, y: 0.5 * x**2)
     dom = prob.domain
-    u = node_values(dom, lambda x, y: 0.5 * x**2)
+    v = geometric_values(dom, lambda x, y: 0.5 * x**2)
     mass = np.bincount(dom.node_of, dom.quad_weights)[dom.free_nodes]
-    np.testing.assert_allclose(newton_rhs(u, prob) / (2.0 * prob.sigma * mass), 1.0, atol=1e-9)
+    np.testing.assert_allclose(newton_rhs(v, prob) / (2.0 * prob.sigma * mass), 1.0, atol=1e-9)
 
 
 def test_local_energy_oracles():
@@ -94,34 +147,38 @@ def test_rhs_matches_energy_gateaux_derivative_p2():
     # for p = 2 the energy is quadratic, so the centered difference is exact
     prob = make_problem(p=2.0, ppp=12, tiles=(1, 1), boundary=lambda x, y: x**2 + 0.5 * x * y)
     dom = prob.domain
-    u = node_values(dom, lambda x, y: x**2 + 0.5 * x * y)
-    grad = local_energy_gradient(u, prob)
+    energy = _RitzEnergy(prob)
+    v = geometric_values(dom, lambda x, y: x**2 + 0.5 * x * y)
+    grad = energy.gradient(v, 2.0)
     rng = np.random.default_rng(7)
-    interior = single_copy_free(dom)
-    for owner in interior[rng.integers(0, interior.size, size=5)]:
+    for k in rng.integers(0, dom.free_nodes.size, size=5):
         h = 1e-4
-        up, dn = u.copy(), u.copy()
-        up[owner] += h
-        dn[owner] -= h
-        fd = (local_energy(up, prob) - local_energy(dn, prob)) / (2.0 * h)
-        assert fd == pytest.approx(grad[owner], rel=1e-9, abs=1e-14)
+        up, dn = v.copy(), v.copy()
+        up[dom.free_nodes[k]] += h
+        dn[dom.free_nodes[k]] -= h
+        fd = (energy.energy(up) - energy.energy(dn)) / (2.0 * h)
+        assert fd == pytest.approx(grad[k], rel=1e-9, abs=1e-14)
 
 
 def test_rhs_matches_energy_gateaux_derivative_p3():
     # the Newton rhs is the exact derivative of the quadrature energy, so at
     # p = 3 the centered difference agrees up to its own truncation error,
-    # on every copy (shared ones included) and on a field spanning patches
+    # at free nodes inside patches, on interfaces and at the cross point
     prob = make_problem(p=3.0, ppp=10, tiles=(2, 2), boundary=lambda x, y: x**2)
     dom = prob.domain
-    u = node_values(dom, lambda x, y: x**2 + 0.3 * np.sin(3.0 * y))
-    grad = local_energy_gradient(u, prob)
-    for owner in range(0, dom.n_nodes, 7):
+    energy = _RitzEnergy(prob)
+    v = geometric_values(dom, lambda x, y: x**2 + 0.3 * np.sin(3.0 * y))
+    grad = energy.gradient(v, 3.0)
+    copies = np.bincount(dom.node_of)[dom.free_nodes]
+    checked = np.concatenate([np.arange(0, dom.free_nodes.size, 7), np.flatnonzero(copies > 1)])
+    assert set(copies[checked]) == {1, 2, 4}
+    for k in checked:
         h = 1e-6
-        up, dn = u.copy(), u.copy()
-        up[owner] += h
-        dn[owner] -= h
-        fd = (local_energy(up, prob) - local_energy(dn, prob)) / (2.0 * h)
-        assert fd == pytest.approx(grad[owner], rel=1e-5)
+        up, dn = v.copy(), v.copy()
+        up[dom.free_nodes[k]] += h
+        dn[dom.free_nodes[k]] -= h
+        fd = (energy.energy(up) - energy.energy(dn)) / (2.0 * h)
+        assert fd == pytest.approx(grad[k], rel=1e-5)
 
 
 def test_step_preserves_affine_across_patches():
@@ -228,13 +285,12 @@ def test_newton_reaches_lbfgs_minimum_p3():
     assert res.decrement <= 1e-12 * res.energy
     base = np.zeros(dom.node_points.shape[0])
     base[dom.pin_nodes] = dom.pin_values
+    energy = _RitzEnergy(prob)
 
     def energy_and_gradient(x):
         v = base.copy()
         v[dom.free_nodes] = x
-        u = v[dom.node_of]
-        grad = np.bincount(dom.node_of, local_energy_gradient(u, prob))
-        return local_energy(u, prob), grad[dom.free_nodes]
+        return energy.energy(v), energy.gradient(v, 3.0)
 
     ref = minimize(energy_and_gradient, np.full(dom.free_nodes.size, 0.5), jac=True,
                    method="L-BFGS-B",
@@ -260,17 +316,18 @@ def hessian_point(kind, ppp, p):
 
 
 def reference_hessian(dom, energy, v, p, delta):
-    """G^T M G, G the free-node gradient operator built from the per-copy
-    derivatives and the gather, M the per-copy 2x2 blocks."""
+    """G^T M G, G the free-node gradient operator built from the per-patch
+    `tensor_diff_ops` and the gather, M the per-copy 2x2 blocks."""
     n = dom.n_nodes
     gather = sp.csr_matrix(
         (np.ones(n), (np.arange(n), dom.node_of)), shape=(n, dom.node_points.shape[0])
     )[:, dom.free_nodes]
-    g = sp.vstack([dom.diff_x @ gather, dom.diff_y @ gather], format="csr")
+    dx, dy, _, _ = reference_operators(dom)
+    g = sp.vstack([dx @ gather, dy @ gather], format="csr")
     u = v[dom.node_of]
-    gx, gy = dom.diff_x @ u, dom.diff_y @ u
+    gx, gy = dx @ u, dy @ u
     sq = np.maximum(gx * gx + gy * gy, delta * delta)
-    a = p * energy._problem._weight * sq ** ((p - 2.0) / 2.0)
+    a = p * energy._problem._weight.ravel() * sq ** ((p - 2.0) / 2.0)
     if p == 2.0:
         m = sp.diags(np.concatenate([a, a]))
     else:
@@ -499,8 +556,6 @@ def test_validation_errors():
         ContinuumProblem(domain=prob.domain, density=prob.density, p=1.5)
     with pytest.raises(ValidationError):
         local_energy(np.zeros(3), prob)
-    with pytest.raises(ValidationError):
-        local_energy_gradient(np.zeros(3), prob)
     with pytest.raises(ValidationError):
         nonlocal_energy(lambda q: q[:, 0], prob.density, -0.1)
     with pytest.raises(ValidationError):

@@ -18,9 +18,9 @@ def lattice_16():
 def test_lattice_constraints_make_nine_patches():
     pos, labels = lattice_16()
     dom = build_patches(pos, labels, points_per_patch=6)
-    assert len(dom.patches) == 9
-    widths = [p.bounds[1] - p.bounds[0] for p in dom.patches]
-    np.testing.assert_allclose(widths, 1.0 / 3.0, atol=1e-9)
+    assert dom.d1x.shape == dom.d1y.shape == (9, 6, 6)
+    np.testing.assert_allclose(np.diff(dom.xlines), 1.0 / 3.0, atol=1e-9)
+    np.testing.assert_allclose(np.diff(dom.ylines), 1.0 / 3.0, atol=1e-9)
     assert dom.n_nodes == 9 * 36
 
 
@@ -31,7 +31,7 @@ def pinned_coords(dom):
 def test_four_corner_constraints_make_single_patch():
     pos = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     dom = build_patches(pos, np.arange(4.0), points_per_patch=5)
-    assert len(dom.patches) == 1
+    assert dom.d1x.shape[0] == 1
     assert pinned_coords(dom) == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
 
 
