@@ -134,22 +134,21 @@ class _RitzEnergy:
         |g| floored at ``delta``: a = p weight |g|^(p-2), b = (p - 2) a / |g|^2.
         As Dx and Dy act along grid lines, the xx and yy terms are
         d1^T diag(m) d1 along each grid line and the cross term is
-        d1x[jx, ix] mxy[iy, jx] d1y[iy, jy], which for p > 2 couples every
-        pair of copies of a patch. Pinned copies' rows and columns are zeroed,
-        and the blocks are added, a chunk of patches at a time, into the data
-        of the domain's fixed pattern."""
+        d1x[jx, ix] mxy[iy, jx] d1y[iy, jy], which couples every pair of
+        copies of a patch. Pinned copies' rows and columns are zeroed, and the
+        blocks are added, a chunk of patches at a time, into the data of the
+        domain's fixed pattern. At p = 2 the cross term vanishes and its exact
+        zeros are dropped, so the start step's LU fill is that of the
+        operator's own grid-line coupling."""
         dom = self._dom
         gx, gy = _spectral_gradient(v[dom.node_of], dom)
         sq = np.maximum(gx * gx + gy * gy, delta * delta)
         a = p * self._problem._weight * sq ** ((p - 2.0) / 2.0)
-        if p == 2.0:
-            (indices, indptr, slots), mxx, myy, mxy = dom.pattern_p2, a, a, a
-        else:
-            b = (p - 2.0) * a / sq
-            indices, indptr, slots = dom.pattern
-            mxx, myy, mxy = a + b * gx * gx, a + b * gy * gy, b * gx * gy
+        b = (p - 2.0) * a / sq
+        indices, indptr, (starts, ranks, kind) = dom.pattern
+        mxx, mxy = a + b * gx * gx, b * gx * gy
         # myy transposed to [patch, ix, iy], as its lines run along y
-        myy = myy.transpose(0, 2, 1)
+        myy = (a + b * gy * gy).transpose(0, 2, 1)
         data = np.zeros(max(indices.size, 1))  # slot 0 exists even with no free node
         chunk = max(1, _BLOCK_BUDGET // dom.d1x.shape[1] ** 4)
         for lo in range(0, dom.d1x.shape[0], chunk):
@@ -161,21 +160,21 @@ class _RitzEnergy:
             xx *= free[..., None] & free.transpose(0, 2, 1)[:, None]
             yy = (d1yt[:, None] * myy[at][:, :, None]) @ d1y[:, None]
             yy *= free[..., None] & free[:, :, None]
-            if p == 2.0:
-                sx, sy = slots[0][at], slots[1][at]
-            else:
-                # [patch, ix, iy, jx, jy]
-                cross = (d1xt[:, :, None] * mxy[at][:, None] * free[..., None])[..., None]
-                cross = cross * (d1y[:, :, None] * free[:, None])[:, None]
-                starts, ranks, kind = slots
-                where = starts[at][..., None, None] + ranks[at][:, kind]
-                block = np.add(cross, cross.transpose(0, 3, 4, 1, 2), order="C")
-                np.add.at(data, where.ravel(), block.ravel())
-                sx, sy = np.einsum("pxyXy->pxyX", where), np.einsum("pxyxY->pxyY", where)
+            # [patch, ix, iy, jx, jy]
+            cross = (d1xt[:, :, None] * mxy[at][:, None] * free[..., None])[..., None]
+            cross = cross * (d1y[:, :, None] * free[:, None])[:, None]
+            where = starts[at][..., None, None] + ranks[at][:, kind]
+            block = np.add(cross, cross.transpose(0, 3, 4, 1, 2), order="C")
             # flat, as ufunc.at takes its fast path on 1D indices only
-            np.add.at(data, sx.ravel(), xx.ravel())
-            np.add.at(data, sy.ravel(), yy.ravel())
-        return sp.csc_matrix((data[: indices.size], indices, indptr), shape=(self.free.size,) * 2)
+            np.add.at(data, where.ravel(), block.ravel())
+            np.add.at(data, np.einsum("pxyXy->pxyX", where).ravel(), xx.ravel())
+            np.add.at(data, np.einsum("pxyxY->pxyY", where).ravel(), yy.ravel())
+        h = sp.csc_matrix((data[: indices.size], indices, indptr), shape=(self.free.size,) * 2)
+        if p == 2.0:
+            # on a copy: h shares the domain's index arrays, which this edits
+            h = h.copy()
+            h.eliminate_zeros()
+        return h
 
 
 def _factor_solve(h: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -265,7 +264,7 @@ class PatchedField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValidationError(f"expected points of shape (n, 2), got {pts.shape}")
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValidationError("query point outside the unit square")
         dom = self.domain
         ntx = dom.xlines.size - 1

@@ -8,8 +8,9 @@ work in chunks of at most about 8M (point, sample) pairs, so their memory
 is bounded whatever n and h are: dense distance blocks for small problems,
 KD-tree pair lists for large ones. The spline-smoothed variant fits a
 penalized tensor-product cubic B-spline to KDE values on a square knot
-lattice; `SplineFit` factors the fit's normal matrix once, so a study
-fitting many value vectors at one (T, lam) pays for it once. Every
+lattice and evaluates it, values and gradients, with SciPy's `NdBSpline`;
+`SplineFit` factors the fit's normal matrix once, so a study fitting many
+value vectors at one (T, lam) pays for it once. Every
 estimator is exposed as a `DensityField` with consistent value/gradient
 evaluation and a positivity floor, which is what the continuum solver
 consumes. The smoothing kernel is the unit-mass Gaussian, truncated at 5
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.fft as sp_fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import BSpline
+from scipy.interpolate import BSpline, NdBSpline
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import gamma as _gamma
@@ -91,7 +92,7 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_square(pts: np.ndarray) -> None:
-    if pts.size and (pts.min() < -1e-12 or pts.max() > 1.0 + 1e-12):
+    if not np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12)):
         raise ValidationError("points fall outside the unit square")
 
 
@@ -485,30 +486,9 @@ def _open_knot_vector(sites: np.ndarray, degree: int = 3) -> np.ndarray:
     return np.concatenate([np.full(degree, sites[0]), sites, np.full(degree, sites[-1])])
 
 
-def _derivative_matrix(t: np.ndarray, degree: int) -> sp.csr_matrix:
-    # Coefficient map of spline differentiation: degree k on t -> degree k-1
-    # on t[1:-1], d_j = k (c_{j+1} - c_j) / (t_{j+k+1} - t_{j+1}).
-    n = len(t) - degree - 1
-    denom = t[degree + 1 : degree + n] - t[1:n]
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=int)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(1, n)
-    vals = np.empty(2 * (n - 1))
-    vals[0::2] = -degree / denom
-    vals[1::2] = degree / denom
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n - 1, n))
-
-
 def _bspline_gram(t: np.ndarray, degree: int, deriv: int) -> np.ndarray:
     # Exact Gram matrix of deriv-th basis derivatives via per-span Gauss
     # quadrature (degree+1 points: exact up to degree 2*degree products).
-    n = len(t) - degree - 1
-    chain = sp.identity(n, format="csr")
-    tt, deg = t, degree
-    for _ in range(deriv):
-        chain = _derivative_matrix(tt, deg) @ chain
-        tt, deg = tt[1:-1], deg - 1
     xg, wg = np.polynomial.legendre.leggauss(degree + 1)
     breaks = np.unique(t)
     xq, wq = [], []
@@ -517,8 +497,8 @@ def _bspline_gram(t: np.ndarray, degree: int, deriv: int) -> np.ndarray:
         wq.append(0.5 * (b - a) * wg)
     xq = np.concatenate(xq)
     wq = np.concatenate(wq)
-    basis = BSpline.design_matrix(xq, tt, deg) @ chain
-    return (basis.T @ sp.diags(wq) @ basis).toarray()
+    basis = BSpline(t, np.eye(len(t) - degree - 1), degree)(xq, nu=deriv)
+    return basis.T @ (wq[:, None] * basis)
 
 
 class SplineDensityField(DensityField):
@@ -528,41 +508,16 @@ class SplineDensityField(DensityField):
         self.t = knot_vector
         self.coefs = coefs  # (n_basis_y, n_basis_x)
         self.config = config
-        d1 = _derivative_matrix(self.t, 3)
-        self._coefs_dx = coefs @ d1.T.toarray()
-        self._coefs_dy = d1.toarray() @ coefs
+        self._spline = NdBSpline((knot_vector, knot_vector), coefs.T, 3)
         lattice_vals = self._values(spline_knots(config))
         self.floor = _FLOOR_RATIO * float(lattice_vals.max())
 
-    def _design(self, u: np.ndarray, deriv: int = 0) -> sp.csr_matrix:
-        t = self.t if deriv == 0 else self.t[1:-1]
-        return BSpline.design_matrix(np.clip(u, 0.0, 1.0), t, 3 - deriv)
-
-    def _combine(self, bx, by, coefs) -> np.ndarray:
-        return np.asarray(by.multiply(bx @ coefs.T).sum(axis=1)).ravel()
-
     def _values(self, pts):
-        out = np.empty(pts.shape[0])
-        step = 1 << 16
-        for s in range(0, pts.shape[0], step):
-            blk = pts[s : s + step]
-            bx = self._design(blk[:, 0])
-            by = self._design(blk[:, 1])
-            out[s : s + step] = self._combine(bx, by, self.coefs)
-        return out
+        return self._spline(np.clip(pts, 0.0, 1.0))
 
     def _gradients(self, pts):
-        out = np.empty((pts.shape[0], 2))
-        step = 1 << 16
-        for s in range(0, pts.shape[0], step):
-            blk = pts[s : s + step]
-            bx3 = self._design(blk[:, 0])
-            by3 = self._design(blk[:, 1])
-            bx2 = self._design(blk[:, 0], deriv=1)
-            by2 = self._design(blk[:, 1], deriv=1)
-            out[s : s + step, 0] = self._combine(bx2, by3, self._coefs_dx)
-            out[s : s + step, 1] = self._combine(bx3, by2, self._coefs_dy)
-        return out
+        pts = np.clip(pts, 0.0, 1.0)
+        return np.column_stack([self._spline(pts, nu=(1, 0)), self._spline(pts, nu=(0, 1))])
 
 
 class SplineFit:

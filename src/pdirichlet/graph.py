@@ -121,19 +121,18 @@ class MinimizerResult:
         return self.stop_reason == "converged"
 
 
-def default_epsilon(n: int, p: float, d: int = 2) -> float:
+def default_epsilon(n: int, p: float) -> float:
     """Geometric midpoint (in log scale) of the admissible length-scale window.
 
-    The window is (log n)^(3/4) / sqrt(n) below and n^(-1/p) above for d = 2
-    (for d = 1 the lower exponent drops to 3/4 on the log factor as well with
-    1/d scaling on n); the midpoint sqrt(lower * upper) is returned even when
-    the window is degenerate at small n.
+    The window of the planar (d = 2) theory is (log n)^(3/4) / sqrt(n) below
+    and n^(-1/p) above; the midpoint sqrt(lower * upper) is returned even
+    when the window is degenerate at small n.
     """
     if n < 2:
         raise ValidationError(f"need at least 2 points, got {n}")
     if p < 1:
         raise ValidationError(f"exponent p must be >= 1, got {p}")
-    lower = np.log(n) ** 0.75 / np.sqrt(n) if d == 2 else np.log(n) ** 0.75 / n
+    lower = np.log(n) ** 0.75 / np.sqrt(n)
     upper = n ** (-1.0 / p)
     return float(np.sqrt(lower * upper))
 

@@ -13,8 +13,9 @@ static operators built from it: the tiling, the matching of copies to
 geometric nodes, the per-patch 1D derivative matrices and per-copy
 quadrature weights, the pins, and the fixed CSC pattern of the free-node
 Newton Hessian with the slot of every per-patch block entry in its data, so
-that a Newton step only refills the data. A constraint pins its geometric
-node exactly, including a cross point where four patches meet.
+that a Newton step only refills the data. One pattern serves every p: a
+block couples every pair of copies of its patch. A constraint pins its
+geometric node exactly, including a cross point where four patches meet.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class PatchedDomain:
     geometric nodes follow ``node_points``. ``d1x``/``d1y`` stack the
     patches' 1D derivative matrices, so a field ``u`` reshaped to
     ``d1x.shape`` has d/dx ``u @ d1x^T`` and d/dy ``d1y @ u``. ``pattern``
-    and ``pattern_p2`` hold the CSC indices, indptr and block-entry slots of
-    the free-node Hessian for p > 2 and p = 2 (see `build_patches`).
+    holds the CSC indices, indptr and block-entry slots of the free-node
+    Hessian (see `build_patches`).
     """
 
     xlines: np.ndarray  # tile boundaries along x, ascending
@@ -62,7 +63,6 @@ class PatchedDomain:
     d1y: np.ndarray
     free_of: np.ndarray  # free index of every copy, -1 if pinned, [patch, ix, iy]
     pattern: tuple
-    pattern_p2: tuple
 
     @property
     def n_nodes(self) -> int:
@@ -81,25 +81,23 @@ def _tile_axis(lines: np.ndarray, points_per_patch: int) -> tuple:
     )
 
 
-def _coupling(free_of: np.ndarray, groups: list, pairs: list) -> tuple:
+def _coupling(free_of: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
     """CSC indices and indptr of the pattern of the free nodes (``free_of``)
-    with copies in a common group, the node-group incidence times its
-    transpose, and the data slots of the (row, column) ``pairs``; a pinned
-    index (-1) reads as node 0."""
+    with copies in a common patch, the node-patch incidence times its
+    transpose, and the data slots of the entries (``rows``, ``cols``); a
+    pinned index (-1) reads as node 0."""
     keep = free_of >= 0
-    labels = np.concatenate([np.broadcast_to(g, free_of.shape)[keep] for g in groups])
-    rows = np.tile(free_of[keep], len(groups))
-    shape = (int(free_of.max()) + 1, max(int(np.max(g)) for g in groups) + 1)
-    incidence = sp.csr_matrix((np.ones(labels.size, np.int8), (rows, labels)), shape=shape)
+    patch = np.broadcast_to(np.arange(free_of.shape[0])[:, None, None], free_of.shape)
+    incidence = sp.csr_matrix(
+        (np.ones(keep.sum(), np.int8), (free_of[keep], patch[keep])),
+        shape=(int(free_of.max()) + 1, free_of.shape[0]),
+    )
     pattern = (incidence @ incidence.T).T  # symmetric: the CSR product read as CSC
     pattern.sort_indices()
     pattern.data = np.arange(pattern.nnz, dtype=np.int32)
-    slots = []
-    for r, c in pairs:
-        r, c = np.broadcast_arrays(np.maximum(r, 0), np.maximum(c, 0))
-        found = pattern[r.ravel(), c.ravel()] if pattern.nnz else np.zeros(r.size, np.int32)
-        slots.append(np.asarray(found).reshape(r.shape))
-    return pattern.indices, pattern.indptr, slots
+    r, c = np.broadcast_arrays(np.maximum(rows, 0), np.maximum(cols, 0))
+    slots = pattern[r.ravel(), c.ravel()] if pattern.nnz else np.zeros(r.size, np.int32)
+    return pattern.indices, pattern.indptr, np.asarray(slots).reshape(r.shape)
 
 
 def _lines_from_positions(values: np.ndarray) -> np.ndarray:
@@ -160,6 +158,8 @@ def build_patches(
     if pos.size and (pos.min() < 0.0 or pos.max() > 1.0):
         raise ConstraintError("constraint positions fall outside the unit square")
     if tiles is not None:
+        if min(tiles) < 1:
+            raise ValidationError(f"tiles must be >= 1 along each axis, got {tuple(tiles)}")
         xlines = np.linspace(0.0, 1.0, tiles[0] + 1)
         ylines = np.linspace(0.0, 1.0, tiles[1] + 1)
     else:
@@ -212,7 +212,7 @@ def build_patches(
     # the node numbering, so that a refill walks each CSC column in order
     free_of = np.where(np.isin(node_of, pin_nodes), -1, np.searchsorted(free_nodes, node_of))
     free_of = free_of.reshape(n_patches, n, n).transpose(0, 2, 1)
-    # p > 2: a block couples all copies of its patch, so a column's rows are
+    # a block couples all copies of its patch, so a column's rows are
     # the free nodes of the patches holding its node. They depend only on
     # the node's kind (inside, on one of four sides or at one of four
     # corners): an entry's slot is its column's start plus its row's rank in
@@ -221,19 +221,8 @@ def build_patches(
     kind = 3 * side[:, None] + side
     rep = np.full((n_patches, 9), -1)
     np.maximum.at(rep, (np.arange(n_patches)[:, None, None], kind), free_of)
-    indices, indptr, (ranks,) = _coupling(
-        free_of, [np.arange(n_patches)[:, None, None]], [(free_of[:, None], rep[..., None, None])]
-    )
+    indices, indptr, ranks = _coupling(free_of, free_of[:, None], rep[..., None, None])
     ranks = np.maximum(ranks - indptr[np.maximum(rep, 0)][..., None, None], 0)
-    # p = 2: a block couples the copies on one grid line; entries run
-    # [patch, ix, iy, jx] on y-lines and [patch, ix, iy, jy] on x-lines
-    line = np.arange(n_patches * n).reshape(n_patches, n)
-    lines = _coupling(
-        free_of,
-        [line[:, None, :], line.size + line[:, :, None]],
-        [(free_of.transpose(0, 2, 1)[:, None], free_of[..., None]),
-         (free_of[:, :, None], free_of[..., None])],
-    )
     return PatchedDomain(
         xlines=xlines,
         ylines=ylines,
@@ -248,5 +237,4 @@ def build_patches(
         d1y=d1y,
         free_of=free_of,
         pattern=(indices, indptr, (indptr[np.maximum(free_of, 0)], ranks, kind)),
-        pattern_p2=lines,
     )

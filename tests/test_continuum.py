@@ -362,8 +362,22 @@ def test_ritz_hessian_equals_gtmg(kind, ppp, p):
     assert h.shape == ref.shape == (dom.free_nodes.size,) * 2
     assert abs(h - ref).max() <= 1e-13 * abs(ref).max()
     if p == 2.0:
-        # the p = 2 pattern carries no cross-term slots
+        # the vanishing cross term's exact zeros are dropped
         assert h.nnz == ref.nnz
+
+
+def test_p2_hessian_leaves_the_domain_pattern_intact():
+    # the p = 2 Hessian drops zeros from a matrix sharing the pattern's arrays
+    dom, energy, v = hessian_point("boundary", 7, 3.0)
+    saved = [a.copy() for a in dom.pattern[:2]] + [s.copy() for s in dom.pattern[2]]
+    energy.hessian(v, 2.0, 1e-3)
+    for before, after in zip(saved, [*dom.pattern[:2], *dom.pattern[2]]):
+        np.testing.assert_array_equal(after, before)
+    h = energy.hessian(v, 3.0, 1e-3)
+    _, fresh, _ = hessian_point("boundary", 7, 3.0)
+    ref = fresh.hessian(v, 3.0, 1e-3)
+    for a, b in [(h.indices, ref.indices), (h.indptr, ref.indptr), (h.data, ref.data)]:
+        np.testing.assert_array_equal(a, b)
 
 
 def test_minimize_with_every_node_pinned():
@@ -567,5 +581,8 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         nonlocal_energy(lambda q: q[:, 0], prob.density, 0.5, cells_per_radius=1)
     fld = PatchedField(prob.domain, np.zeros(prob.domain.n_nodes))
-    with pytest.raises(ValidationError):
-        fld.evaluate(np.array([[1.5, 0.5]]))
+    for bad in (1.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            fld.evaluate(np.array([[bad, 0.5]]))
+        with pytest.raises(ValidationError):
+            fld.evaluate(np.array([[0.5, 0.5], [0.5, bad]]))

@@ -4,7 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import integrate
+from scipy.interpolate import BSpline
 from scipy.signal import fftconvolve
 
 import pdirichlet.density as density_module
@@ -65,6 +67,16 @@ def test_reference_gradient_matches_finite_differences(name):
         shift[axis] = eps
         fd = (rho.value_at(pts + shift) - rho.value_at(pts - shift)) / (2 * eps)
         np.testing.assert_allclose(grad[:, axis], fd, atol=5e-6, rtol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_points_rejected(bad):
+    rho = reference_density("rho2")
+    for pts in ([[bad, 0.5]], [[0.5, bad]], [[0.2, 0.2], [bad, bad]]):
+        with pytest.raises(ValidationError):
+            rho.value_at(pts)
+        with pytest.raises(ValidationError):
+            rho.gradient_at(pts)
 
 
 def test_unknown_density_rejected():
@@ -296,6 +308,63 @@ def test_skde_gradient_matches_finite_differences():
             field.value_at(pts + shift, clip=False) - field.value_at(pts - shift, clip=False)
         ) / (2 * eps)
         np.testing.assert_allclose(grad[:, axis], fd, rtol=2e-5, atol=2e-6)
+
+
+def derivative_matrix(t, degree):
+    """Coefficient map of spline differentiation: degree k on t -> degree k-1
+    on t[1:-1], d_j = k (c_{j+1} - c_j) / (t_{j+k+1} - t_{j+1})."""
+    n = len(t) - degree - 1
+    scale = degree / (t[degree + 1 : degree + n] - t[1:n])
+    return sp.diags([-scale, scale], [0, 1], shape=(n - 1, n), format="csr")
+
+
+def reference_tensor_spline(t, coefs, pts):
+    """Values and gradients of sum_ij coefs[j, i] B_i(x) B_j(y) from 1D design
+    matrices, the gradients through the differentiated coefficients."""
+    d1 = derivative_matrix(t, 3).toarray()
+
+    def combine(tx, kx, ty, ky, c):
+        bx = BSpline.design_matrix(pts[:, 0], tx, kx)
+        by = BSpline.design_matrix(pts[:, 1], ty, ky)
+        return np.asarray(by.multiply(bx @ c.T).sum(axis=1)).ravel()
+
+    values = combine(t, 3, t, 3, coefs)
+    gx = combine(t[1:-1], 2, t, 3, coefs @ d1.T)
+    gy = combine(t, 3, t[1:-1], 2, d1 @ coefs)
+    return values, np.column_stack([gx, gy])
+
+
+def test_spline_field_matches_tensor_design_reference():
+    cfg = SplineConfig(num_knots=12 * 12, lam=1e-5)
+    rng = np.random.default_rng(41)
+    field = skde_fit(1.0 + rng.random(cfg.num_knots), cfg)
+    s = np.linspace(0.0, 1.0, 33)  # edges and corners included
+    xx, yy = np.meshgrid(s, s)
+    pts = np.vstack([np.column_stack([xx.ravel(), yy.ravel()]), rng.random((500, 2))])
+    values, grads = reference_tensor_spline(field.t, field.coefs, pts)
+    got_values = field.value_at(pts, clip=False)
+    got_grads = field.gradient_at(pts, clip=False)
+    np.testing.assert_allclose(got_values, values, rtol=0, atol=1e-12 * np.abs(values).max())
+    np.testing.assert_allclose(got_grads, grads, rtol=0, atol=1e-12 * np.abs(grads).max())
+
+
+@pytest.mark.parametrize("deriv", [0, 1, 2])
+def test_bspline_gram_matches_derivative_chain(deriv):
+    t = density_module._open_knot_vector(np.linspace(0.0, 1.0, 9))
+    chain = sp.identity(len(t) - 4, format="csr")
+    tt, deg = t, 3
+    for _ in range(deriv):
+        chain = derivative_matrix(tt, deg) @ chain
+        tt, deg = tt[1:-1], deg - 1
+    xg, wg = np.polynomial.legendre.leggauss(4)
+    breaks = np.unique(t)
+    mid, half = (breaks[:-1] + breaks[1:]) / 2.0, np.diff(breaks) / 2.0
+    xq = (mid[:, None] + half[:, None] * xg).ravel()
+    wq = (half[:, None] * wg).ravel()
+    basis = (BSpline.design_matrix(xq, tt, deg) @ chain).toarray()
+    expected = basis.T @ (wq[:, None] * basis)
+    got = density_module._bspline_gram(t, 3, deriv)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
 def test_one_operator_serves_several_fits():

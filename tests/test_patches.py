@@ -1,5 +1,7 @@
 """Patched-domain geometry: tiling, node matching, constraint placement."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,12 @@ def test_constraint_validation():
     with pytest.raises(ConstraintError):
         # positions without 0 and 1 cannot define a tiling on their own
         build_patches(np.array([[0.25, 0.25]]), np.array([1.0]), 5)
+
+
+@pytest.mark.parametrize("tiles", [(0, 1), (1, 0), (-1, 2)])
+def test_tiles_below_one_rejected(tiles):
+    with pytest.raises(ValidationError, match=re.escape(str(tiles))):
+        build_patches(None, None, 5, tiles=tiles, boundary_value_fn=lambda x, y: x)
 
 
 def test_conflicting_labels_rejected():
