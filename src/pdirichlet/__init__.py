@@ -39,7 +39,6 @@ from .density import (
 )
 from .graph import (
     ConstraintSet,
-    MinimizerResult,
     WeightedGraph,
     build_epsilon_graph,
     build_knn_graph,
@@ -50,6 +49,7 @@ from .graph import (
     solve_p2_direct,
 )
 from .patches import PatchedDomain, build_patches
+from .solver import MinimizerResult
 from .csvio import Table, read_csv, write_csv
 from .config import RunConfig, config_hash, config_text, parse_config
 from .experiments import (

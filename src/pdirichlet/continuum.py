@@ -12,9 +12,9 @@ gradients,
 Pins fix geometric-node values, so continuity, flux balance across
 interfaces and the natural boundary condition need no equations of their
 own. The energy is convex in v, and `minimize_continuum` minimizes it by
-damped Newton with sparse direct solves, on the same Newton iteration as
-the discrete route. Each step fills the data of the Hessian pattern that
-`build_patches` lays out once per domain.
+damped Newton with sparse direct solves, on the driver of
+`pdirichlet.solver` that the discrete route also runs. Each step's Hessian
+is the domain's `PatchedDomain.stiffness` of the per-copy curvature.
 
 The module also evaluates the nonlocal relative of the energy,
 eps^-p * double integral of eta_eps(|x-z|) |u(x)-u(z)|^p rho(x) rho(z),
@@ -33,8 +33,8 @@ from scipy.sparse.linalg import splu
 from .chebyshev import _barycentric_weights
 from .density import DensityField, sigma_eta, uniform_mesh
 from .errors import SingularSystemError, ValidationError
-from .graph import MinimizerResult, _newton
 from .patches import PatchedDomain
+from .solver import MinimizerResult, _newton
 
 __all__ = [
     "ContinuumProblem",
@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 _NONLOCAL_MAX_CELLS = 3200
-# entries of the patch blocks that one chunk of a Hessian refill holds
-_BLOCK_BUDGET = 1 << 21
 
 
 @dataclass
@@ -102,12 +100,22 @@ def local_energy(u: np.ndarray, problem: ContinuumProblem) -> float:
     return float(np.vdot(problem._weight, (gx * gx + gy * gy) ** (problem.p / 2.0)))
 
 
-class _RitzEnergy:
-    """The quadrature energy as a function of the geometric-node values,
-    with gradient and Hessian over the free (unpinned) nodes, in the form
-    the shared Newton iteration (`graph._newton`) takes, unsmoothed."""
+def _factor_solve(h: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve one SPD Newton system by sparse LU with a symmetric ordering."""
+    try:
+        lu = splu(h, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SingularSystemError(f"Newton system is singular: {exc}") from exc
+    return lu.solve(rhs)
 
-    s = bias = 0.0
+
+class _RitzEnergy:
+    """The quadrature energy of the geometric-node values as a
+    `pdirichlet.solver` problem, with gradient and Hessian over the free
+    (unpinned) nodes. The energy is exact, so its bias is 0."""
+
+    bias = 0.0
+    solve = staticmethod(_factor_solve)
 
     def __init__(self, problem: ContinuumProblem):
         self.p = problem.p
@@ -129,61 +137,15 @@ class _RitzEnergy:
         return np.bincount(dom.node_of, per_copy.ravel(), v.size)[self.free]
 
     def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
-        """Q^T B Q over the free nodes; B holds per patch D^T M D, D = (Dx, Dy)
-        and M, per copy, the 2x2 Hessian a I + b g g^T of weight * |g|^p with
-        |g| floored at ``delta``: a = p weight |g|^(p-2), b = (p - 2) a / |g|^2.
-        As Dx and Dy act along grid lines, the xx and yy terms are
-        d1^T diag(m) d1 along each grid line and the cross term is
-        d1x[jx, ix] mxy[iy, jx] d1y[iy, jy], which couples every pair of
-        copies of a patch. Pinned copies' rows and columns are zeroed, and the
-        blocks are added, a chunk of patches at a time, into the data of the
-        domain's fixed pattern. At p = 2 the cross term vanishes and its exact
-        zeros are dropped, so the start step's LU fill is that of the
-        operator's own grid-line coupling."""
-        dom = self._dom
-        gx, gy = _spectral_gradient(v[dom.node_of], dom)
+        """The domain's stiffness of the per-copy 2x2 Hessian a I + b g g^T of
+        weight * |g|^p, with |g| floored at ``delta``: a = p weight
+        |g|^(p-2), b = (p - 2) a / |g|^2. At p = 2, b is 0, so the matrix
+        holds only the operator's grid-line coupling."""
+        gx, gy = _spectral_gradient(v[self._dom.node_of], self._dom)
         sq = np.maximum(gx * gx + gy * gy, delta * delta)
         a = p * self._problem._weight * sq ** ((p - 2.0) / 2.0)
         b = (p - 2.0) * a / sq
-        indices, indptr, (starts, ranks, kind) = dom.pattern
-        mxx, mxy = a + b * gx * gx, b * gx * gy
-        # myy transposed to [patch, ix, iy], as its lines run along y
-        myy = (a + b * gy * gy).transpose(0, 2, 1)
-        data = np.zeros(max(indices.size, 1))  # slot 0 exists even with no free node
-        chunk = max(1, _BLOCK_BUDGET // dom.d1x.shape[1] ** 4)
-        for lo in range(0, dom.d1x.shape[0], chunk):
-            at = slice(lo, lo + chunk)
-            d1x, d1y, free = dom.d1x[at], dom.d1y[at], dom.free_of[at] >= 0
-            d1xt, d1yt = d1x.transpose(0, 2, 1), d1y.transpose(0, 2, 1)
-            # [patch, ix, iy, jx] and [patch, ix, iy, jy], as the slots run
-            xx = (d1xt[:, :, None] * mxx[at][:, None]) @ d1x[:, None]
-            xx *= free[..., None] & free.transpose(0, 2, 1)[:, None]
-            yy = (d1yt[:, None] * myy[at][:, :, None]) @ d1y[:, None]
-            yy *= free[..., None] & free[:, :, None]
-            # [patch, ix, iy, jx, jy]
-            cross = (d1xt[:, :, None] * mxy[at][:, None] * free[..., None])[..., None]
-            cross = cross * (d1y[:, :, None] * free[:, None])[:, None]
-            where = starts[at][..., None, None] + ranks[at][:, kind]
-            block = np.add(cross, cross.transpose(0, 3, 4, 1, 2), order="C")
-            # flat, as ufunc.at takes its fast path on 1D indices only
-            np.add.at(data, where.ravel(), block.ravel())
-            np.add.at(data, np.einsum("pxyXy->pxyX", where).ravel(), xx.ravel())
-            np.add.at(data, np.einsum("pxyxY->pxyY", where).ravel(), yy.ravel())
-        h = sp.csc_matrix((data[: indices.size], indices, indptr), shape=(self.free.size,) * 2)
-        if p == 2.0:
-            # on a copy: h shares the domain's index arrays, which this edits
-            h = h.copy()
-            h.eliminate_zeros()
-        return h
-
-
-def _factor_solve(h: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve one SPD Newton system by sparse LU with a symmetric ordering."""
-    try:
-        lu = splu(h, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SingularSystemError(f"Newton system is singular: {exc}") from exc
-    return lu.solve(rhs)
+        return self._dom.stiffness(a + b * gx * gx, b * gx * gy, a + b * gy * gy)
 
 
 def minimize_continuum(
@@ -216,7 +178,7 @@ def minimize_continuum(
     dom = problem.domain
     v = np.full(dom.node_points.shape[0], float(dom.pin_values.mean()))
     v[dom.pin_nodes] = dom.pin_values
-    result = _newton(_RitzEnergy(problem), v, tol, max_iter, _factor_solve)
+    result = _newton(_RitzEnergy(problem), v, tol, max_iter)
     result.values = result.values[dom.node_of]
     result.field = PatchedField(dom, result.values)
     return result

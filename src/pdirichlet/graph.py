@@ -6,19 +6,15 @@ energy
 
     E(f) = (1 / (eps^p n^2)) * sum_ij W_ij |f_i - f_j|^p
 
-over the other nodes. `minimize_discrete` runs one damped Newton method
-for every p > 1: it starts from the exact p = 2 minimizer, solves each
-step's weighted-Laplacian Hessian system by Jacobi-preconditioned CG, takes
-an Armijo backtracking step, and stops on a certificate of the relative
-energy gap, so ``tol`` means the same for every p. For 1 < p < 2 the
-Hessian blows up where neighbouring values meet, so Newton runs on the
-smoothed energy with |t|^p replaced by (t^2 + s^2)^(p/2), along a ladder
-of shrinking s; the smoothing adds at most sum_ij W_ij s^p (scaled) to the
-gap, and the certificate counts it. Steps are accepted only if the energy
-does not increase, so recorded energy traces are monotone by construction.
-For p = 2 the minimizer is also available as a direct sparse linear solve,
-which serves as an exact cross-check. The same Newton iteration also
-minimizes the continuum quadrature energy of `pdirichlet.continuum`.
+over the other nodes. `minimize_discrete` runs the damped Newton driver of
+`pdirichlet.solver` for every p > 1 and solves each step's
+weighted-Laplacian Hessian system by Jacobi-preconditioned CG. For
+1 < p < 2 the Hessian blows up where neighbouring values meet, so Newton
+runs on the smoothed energy with |t|^p replaced by (t^2 + s^2)^(p/2), along
+a ladder of shrinking s; the smoothing adds at most sum_ij W_ij s^p
+(scaled) to the gap, and the certificate counts it, so ``tol`` means the
+same for every p. For p = 2 the minimizer is also available as a direct
+sparse linear solve, which serves as an exact cross-check.
 """
 
 from __future__ import annotations
@@ -31,11 +27,11 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .errors import ConstraintError, ValidationError
+from .solver import MinimizerResult, _newton
 
 __all__ = [
     "WeightedGraph",
     "ConstraintSet",
-    "MinimizerResult",
     "default_epsilon",
     "build_epsilon_graph",
     "build_knn_graph",
@@ -93,32 +89,6 @@ class ConstraintSet:
     def check_against(self, n: int) -> None:
         if self.indices.min() < 0 or self.indices.max() >= n:
             raise ConstraintError(f"constraint indices out of range for {n} nodes")
-
-
-@dataclass
-class MinimizerResult:
-    """Outcome of an energy minimization run.
-
-    ``energies`` lists the energy after every accepted step (starting from
-    the initial iterate), so monotonicity can be audited after the fact.
-    ``stop_reason`` is "converged", "budget" or "stalled"; only the first
-    is converged. ``decrement`` is the last bound on the energy gap (0 for
-    a direct solve). ``field`` is the evaluable continuum field, None for
-    graph labelings.
-    """
-
-    values: np.ndarray
-    energy: float
-    energies: np.ndarray
-    iterations: int
-    residual: float
-    stop_reason: str
-    decrement: float
-    field: object = None
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == "converged"
 
 
 def default_epsilon(n: int, p: float) -> float:
@@ -243,17 +213,12 @@ def discrete_energy_gradient(graph: WeightedGraph, values: np.ndarray, p: float)
     return 2.0 * p * _energy_scale(graph, p) * grad
 
 
-# Newton: PCG relative residual, PCG iteration cap per unknown, Armijo
-# sufficient-decrease fraction, and the step length at which the line
-# search gives up
+# PCG relative residual and iteration cap per unknown
 _PCG_RTOL = 1e-10
 _PCG_MAX_ITER_FACTOR = 4
-_ARMIJO = 1e-4
-_MIN_NEWTON_STEP = 2.0**-40
-_EPS = float(np.finfo(float).eps)
 # smoothing ladder (1 < p < 2): a stage ends once its decrement is below
 # _STAGE_TOL times its smoothing bias, the most by which its own minimum
-# can be off, and the next divides s by _SMOOTHING_RATIO
+# can be off
 _STAGE_TOL = 1e-2
 _SMOOTHING_RATIO = 10.0
 
@@ -277,6 +242,31 @@ def _start_values(graph: WeightedGraph, constraints: ConstraintSet):
     return f, (lo < hi)[comp]
 
 
+def _pcg(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients for the SPD system a x = b,
+    started from 0 and stopped once |a x - b| <= _PCG_RTOL |b|. Every
+    iterate is a descent direction for the quadratic model, so a capped
+    solve still gives a usable Newton step."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    inv_diag = 1.0 / a.diagonal()
+    z = inv_diag * r
+    d = z.copy()
+    rz = float(r @ z)
+    stop = (_PCG_RTOL * float(np.linalg.norm(b))) ** 2
+    for _ in range(_PCG_MAX_ITER_FACTOR * b.size + 10):
+        if float(r @ r) <= stop:
+            break
+        ad = a @ d
+        alpha = rz / float(d @ ad)
+        x += alpha * d
+        r -= alpha * ad
+        z = inv_diag * r
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
+    return x
+
+
 class _PinnedEdges:
     """The free part of a constrained graph energy, with each edge stored once.
 
@@ -288,8 +278,11 @@ class _PinnedEdges:
     With smoothing ``s`` > 0 each edge term |t|^p, t = f_i - f_j, becomes
     (t^2 + s^2)^(p/2). For p <= 2 that term exceeds |t|^p by at most s^p,
     so ``bias`` = scale sum w s^p bounds how far the smoothed energy lies
-    above the true one at any f.
+    above the true one at any f. The smoothing ladder runs through
+    `refine`, and `minimize_discrete` reports the true energy at the end.
     """
+
+    solve = staticmethod(_pcg)
 
     def __init__(self, graph: WeightedGraph, constraints: ConstraintSet, p: float,
                  solved: np.ndarray, s: float):
@@ -325,6 +318,14 @@ class _PinnedEdges:
         """Set the smoothing ``s`` and its energy bias bound."""
         self.s = s
         self.bias = self.scale * float(self.w.sum()) * s**self.p
+
+    def refine(self, decrement: float) -> bool:
+        """Start the next stage of the smoothing ladder, with s divided by
+        _SMOOTHING_RATIO, once this stage is done; returns whether it did."""
+        done = decrement <= _STAGE_TOL * self.bias
+        if done:
+            self.smooth(self.s / _SMOOTHING_RATIO)
+        return done
 
     def _gaps(self, f: np.ndarray):
         """t = f_i - f_j per edge and its smoothed size u = sqrt(t^2 + s^2),
@@ -362,119 +363,6 @@ class _PinnedEdges:
         return sp.csr_matrix((data, self._indices, self._indptr), shape=(nf, nf))
 
 
-def _pcg(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients for the SPD system a x = b,
-    started from 0 and stopped once |a x - b| <= _PCG_RTOL |b|. Every
-    iterate is a descent direction for the quadratic model, so a capped
-    solve still gives a usable Newton step."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    inv_diag = 1.0 / a.diagonal()
-    z = inv_diag * r
-    d = z.copy()
-    rz = float(r @ z)
-    stop = (_PCG_RTOL * float(np.linalg.norm(b))) ** 2
-    for _ in range(_PCG_MAX_ITER_FACTOR * b.size + 10):
-        if float(r @ r) <= stop:
-            break
-        ad = a @ d
-        alpha = rz / float(d @ ad)
-        x += alpha * d
-        r -= alpha * ad
-        z = inv_diag * r
-        rz, rz_old = float(r @ z), rz
-        d = z + (rz / rz_old) * d
-    return x
-
-
-def _newton(problem, f: np.ndarray, tol: float, max_iter: int, solve=_pcg):
-    """Damped Newton from the exact p = 2 minimizer, stopped on a gap bound.
-
-    Shared by both routes. ``problem`` exposes the free unknowns
-    (``free``, indices into ``f``), ``p``, the smoothing ``s`` with its
-    energy bias bound ``bias`` (both set by ``smooth(s)``, which is called
-    only if s > 0), and ``energy(f)``, ``gradient(f, p)`` and
-    ``hessian(f, p, delta)`` of the exponent-``p`` energy over the free
-    unknowns; ``solve(h, b)`` solves one Newton system. ``delta``,
-    sqrt(machine eps) times the range of the start values, floors the
-    gradient magnitudes in the Hessian weights, which vanish with them for
-    p > 2.
-
-    The run stops when the bound decrement + bias <= tol * (E - bias),
-    where E is the current (smoothed) energy: the decrement lambda^2 / 2
-    estimates the gap to the smoothed minimum, and the bias bounds how far
-    that minimum lies above the true one and E above the true energy, so
-    the bound caps the true gap at ``tol`` times the true energy. Until
-    then, a problem with s > 0 runs a ladder of stages: a stage whose
-    decrement is below _STAGE_TOL times its bias ends, and the next, with
-    s divided by _SMOOTHING_RATIO, continues from the same iterate.
-
-    Returns the `MinimizerResult` over ``f``: the energies after every
-    accepted step (the smoothed ones, then the true energy once if s > 0),
-    the max free-node gradient as the residual, and the last gap bound as
-    the decrement.
-    """
-    free = problem.free
-    delta = np.sqrt(_EPS) * max(float(np.ptp(f)), 1e-12)
-    f[free] += solve(problem.hessian(f, 2.0, delta), -problem.gradient(f, 2.0))
-    energy = problem.energy(f)
-    energies = [energy]
-    iterations = 0
-    while True:
-        grad = problem.gradient(f, problem.p)
-        step = solve(problem.hessian(f, problem.p, delta), -grad)
-        decrement = -0.5 * float(grad @ step)
-        bias = problem.bias
-        certified = decrement + bias <= tol * (energy - bias)
-        if iterations >= max_iter:
-            reason = "converged" if certified else "budget"
-            break
-        if problem.s and not certified and decrement <= _STAGE_TOL * bias:
-            problem.smooth(problem.s / _SMOOTHING_RATIO)
-            energy = problem.energy(f)
-            continue
-        # a certified step whose predicted decrease is below the rounding of
-        # E cannot change it, so it is not tried
-        if certified and 2.0 * decrement <= _EPS * energy:
-            reason = "converged"
-            break
-        # Armijo backtracking (lambda^2 = 2 * decrement is the decrease the
-        # model predicts at t = 1); a certified step is only tried at full
-        # length, which costs one energy evaluation and squares the gap
-        t = 1.0
-        while True:
-            cand = f.copy()
-            cand[free] += t * step
-            cand_energy = problem.energy(cand)
-            if cand_energy <= energy - _ARMIJO * t * 2.0 * decrement:
-                f, energy = cand, cand_energy
-                energies.append(energy)
-                iterations += 1
-                break
-            t /= 2.0
-            if certified or t < _MIN_NEWTON_STEP:
-                break
-        if certified:
-            reason = "converged"
-            break
-        if t < _MIN_NEWTON_STEP:
-            reason = "stalled"
-            break
-    residual = float(np.abs(problem.gradient(f, problem.p)).max()) if free.size else 0.0
-    if problem.s:
-        problem.smooth(0.0)
-        energies.append(problem.energy(f))
-    return MinimizerResult(
-        values=f,
-        energy=energies[-1],
-        energies=np.asarray(energies),
-        iterations=iterations,
-        residual=residual,
-        stop_reason=reason,
-        decrement=decrement + bias,
-    )
-
-
 def minimize_discrete(
     graph: WeightedGraph,
     constraints: ConstraintSet,
@@ -489,10 +377,11 @@ def minimize_discrete(
     and every other node (pin-free components, isolated nodes) keeps the
     constraint mean.
 
-    The solver is a damped Newton method for every p > 1. It starts from
-    the exact p = 2 minimizer (one Newton step of the p = 2 energy from the
-    start values). Each step solves the weighted-Laplacian Hessian system
-    by Jacobi-preconditioned CG and takes an Armijo backtracking step. For
+    The solver is the damped Newton driver of `pdirichlet.solver`, for
+    every p > 1. It starts from the exact p = 2 minimizer (one Newton step
+    of the p = 2 energy from the start values). Each step solves the
+    weighted-Laplacian Hessian system by Jacobi-preconditioned CG and takes
+    an Armijo backtracking step. For
     p >= 2, with edge curvature floored at a gap of sqrt(machine eps) times
     the label range, it stops when the Newton decrement lambda^2 / 2 =
     -g.d / 2, an estimate of the remaining energy gap E - E_min, drops to
@@ -542,7 +431,13 @@ def minimize_discrete(
     constraints.check_against(graph.n)
     f, solved = _start_values(graph, constraints)
     s = float(np.ptp(constraints.values)) if p < 2.0 else 0.0
-    return _newton(_PinnedEdges(graph, constraints, p, solved, s), f, tol, max_iter)
+    problem = _PinnedEdges(graph, constraints, p, solved, s)
+    result = _newton(problem, f, tol, max_iter)
+    if s:
+        problem.smooth(0.0)
+        result.energy = problem.energy(result.values)
+        result.energies = np.append(result.energies, result.energy)
+    return result
 
 
 def solve_p2_direct(graph: WeightedGraph, constraints: ConstraintSet) -> MinimizerResult:

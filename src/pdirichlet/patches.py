@@ -11,11 +11,13 @@ sends geometric-node values to the copies, so every field is continuous
 across patches by construction. This module owns the geometry and the
 static operators built from it: the tiling, the matching of copies to
 geometric nodes, the per-patch 1D derivative matrices and per-copy
-quadrature weights, the pins, and the fixed CSC pattern of the free-node
-Newton Hessian with the slot of every per-patch block entry in its data, so
-that a Newton step only refills the data. One pattern serves every p: a
-block couples every pair of copies of its patch. A constraint pins its
-geometric node exactly, including a cross point where four patches meet.
+quadrature weights, the pins, and the layout of the free-node Newton
+Hessian: a fixed CSC pattern, laid out once, with the slot of every
+per-patch block entry in its data, so that the Hessian of each Newton step
+is one fill of that data from the per-copy curvature. One pattern serves
+every p: a block couples every pair of copies of its patch. A constraint
+pins its geometric node exactly, including a cross point where four
+patches meet.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .errors import ConstraintError, ValidationError
 __all__ = ["PatchedDomain", "build_patches"]
 
 _KEY_DECIMALS = 12
+# entries of the patch blocks that one chunk of a stiffness fill holds
+_BLOCK_BUDGET = 1 << 21
 
 
 def _key(x: float, y: float) -> tuple[float, float]:
@@ -45,9 +49,9 @@ class PatchedDomain:
     values (patch ``iy_tile * (xlines.size - 1) + ix_tile``); arrays over
     geometric nodes follow ``node_points``. ``d1x``/``d1y`` stack the
     patches' 1D derivative matrices, so a field ``u`` reshaped to
-    ``d1x.shape`` has d/dx ``u @ d1x^T`` and d/dy ``d1y @ u``. ``pattern``
-    holds the CSC indices, indptr and block-entry slots of the free-node
-    Hessian (see `build_patches`).
+    ``d1x.shape`` has d/dx ``u @ d1x^T`` and d/dy ``d1y @ u``. `stiffness`
+    assembles the free-node matrix of a per-copy 2x2 tensor on the fixed
+    pattern that `build_patches` lays out.
     """
 
     xlines: np.ndarray  # tile boundaries along x, ascending
@@ -61,13 +65,61 @@ class PatchedDomain:
     free_nodes: np.ndarray  # the other geometric nodes, ascending
     d1x: np.ndarray  # per-patch 1D d/dx, shape (patches, N, N)
     d1y: np.ndarray
-    free_of: np.ndarray  # free index of every copy, -1 if pinned, [patch, ix, iy]
-    pattern: tuple
+    # free index of every copy ([patch, ix, iy], -1 if pinned), the CSC
+    # indices and indptr of the free-node pattern, and the slots of the
+    # block entries in its data (see build_patches)
+    _layout: tuple
 
     @property
     def n_nodes(self) -> int:
         """Number of node copies, the length of a field's value vector."""
         return self.points.shape[0]
+
+    def stiffness(self, mxx: np.ndarray, mxy: np.ndarray, myy: np.ndarray) -> sp.csc_matrix:
+        """Q^T D^T M D Q over the free nodes, D = (Dx, Dy) per patch, for the
+        per-copy symmetric tensor M = [[mxx, mxy], [mxy, myy]], each
+        ``[patch, iy, ix]``.
+
+        As Dx and Dy act along grid lines, the xx and yy terms are
+        d1^T diag(m) d1 along each grid line and the cross term is
+        d1x[jx, ix] mxy[iy, jx] d1y[iy, jy], which couples every pair of
+        copies of a patch. Pinned copies' rows and columns are zeroed, and the
+        blocks are added, a chunk of patches at a time, into the data of the
+        fixed pattern. An all-zero ``mxy`` skips the cross term, and then the
+        pattern's empty slots are dropped, so the matrix (and its LU fill)
+        holds only the grid-line coupling.
+        """
+        free_of, indices, indptr, starts, ranks, kind = self._layout
+        cross_term = bool(mxy.any())
+        # myy transposed to [patch, ix, iy], as its lines run along y
+        myy = myy.transpose(0, 2, 1)
+        data = np.zeros(max(indices.size, 1))  # slot 0 exists even with no free node
+        chunk = max(1, _BLOCK_BUDGET // self.d1x.shape[1] ** 4)
+        for lo in range(0, self.d1x.shape[0], chunk):
+            at = slice(lo, lo + chunk)
+            d1x, d1y, free = self.d1x[at], self.d1y[at], free_of[at] >= 0
+            d1xt, d1yt = d1x.transpose(0, 2, 1), d1y.transpose(0, 2, 1)
+            # [patch, ix, iy, jx] and [patch, ix, iy, jy], as the slots run
+            xx = (d1xt[:, :, None] * mxx[at][:, None]) @ d1x[:, None]
+            xx *= free[..., None] & free.transpose(0, 2, 1)[:, None]
+            yy = (d1yt[:, None] * myy[at][:, :, None]) @ d1y[:, None]
+            yy *= free[..., None] & free[:, :, None]
+            where = starts[at][..., None, None] + ranks[at][:, kind]
+            if cross_term:
+                # [patch, ix, iy, jx, jy]
+                cross = (d1xt[:, :, None] * mxy[at][:, None] * free[..., None])[..., None]
+                cross = cross * (d1y[:, :, None] * free[:, None])[:, None]
+                block = np.add(cross, cross.transpose(0, 3, 4, 1, 2), order="C")
+                # flat, as ufunc.at takes its fast path on 1D indices only
+                np.add.at(data, where.ravel(), block.ravel())
+            np.add.at(data, np.einsum("pxyXy->pxyX", where).ravel(), xx.ravel())
+            np.add.at(data, np.einsum("pxyxY->pxyY", where).ravel(), yy.ravel())
+        h = sp.csc_matrix((data[: indices.size], indices, indptr), shape=(self.free_nodes.size,) * 2)
+        if not cross_term:
+            # on a copy: h shares the layout's index arrays, which this edits
+            h = h.copy()
+            h.eliminate_zeros()
+        return h
 
 
 def _tile_axis(lines: np.ndarray, points_per_patch: int) -> tuple:
@@ -235,6 +287,5 @@ def build_patches(
         free_nodes=free_nodes,
         d1x=d1x,
         d1y=d1y,
-        free_of=free_of,
-        pattern=(indices, indptr, (indptr[np.maximum(free_of, 0)], ranks, kind)),
+        _layout=(free_of, indices, indptr, indptr[np.maximum(free_of, 0)], ranks, kind),
     )

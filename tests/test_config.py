@@ -74,6 +74,14 @@ def test_non_finite_reals_rejected(key, value, tmp_path, capsys):
         assert f"error[config]: config key '{key}'" in capsys.readouterr().err
 
 
+def test_mesh_capped_for_memory(tmp_path, capsys):
+    # 16 bytes per mesh point for the points alone: 6.4 GB at mesh 20000
+    assert parse_config_text("mesh=1536\n", subcommand="density").mesh == 1536
+    for sub in ("density", "study-density", "study-minimizers"):
+        assert run([sub, "--mesh", "20000", "--out", str(tmp_path)]) == 2
+        assert "error[config]: config key 'mesh' = 20000 out of range" in capsys.readouterr().err
+
+
 def test_negative_penalty_weight_rejected():
     with pytest.raises(ConfigError, match="'lambda' = -1.0 rejected"):
         parse_config_text("lambda=-1\n", subcommand="sample")
@@ -133,6 +141,7 @@ def test_out_of_range_values_name_their_key():
         ("lambda=0\n", "lambda"),
         ("seed=-1\n", "seed"),
         ("mesh=3\n", "mesh"),
+        ("mesh=1537\n", "mesh"),
         ("points_per_patch=3\n", "points_per_patch"),
         ("points_per_patch=41\n", "points_per_patch"),
         ("epsilon=0\n", "epsilon"),

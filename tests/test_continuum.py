@@ -362,16 +362,16 @@ def test_ritz_hessian_equals_gtmg(kind, ppp, p):
     assert h.shape == ref.shape == (dom.free_nodes.size,) * 2
     assert abs(h - ref).max() <= 1e-13 * abs(ref).max()
     if p == 2.0:
-        # the vanishing cross term's exact zeros are dropped
+        # the vanishing cross term is skipped and the slots only it fills are dropped
         assert h.nnz == ref.nnz
 
 
 def test_p2_hessian_leaves_the_domain_pattern_intact():
-    # the p = 2 Hessian drops zeros from a matrix sharing the pattern's arrays
+    # the p = 2 Hessian drops zeros from a matrix sharing the layout's arrays
     dom, energy, v = hessian_point("boundary", 7, 3.0)
-    saved = [a.copy() for a in dom.pattern[:2]] + [s.copy() for s in dom.pattern[2]]
+    saved = [a.copy() for a in dom._layout]
     energy.hessian(v, 2.0, 1e-3)
-    for before, after in zip(saved, [*dom.pattern[:2], *dom.pattern[2]]):
+    for before, after in zip(saved, dom._layout, strict=True):
         np.testing.assert_array_equal(after, before)
     h = energy.hessian(v, 3.0, 1e-3)
     _, fresh, _ = hessian_point("boundary", 7, 3.0)
