@@ -3,7 +3,9 @@
 Every subcommand parses flags (which mirror config-file keys one to one,
 with flags taking precedence), runs one pipeline, writes CSV artifacts plus
 a manifest listing the full configuration, its hash, the seeds, and the
-library versions, and prints a one-line summary per stage. Exit codes map
+library versions, and prints a one-line summary per stage; both solve
+subcommands print the same `solve:` line, and `solve-continuum` pins the
+same 3 x 3 lattice domain that `study-minimizers` solves on. Exit codes map
 error categories: 0 success, 2 configuration, 3 invalid values or
 constraints, 4 a singular linear system, 5 other package errors. A solve
 that ends unconverged is no error: its summary line says converged=False.
@@ -38,13 +40,12 @@ from .density import (
 from .errors import ConfigError, PDirichletError
 from .experiments import (
     StudyConfig,
+    _lattice_domain,
     constraint_labels,
     density_error_study,
-    label_value,
     minimizer_comparison,
 )
 from .graph import build_epsilon_graph, build_knn_graph, default_epsilon, minimize_discrete
-from .patches import build_patches
 
 _EXIT_CODES = {
     "config": 2,
@@ -105,6 +106,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _stage(name: str, detail: str, seconds: float, tail: str = "") -> None:
     print(f"{name}: {detail} ({seconds:.2f}s){tail}")
+
+
+def _solve_stage(config: RunConfig, result, seconds: float) -> None:
+    """The `solve:` line of either route's `MinimizerResult`."""
+    _stage(
+        "solve",
+        f"p={config.p:g} converged={result.converged} iterations={result.iterations} "
+        f"residual={result.residual:.3e} energy={result.energy:.6e}",
+        seconds,
+        f" stop={result.stop_reason} decrement={result.decrement:.3e}",
+    )
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -209,13 +221,7 @@ def _cmd_solve_discrete(config: RunConfig) -> None:
     start = time.perf_counter()
     constraints = labels.graph_constraints(config.n)
     result = minimize_discrete(graph, constraints, p=config.p, tol=config.tol)
-    _stage(
-        "solve",
-        f"p={config.p:g} converged={result.converged} iterations={result.iterations} "
-        f"residual={result.residual:.3e} energy={result.energy:.6e}",
-        time.perf_counter() - start,
-        f" stop={result.stop_reason} decrement={result.decrement:.3e}",
-    )
+    _solve_stage(config, result, time.perf_counter() - start)
     upper = sp.triu(graph.weights, k=1).tocoo()
     write_csv(Table.from_columns(("i", "j", "w"),
                                  (upper.row.astype(int), upper.col.astype(int), upper.data)),
@@ -237,28 +243,15 @@ def _cmd_solve_discrete(config: RunConfig) -> None:
 def _cmd_solve_continuum(config: RunConfig) -> None:
     out = _out_dir(config)
     rho = reference_density(config.density)
-    labels = constraint_labels()
     start = time.perf_counter()
     cloud = sample_density(rho, config.n, seed=config.seed)
     _stage("sample", f"{config.n} points from {config.density}", time.perf_counter() - start)
     spline = _estimate_field(config, cloud)
-    domain = build_patches(
-        labels.positions,
-        labels.values,
-        config.points_per_patch,
-        tiles=(3, 3),
-        label_fn=label_value,
-    )
+    domain = _lattice_domain(config.points_per_patch)
     problem = ContinuumProblem(domain=domain, density=spline, p=config.p)
     start = time.perf_counter()
     result = minimize_continuum(problem, tol=config.tol)
-    _stage(
-        "solve",
-        f"p={config.p:g} converged={result.converged} iterations={result.iterations} "
-        f"residual={result.residual:.3e} energy={result.energy:.6e}",
-        time.perf_counter() - start,
-        f" stop={result.stop_reason} decrement={result.decrement:.3e}",
-    )
+    _solve_stage(config, result, time.perf_counter() - start)
     n_patches, n, _ = domain.d1x.shape
     patch_ids = np.repeat(np.arange(n_patches), n * n)
     write_csv(

@@ -72,12 +72,6 @@ class ContinuumProblem:
             self.domain.d1x.shape
         )
 
-    @property
-    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pinned node coordinates and labels, one row per pinned node."""
-        dom = self.domain
-        return dom.node_points[dom.pin_nodes], dom.pin_values
-
 
 def _spectral_gradient(u: np.ndarray, dom: PatchedDomain) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch d/dx and d/dy of node-copy values, both [patch, iy, ix]."""

@@ -7,7 +7,10 @@ close the continuum minimizer built on an estimated density lands to the
 one built on the exact density, optionally alongside the discrete graph
 minimizer). Every study is driven by a frozen `StudyConfig`, runs a fixed
 seed list, and returns deterministic result tables (bit-identical on rerun)
-with wall times split into a separate timing table. Both studies reduce
+with wall times split into a separate timing table. Both studies run one
+estimate stage per (n, seed): draw the cloud, build the KDE once, and fit
+the spline to its knot values only when `skde` is configured; each
+estimator is charged only the work its own field needs. Both studies reduce
 their per-seed errors and times to the same per-method reports over n:
 medians over the seeds, with a flag for whether the L-infinity error falls
 in n. Cells run one after another: they hold the interpreter lock, so a
@@ -234,6 +237,41 @@ def _reports(config: StudyConfig, routes, samples: dict) -> tuple:
     return tuple(reports), flags
 
 
+def _estimates(config: StudyConfig, rho):
+    """The estimate stage of both studies, once per (n, seed).
+
+    Yields ``(n, seed, cloud, sample_seconds, estimates)``, where
+    ``estimates`` maps each configured estimator to its field and the
+    seconds of only the work that field needs: the KDE build for `kde`,
+    and the build, the KDE at the spline knots and the fit for `skde`. The
+    knot values are computed only when `skde` is configured.
+    """
+    spline_config = SplineConfig(num_knots=config.T, lam=config.lam)
+    fit_spline = "skde" in config.estimators
+    if fit_spline:
+        knots = spline_knots(spline_config)
+        # one factored spline operator serves every fit of the study
+        spline_op = SplineFit(spline_config)
+    for n in config.n_values:
+        for seed in config.seeds:
+            cloud, sample_seconds = _timed(sample_density, rho, n, seed=seed)
+            kde, kde_seconds = _timed(KdeDensityField, cloud, config.bandwidth(n))
+            fields = {"kde": (kde, kde_seconds)}
+            if fit_spline:
+                start = time.perf_counter()
+                spline = skde_fit(kde.value_at(knots), spline_config, spline_op)
+                fields["skde"] = (spline, kde_seconds + (time.perf_counter() - start))
+            yield n, seed, cloud, sample_seconds, {est: fields[est] for est in config.estimators}
+
+
+def _lattice_domain(points_per_patch: int):
+    """The 3 x 3 patch domain pinned at the 16 constraint-lattice points."""
+    labels = constraint_labels()
+    return build_patches(
+        labels.positions, labels.values, points_per_patch, tiles=(3, 3), label_fn=label_value
+    )
+
+
 def density_error_study(config: StudyConfig) -> StudyResult:
     """Estimator accuracy sweep over (estimator, n) cells.
 
@@ -241,16 +279,16 @@ def density_error_study(config: StudyConfig) -> StudyResult:
     L2/L-infinity errors of the density value and of both partial
     derivatives against the exact density on the evaluation mesh window.
     The results table holds per-cell medians over the seed list; per-seed
-    wall times go to the timing table.
+    wall times (the estimator's own work plus its mesh evaluation) go to the
+    timing table.
     """
     rho = reference_density(config.density)
     mesh = config.mesh_size
     exact_value = rho.on_mesh(mesh)
     exact_grad = rho.gradient_on_mesh(mesh)
-    spline_config = SplineConfig(num_knots=config.T, lam=config.lam)
-    knots = spline_knots(spline_config)
-    # one factored spline operator serves every fit of the study
-    spline_op = SplineFit(spline_config) if "skde" in config.estimators else None
+
+    def on_mesh(estimate):
+        return estimate.on_mesh(mesh), estimate.gradient_on_mesh(mesh)
 
     def errors(value, grad):
         return (
@@ -261,22 +299,10 @@ def density_error_study(config: StudyConfig) -> StudyResult:
 
     # (estimator, n) -> per-seed (errors, seconds)
     cells = {(est, n): [] for n in config.n_values for est in config.estimators}
-    for n in config.n_values:
-        for seed in config.seeds:
-            cloud = sample_density(rho, n, seed=seed)
-            start = time.perf_counter()
-            kde = KdeDensityField(cloud, config.bandwidth(n))
-            build_time = time.perf_counter() - start
-            fields = {"kde": (kde.on_mesh(mesh), kde.gradient_on_mesh(mesh))}
-            # both estimators pay the KDE build; only kde pays its mesh evaluation
-            times = {"kde": time.perf_counter() - start}
-            if spline_op is not None:
-                start = time.perf_counter()
-                spline = skde_fit(kde.value_at(knots), spline_config, spline_op)
-                fields["skde"] = (spline.on_mesh(mesh), spline.gradient_on_mesh(mesh))
-                times["skde"] = build_time + (time.perf_counter() - start)
-            for est in config.estimators:
-                cells[(est, n)].append((errors(*fields[est]), times[est]))
+    for n, _, _, _, estimates in _estimates(config, rho):
+        for est, (estimate, estimate_seconds) in estimates.items():
+            fields, mesh_seconds = _timed(on_mesh, estimate)
+            cells[(est, n)].append((errors(*fields), estimate_seconds + mesh_seconds))
 
     result_rows = []
     timing_rows = []
@@ -323,19 +349,8 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
     rho = reference_density(config.density)
     constraints = constraint_labels()
     mesh = config.mesh_size
-    spline_config = SplineConfig(num_knots=config.T, lam=config.lam)
-    knots = spline_knots(spline_config)
-    spline_op = SplineFit(spline_config) if "skde" in config.estimators else None
-
-    # one patch domain, with its static operators, and one factored spline
-    # operator serve every solve and fit of the study
-    domain = build_patches(
-        constraints.positions,
-        constraints.values,
-        config.points_per_patch,
-        tiles=(3, 3),
-        label_fn=label_value,
-    )
+    # one patch domain, with its static operators, serves every solve
+    domain = _lattice_domain(config.points_per_patch)
 
     def solve_continuum(density):
         problem = ContinuumProblem(domain=domain, density=density, p=config.p)
@@ -355,34 +370,24 @@ def minimizer_comparison(config: StudyConfig) -> StudyResult:
         timing_rows.append((route, n, seed, sample_s, estimate_s, solve_s, pipeline))
         samples.setdefault((route, n), []).append((l2, linf, pipeline))
 
-    for n in config.n_values:
-        for seed in config.seeds:
-            cloud, sample_seconds = _timed(sample_density, rho, n, seed=seed)
+    for n, seed, cloud, sample_seconds, estimates in _estimates(config, rho):
+        for est, (density, estimate_seconds) in estimates.items():
+            res, solve_seconds = _timed(solve_continuum, density)
+            l2, linf = error_metrics(res.field.on_mesh(mesh), reference_on_mesh, _REGION)
+            record(est, n, seed, l2, linf, res, sample_seconds, estimate_seconds, solve_seconds)
+        if config.include_discrete:
             start = time.perf_counter()
-            kde = KdeDensityField(cloud, config.bandwidth(n))
-            kde_knots = kde.value_at(knots)
-            kde_seconds = time.perf_counter() - start
-            for est in config.estimators:
-                start = time.perf_counter()
-                density = kde if est == "kde" else skde_fit(kde_knots, spline_config, spline_op)
-                estimate_seconds = kde_seconds + (time.perf_counter() - start)
-                res, solve_seconds = _timed(solve_continuum, density)
-                l2, linf = error_metrics(res.field.on_mesh(mesh), reference_on_mesh, _REGION)
-                record(est, n, seed, l2, linf, res, sample_seconds, estimate_seconds,
-                       solve_seconds)
-            if config.include_discrete:
-                start = time.perf_counter()
-                pts = np.vstack([cloud.points, constraints.positions])
-                graph = build_epsilon_graph(pts, default_epsilon(pts.shape[0], config.p))
-                graph_seconds = time.perf_counter() - start
-                res, solve_seconds = _timed(
-                    minimize_discrete, graph, constraints.graph_constraints(n), p=config.p,
-                    tol=config.tol,
-                )
-                keep = _in_window(pts[:, 0], pts[:, 1], _REGION)
-                diff = np.abs(res.values[keep] - reference.field.evaluate(pts[keep]))
-                record("discrete", n, seed, float(np.sqrt(np.mean(diff**2))),
-                       float(np.max(diff)), res, sample_seconds, graph_seconds, solve_seconds)
+            pts = np.vstack([cloud.points, constraints.positions])
+            graph = build_epsilon_graph(pts, default_epsilon(pts.shape[0], config.p))
+            graph_seconds = time.perf_counter() - start
+            res, solve_seconds = _timed(
+                minimize_discrete, graph, constraints.graph_constraints(n), p=config.p,
+                tol=config.tol,
+            )
+            keep = _in_window(pts[:, 0], pts[:, 1], _REGION)
+            diff = np.abs(res.values[keep] - reference.field.evaluate(pts[keep]))
+            record("discrete", n, seed, float(np.sqrt(np.mean(diff**2))),
+                   float(np.max(diff)), res, sample_seconds, graph_seconds, solve_seconds)
 
     results = Table(
         ("route", "n", "seed", "l2", "linf", "converged", "iterations", "residual",

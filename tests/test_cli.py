@@ -78,6 +78,22 @@ def test_solve_continuum_writes_field(tmp_path, capsys):
     assert "config_hash=" in manifest and "seeds=1" in manifest
 
 
+def test_solve_continuum_builds_its_domain_through_the_experiments_global(
+    tmp_path, monkeypatch
+):
+    # a tracer that rebinds `pdirichlet.experiments.build_patches` sees the
+    # CLI's domain build too
+    calls = []
+
+    def counting_build_patches(*args, **kwargs):
+        calls.append(args)
+        return build_patches(*args, **kwargs)
+
+    monkeypatch.setattr("pdirichlet.experiments.build_patches", counting_build_patches)
+    assert run(["solve-continuum", *TINY, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["solve-discrete", "solve-continuum"])
 def test_solve_line_ends_with_the_certificate(tmp_path, capsys, command):
     assert run([command, *TINY, "--out", str(tmp_path)]) == 0

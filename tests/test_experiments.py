@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from pdirichlet.density import KdeDensityField
+from pdirichlet.density import KdeDensityField, kde_evaluate
 from pdirichlet.errors import ValidationError
 from pdirichlet.experiments import (
     ErrorReport,
@@ -193,6 +193,40 @@ def test_density_study_charges_skde_only_its_own_work(monkeypatch):
             assert seconds > 0.2
         else:
             assert seconds < 0.2
+
+
+def test_minimizer_study_charges_each_estimator_only_its_own_work(monkeypatch):
+    # only skde uses the KDE's values at the spline knots; the slowed
+    # `value_at` also runs in the kde route's solve, which is not estimate time
+    kde_value_at = KdeDensityField.value_at
+
+    def slow_value_at(self, points, clip=True):
+        time.sleep(0.2)
+        return kde_value_at(self, points, clip)
+
+    monkeypatch.setattr(KdeDensityField, "value_at", slow_value_at)
+    tiny = dict(TINY, n_values=(128,), seeds=(1,), points_per_patch=4)
+    out = minimizer_comparison(StudyConfig(**tiny))
+    estimate = out.timing.header.index("estimate_seconds")
+    for row in out.timing.rows:
+        if row[0] == "kde":
+            assert row[estimate] < 0.2
+        else:
+            assert row[estimate] > 0.2
+
+
+def test_kde_only_study_evaluates_the_kde_at_the_collocation_copies(monkeypatch):
+    evaluated = []
+
+    def counting_kde_evaluate(samples, h, points):
+        evaluated.append(len(points))
+        return kde_evaluate(samples, h, points)
+
+    monkeypatch.setattr("pdirichlet.density.kde_evaluate", counting_kde_evaluate)
+    tiny = dict(TINY, seeds=(1,), points_per_patch=4, estimators=("kde",))
+    minimizer_comparison(StudyConfig(**tiny))
+    # one call per (n, seed): the solve's density at the 3x3 x 4^2 node copies
+    assert evaluated == [9 * 4 * 4] * 2
 
 
 def test_density_study_reports_are_row_medians(density_study):
