@@ -8,14 +8,7 @@ KDE) feeding the continuum weights, and reproducible error/timing studies
 comparing the routes.
 """
 
-from .chebyshev import (
-    ChebGrid1D,
-    QuadratureRule,
-    chebyshev_diff_matrix,
-    chebyshev_nodes,
-    quadrature_2d,
-    tensor_diff_ops,
-)
+from .chebyshev import chebyshev_diff_matrix, chebyshev_nodes
 from .continuum import (
     ContinuumProblem,
     PatchedField,

@@ -12,9 +12,10 @@ gradients,
 Pins fix geometric-node values, so continuity, flux balance across
 interfaces and the natural boundary condition need no equations of their
 own. The energy is convex in v, and `minimize_continuum` minimizes it by
-damped Newton with sparse direct solves, on the driver of
-`pdirichlet.solver` that the discrete route also runs. Each step's Hessian
-is the domain's `PatchedDomain.stiffness` of the per-copy curvature.
+damped Newton on the driver of `pdirichlet.solver` that the discrete route
+also runs. Each step's Hessian is the domain's `PatchedDomain.stiffness` of
+the per-copy curvature, and its sparse LU is the preconditioner of the
+driver's conjugate gradients, which it makes a direct solve.
 
 The module also evaluates the nonlocal relative of the energy,
 eps^-p * double integral of eta_eps(|x-z|) |u(x)-u(z)|^p rho(x) rho(z),
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .chebyshev import _barycentric_weights
@@ -94,22 +94,12 @@ def local_energy(u: np.ndarray, problem: ContinuumProblem) -> float:
     return float(np.vdot(problem._weight, (gx * gx + gy * gy) ** (problem.p / 2.0)))
 
 
-def _factor_solve(h: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve one SPD Newton system by sparse LU with a symmetric ordering."""
-    try:
-        lu = splu(h, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SingularSystemError(f"Newton system is singular: {exc}") from exc
-    return lu.solve(rhs)
-
-
 class _RitzEnergy:
     """The quadrature energy of the geometric-node values as a
     `pdirichlet.solver` problem, with gradient and Hessian over the free
     (unpinned) nodes. The energy is exact, so its bias is 0."""
 
     bias = 0.0
-    solve = staticmethod(_factor_solve)
 
     def __init__(self, problem: ContinuumProblem):
         self.p = problem.p
@@ -130,16 +120,22 @@ class _RitzEnergy:
         per_copy = (q * gx) @ dom.d1x + dom.d1y.transpose(0, 2, 1) @ (q * gy)
         return np.bincount(dom.node_of, per_copy.ravel(), v.size)[self.free]
 
-    def hessian(self, v: np.ndarray, p: float, delta: float) -> sp.csc_matrix:
+    def hessian(self, v: np.ndarray, p: float, delta: float):
         """The domain's stiffness of the per-copy 2x2 Hessian a I + b g g^T of
         weight * |g|^p, with |g| floored at ``delta``: a = p weight
         |g|^(p-2), b = (p - 2) a / |g|^2. At p = 2, b is 0, so the matrix
-        holds only the operator's grid-line coupling."""
+        holds only the operator's grid-line coupling. Its preconditioner is
+        its exact sparse LU, so one PCG iteration solves the system."""
         gx, gy = _spectral_gradient(v[self._dom.node_of], self._dom)
         sq = np.maximum(gx * gx + gy * gy, delta * delta)
         a = p * self._problem._weight * sq ** ((p - 2.0) / 2.0)
         b = (p - 2.0) * a / sq
-        return self._dom.stiffness(a + b * gx * gx, b * gx * gy, a + b * gy * gy)
+        h = self._dom.stiffness(a + b * gx * gx, b * gx * gy, a + b * gy * gy)
+        try:
+            lu = splu(h, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SingularSystemError(f"Newton system is singular: {exc}") from exc
+        return h, lu.solve
 
 
 def minimize_continuum(
@@ -151,7 +147,8 @@ def minimize_continuum(
 
     The run starts from the exact p = 2 minimizer (one linear solve from the
     pin-mean field), then takes full-Hessian Newton steps, each one sparse
-    LU solve, with Armijo backtracking on the energy. It stops when the
+    LU factorization and one preconditioned CG iteration on it, with
+    Armijo backtracking on the energy. It stops when the
     Newton decrement lambda^2 / 2, an estimate of the remaining energy gap
     E - E_min, drops to ``tol * E``, so ``tol`` is a relative energy-gap
     certificate; the certified step is still taken at full length when it

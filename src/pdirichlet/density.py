@@ -13,7 +13,9 @@ lattice and evaluates it, values and gradients, with SciPy's `NdBSpline`;
 value vectors at one (T, lam) pays for it once. Every
 estimator is exposed as a `DensityField` with consistent value/gradient
 evaluation and a positivity floor, which is what the continuum solver
-consumes. The smoothing kernel is the unit-mass Gaussian, truncated at 5
+consumes: 1e-3 for a KDE (1e-3 times the uniform density, the mean of any
+density on the unit square) and 1e-3 times the largest knot value for a
+spline. The smoothing kernel is the unit-mass Gaussian, truncated at 5
 bandwidths.
 
 The eta-moment constant sigma (the weight appearing in front of local
@@ -57,6 +59,8 @@ __all__ = [
 # quadrature of cos(6 pi ((x-1/2)^2 + (y-1/5)^2))/3 + 1/2 over the unit square.
 _RHO3_NORM = 0.5031765765112621
 
+# positivity floor of the estimators, relative to the uniform density (KDE)
+# or to the largest knot value (spline)
 _FLOOR_RATIO = 1.0e-3
 # the Gaussian kernel is cut off at this many bandwidths, which discards
 # less than 1e-5 of its mass
@@ -384,15 +388,17 @@ class KdeDensityField(DensityField):
     Pointwise queries use the exact truncated sums; `on_mesh` switches to a
     binned FFT convolution with the same truncated kernel, which is what the
     large error studies rely on (the two paths are cross-checked in tests).
-    The positivity floor is 1e-3 times the maximum found on a coarse mesh.
+    The positivity floor is 1e-3, that is 1e-3 times the uniform density,
+    the mean of any density on the unit square; it costs no evaluation.
     """
+
+    floor = _FLOOR_RATIO
 
     def __init__(self, samples, h: float):
         if h <= 0:
             raise ValidationError(f"bandwidth must be positive, got {h}")
         self.samples = _sample_array(samples)
         self.h = float(h)
-        self.floor = _FLOOR_RATIO * float(self.on_mesh(256).max())
 
     def _values(self, pts):
         return kde_evaluate(self.samples, self.h, pts)

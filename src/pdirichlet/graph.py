@@ -7,8 +7,8 @@ energy
     E(f) = (1 / (eps^p n^2)) * sum_ij W_ij |f_i - f_j|^p
 
 over the other nodes. `minimize_discrete` runs the damped Newton driver of
-`pdirichlet.solver` for every p > 1 and solves each step's
-weighted-Laplacian Hessian system by Jacobi-preconditioned CG. For
+`pdirichlet.solver` for every p > 1, whose conjugate gradients solve each
+step's weighted-Laplacian Hessian system under a Jacobi preconditioner. For
 1 < p < 2 the Hessian blows up where neighbouring values meet, so Newton
 runs on the smoothed energy with |t|^p replaced by (t^2 + s^2)^(p/2), along
 a ladder of shrinking s; the smoothing adds at most sum_ij W_ij s^p
@@ -213,9 +213,6 @@ def discrete_energy_gradient(graph: WeightedGraph, values: np.ndarray, p: float)
     return 2.0 * p * _energy_scale(graph, p) * grad
 
 
-# PCG relative residual and iteration cap per unknown
-_PCG_RTOL = 1e-10
-_PCG_MAX_ITER_FACTOR = 4
 # smoothing ladder (1 < p < 2): a stage ends once its decrement is below
 # _STAGE_TOL times its smoothing bias, the most by which its own minimum
 # can be off
@@ -242,31 +239,6 @@ def _start_values(graph: WeightedGraph, constraints: ConstraintSet):
     return f, (lo < hi)[comp]
 
 
-def _pcg(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients for the SPD system a x = b,
-    started from 0 and stopped once |a x - b| <= _PCG_RTOL |b|. Every
-    iterate is a descent direction for the quadratic model, so a capped
-    solve still gives a usable Newton step."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    inv_diag = 1.0 / a.diagonal()
-    z = inv_diag * r
-    d = z.copy()
-    rz = float(r @ z)
-    stop = (_PCG_RTOL * float(np.linalg.norm(b))) ** 2
-    for _ in range(_PCG_MAX_ITER_FACTOR * b.size + 10):
-        if float(r @ r) <= stop:
-            break
-        ad = a @ d
-        alpha = rz / float(d @ ad)
-        x += alpha * d
-        r -= alpha * ad
-        z = inv_diag * r
-        rz, rz_old = float(r @ z), rz
-        d = z + (rz / rz_old) * d
-    return x
-
-
 class _PinnedEdges:
     """The free part of a constrained graph energy, with each edge stored once.
 
@@ -281,8 +253,6 @@ class _PinnedEdges:
     above the true one at any f. The smoothing ladder runs through
     `refine`, and `minimize_discrete` reports the true energy at the end.
     """
-
-    solve = staticmethod(_pcg)
 
     def __init__(self, graph: WeightedGraph, constraints: ConstraintSet, p: float,
                  solved: np.ndarray, s: float):
@@ -347,20 +317,23 @@ class _PinnedEdges:
         grad = np.bincount(self.i, contrib, self.n) - np.bincount(self.j, contrib, self.n)
         return p * self.scale * grad[self.free]
 
-    def hessian(self, f: np.ndarray, p: float, delta: float) -> sp.csr_matrix:
-        """Free-node Hessian of the (smoothed) exponent-``p`` energy: a weighted
-        Laplacian with edge weights scale p (p - 1 - (p - 2) s^2 / u^2) w u^(p - 2).
-        A positive s keeps u >= s; without it, u is floored at ``delta``,
-        since the curvature vanishes with u for p > 2."""
+    def hessian(self, f: np.ndarray, p: float, delta: float):
+        """Free-node Hessian of the (smoothed) exponent-``p`` energy and its
+        Jacobi preconditioner. The Hessian is a weighted Laplacian with edge
+        weights scale p (p - 1 - (p - 2) s^2 / u^2) w u^(p - 2). A positive
+        s keeps u >= s; without it, u is floored at ``delta``, since the
+        curvature vanishes with u for p > 2."""
         u = self._gaps(f)[1]
         if not self.s:
             u = np.maximum(u, delta)
         curv = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale * self.w * u ** (p - 2.0)
-        diag = np.bincount(self.i, curv, self.n) + np.bincount(self.j, curv, self.n)
+        diag = (np.bincount(self.i, curv, self.n) + np.bincount(self.j, curv, self.n))[self.free]
         off = -curv[self._both]
-        data = np.concatenate([off, off, diag[self.free]])[self._order]
+        data = np.concatenate([off, off, diag])[self._order]
         nf = self.free.size
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(nf, nf))
+        inv_diag = 1.0 / diag
+        return (sp.csr_matrix((data, self._indices, self._indptr), shape=(nf, nf)),
+                lambda r: inv_diag * r)
 
 
 def minimize_discrete(

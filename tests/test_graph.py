@@ -159,7 +159,7 @@ def test_pinned_edges_hessian_matches_gradient_differences(s):
     fp[problem.free] += h * v
     fm[problem.free] -= h * v
     fd = (problem.gradient(fp, p) - problem.gradient(fm, p)) / (2.0 * h)
-    np.testing.assert_allclose(problem.hessian(f, p, 1e-12) @ v, fd, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(problem.hessian(f, p, 1e-12)[0] @ v, fd, rtol=1e-5, atol=1e-8)
 
 
 def test_minimizer_deterministic():

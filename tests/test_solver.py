@@ -1,8 +1,12 @@
-"""Shared Newton driver: its three stops, on stub problems."""
+"""Shared Newton driver: its three stops, on stub problems, and its
+preconditioned CG kernel."""
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from pdirichlet.solver import _newton
+from pdirichlet import solver
+from pdirichlet.solver import _newton, _pcg
 
 
 class Quadratic:
@@ -11,7 +15,6 @@ class Quadratic:
     the target exponent ``p``."""
 
     bias = 0.0
-    solve = staticmethod(np.linalg.solve)
 
     def __init__(self, start, target, p=3.0):
         self.free = np.array([1, 2])
@@ -25,7 +28,7 @@ class Quadratic:
         return f[self.free] - self._center[p]
 
     def hessian(self, f, p, delta):
-        return np.eye(self.free.size)
+        return np.eye(self.free.size), lambda r: r
 
 
 class Rising(Quadratic):
@@ -64,3 +67,50 @@ def test_energy_rising_along_every_step_stalls():
     assert res.iterations == 0
     np.testing.assert_array_equal(res.values, np.zeros(3))
     np.testing.assert_array_equal(res.energies, [1.0])
+
+
+def grid_laplacian(m, low, seed):
+    """Weighted Laplacian of the m x m grid graph with the boundary pinned,
+    restricted to the interior nodes (SPD), and a random right-hand side;
+    the edge weights are log-uniform in [low, 1]."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(m * m).reshape(m, m)
+    i = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    j = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    adj = sp.coo_matrix((low ** rng.random(i.size), (i, j)), shape=(m * m, m * m))
+    adj = (adj + adj.T).tocsr()
+    lap = sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj
+    inner = idx[1:-1, 1:-1].ravel()
+    return lap.tocsr()[inner][:, inner].tocsc(), rng.standard_normal(inner.size)
+
+
+def test_pcg_jacobi_reaches_the_relative_residual():
+    a, b = grid_laplacian(12, 1e-2, seed=3)
+    inv_diag = 1.0 / a.diagonal()
+    x = _pcg(a, lambda r: inv_diag * r, b)
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_pcg_with_an_exact_factorization_takes_one_iteration():
+    a, b = grid_laplacian(12, 1e-2, seed=4)
+    lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+    calls = []
+
+    def precondition(r):
+        calls.append(r)
+        return lu.solve(r)
+
+    x = _pcg(a, precondition, b)
+    assert len(calls) == 1
+    exact = lu.solve(b)
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_capped_pcg_still_gives_a_descent_direction(monkeypatch):
+    # no iterations per unknown leaves the fixed 10, far too few here
+    monkeypatch.setattr(solver, "_PCG_MAX_ITER_FACTOR", 0)
+    a, b = grid_laplacian(30, 1e-6, seed=5)
+    inv_diag = 1.0 / a.diagonal()
+    x = _pcg(a, lambda r: inv_diag * r, b)
+    assert np.linalg.norm(a @ x - b) > 1e-3 * np.linalg.norm(b)
+    assert float(b @ x) > 0.0
