@@ -115,7 +115,8 @@ def _solve_stage(config: RunConfig, result, seconds: float) -> None:
         f"p={config.p:g} converged={result.converged} iterations={result.iterations} "
         f"residual={result.residual:.3e} energy={result.energy:.6e}",
         seconds,
-        f" stop={result.stop_reason} decrement={result.decrement:.3e}",
+        f" stop={result.stop_reason} decrement={result.decrement:.3e}"
+        f" pcg={result.pcg_iterations}",
     )
 
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .graph import default_epsilon
 
 SUBCOMMANDS = (
     "sample",
@@ -28,6 +29,21 @@ SUBCOMMANDS = (
 _DENSITIES = ("rho1", "rho2", "rho3")
 # subcommands whose pipeline runs the continuum solver, where p > d = 2 applies
 _CONTINUUM = ("solve-continuum", "study-minimizers")
+# subcommands whose pipeline builds a graph on the cloud
+_GRAPH = ("solve-discrete", "study-minimizers")
+# memory bounds, from measured peaks (2-core VM, Python 3.11, numpy 2.4,
+# scipy 1.17): a cloud costs up to about 600 bytes per point (`density`
+# at n = 2^20 peaks at 0.64 GB); the spline fit's normal-matrix LU peaks at
+# 0.22 / 0.71 GB for T = 16384 / 65536 and grows about 3.2x per 4x in T; a
+# graph solve costs about 160 bytes per edge over a 100 MB base
+# (`solve-discrete --n 65536`, 3.9M edges, peaks at 0.72 GB)
+_MAX_POINTS = 2**20
+_MAX_KNOTS = 2**16
+_MAX_EDGES = 6.0e6
+# the expected edge count of an epsilon-graph on n points of density rho is
+# about n^2 / 2 * pi eps^2 * (integral of rho^2), which is at most this for
+# the reference densities (1 for rho1, 1.24 for rho2, 1.21 for rho3)
+_RHO_SQUARED = 1.25
 
 
 @dataclass(frozen=True)
@@ -62,9 +78,10 @@ class RunConfig:
 _KEYS = {
     "subcommand": ("subcommand", str, "one of " + ", ".join(SUBCOMMANDS)),
     "density": ("density", str, "one of " + ", ".join(_DENSITIES)),
-    "n": ("n", int, "integer >= 1"),
+    "n": ("n", int, f"integer >= 1 with at most {_MAX_POINTS} points per cloud "
+          "(studies draw 4n)"),
     "h": ("h", float, "real > 0"),
-    "T": ("T", int, "perfect square >= 16"),
+    "T": ("T", int, f"perfect square in [16, {_MAX_KNOTS}]"),
     "lambda": ("lam", float, "real > 0"),
     "p": ("p", float, "real >= 1 (> 2 for the continuum solver)"),
     "epsilon": ("epsilon", float, "real > 0"),
@@ -114,7 +131,9 @@ def validate(config: RunConfig) -> RunConfig:
         raise _fail("subcommand", c.subcommand)
     if c.density not in _DENSITIES:
         raise _fail("density", c.density)
-    if c.n < 1:
+    # studies sweep n/4, n, 4n
+    points = 4 * c.n if c.subcommand.startswith("study-") else c.n
+    if not 1 <= points <= _MAX_POINTS:
         raise _fail("n", c.n)
     # nan fails every comparison and inf passes every lower bound, so the
     # range checks below cannot catch them
@@ -125,7 +144,7 @@ def validate(config: RunConfig) -> RunConfig:
     if not (c.h > 0.0):
         raise _fail("h", c.h)
     g = int(round(math.sqrt(c.T)))
-    if g * g != c.T or g < 4:
+    if g * g != c.T or not 16 <= c.T <= _MAX_KNOTS:
         raise _fail("T", c.T)
     if not (c.lam > 0.0):
         raise ConfigError(f"config key 'lambda' = {c.lam!r} rejected; the penalty weight is > 0")
@@ -143,6 +162,8 @@ def validate(config: RunConfig) -> RunConfig:
         raise _fail("k", c.k)
     if c.epsilon is not None and c.k is not None:
         raise ConfigError("config keys 'epsilon' and 'k' are mutually exclusive; set one")
+    if c.subcommand in _GRAPH:
+        _check_graph_size(c, points)
     if not (c.tol > 0.0):
         raise _fail("tol", c.tol)
     if c.seed < 0:
@@ -156,6 +177,26 @@ def validate(config: RunConfig) -> RunConfig:
     if not 4 <= c.points_per_patch <= 40:
         raise _fail("points_per_patch", c.points_per_patch)
     return c
+
+
+def _check_graph_size(c: RunConfig, points: int) -> None:
+    """Reject a graph whose expected edge count exceeds _MAX_EDGES. A kNN
+    graph has at most n k edges; the studies always use the default scale."""
+    single = c.subcommand == "solve-discrete"
+    if single and c.k is not None:
+        key, edges = f"'k' = {c.k}", float(points) * c.k
+    else:
+        if single and c.epsilon is not None:
+            key, epsilon = f"'epsilon' = {c.epsilon!r}", c.epsilon
+        else:
+            key, epsilon = f"'p' = {c.p!r}", default_epsilon(max(points, 2), c.p)
+        edges = points**2 / 2.0 * min(1.0, math.pi * epsilon**2 * _RHO_SQUARED)
+    if edges > _MAX_EDGES:
+        raise ConfigError(
+            f"config keys 'n' = {c.n}, {key} rejected for {c.subcommand}: the graph on "
+            f"{points} points would have about {edges:.3g} edges; at most {_MAX_EDGES:.3g} "
+            "fit in memory"
+        )
 
 
 def parse_config_text(text: str, subcommand: str | None = None, overrides: dict | None = None) -> RunConfig:

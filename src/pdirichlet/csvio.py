@@ -102,6 +102,11 @@ def _format_column(values) -> list:
         return list(map(str, values.tolist()))
     if kind == "f":
         x = np.asarray(values, dtype=np.float64)
+        # a constant column (by bit pattern: 0.0 == -0.0, nan != nan) is
+        # formatted once
+        bits = x.view(np.uint64)
+        if x.size > 1 and bool(np.all(bits == bits[0])):
+            return _format_column(x[:1]) * x.size
         text = list(map("%.17g".__mod__, x.tolist()))
         # "%.17g" prints exactly the whole values below 1e17 without a point
         for k in np.flatnonzero((x == np.trunc(x)) & (np.abs(x) < 1e17)).tolist():

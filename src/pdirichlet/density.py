@@ -165,24 +165,31 @@ class ReferenceDensity(DensityField):
         cached = self._sampler_cache.get(grid_size)
         if cached is not None:
             return cached
-        # the grid_size^2 tables are built by row blocks and in place, so at
-        # most two are held at once: this is the peak memory of a small study
+        # one grid_size^2 table, filled by row blocks and then turned into
+        # the conditional CDFs row by row in place, is the peak memory of a
+        # small study or a graph solve
         s = np.linspace(0.0, 1.0, grid_size)
         v = np.empty((grid_size, grid_size))
         for j in range(0, grid_size, 64):
             xx, yy = np.meshgrid(s, s[j : j + 64])
             v[j : j + 64] = self._value_fn(xx, yy)
         dx = s[1] - s[0]
-        # trapezoid increments between rows, (v_j + v_{j+1}) / 2 * dx
-        steps = v[:-1] + v[1:]
-        del v
+        # trapezoid increments between rows, (v_j + v_{j+1}) / 2 * dx, in
+        # rows 0 .. grid_size - 2
+        for j in range(grid_size - 1):
+            v[j] += v[j + 1]
+        steps = v[:-1]
         steps /= 2.0
         steps *= dx
         marg_x = steps.sum(axis=0)
         cdf_x = np.concatenate([[0.0], np.cumsum((marg_x[:-1] + marg_x[1:]) / 2.0 * dx)])
         cdf_x /= cdf_x[-1]
-        cdf_y = np.zeros((grid_size, grid_size))
-        np.cumsum(steps, axis=0, out=cdf_y[1:])
+        # row j becomes the sum of the increments below it, added in the
+        # order of a cumulative sum
+        total = np.zeros(grid_size)
+        for j in range(grid_size):
+            total, v[j] = total + v[j], total
+        cdf_y = v
         cdf_y /= cdf_y[-1, :]
         self._sampler_cache[grid_size] = (s, cdf_x, cdf_y)
         return self._sampler_cache[grid_size]
@@ -216,10 +223,15 @@ def _rho3_grad(x, y):
     return common * (x - 0.5), common * (y - 0.2)
 
 
+# one instance per name, so the sampler tables each builds are built once
+# per process
 _DENSITIES = {
-    "rho1": (_rho1, _rho1_grad),
-    "rho2": (_rho2, _rho2_grad),
-    "rho3": (_rho3, _rho3_grad),
+    name: ReferenceDensity(name, value_fn, grad_fn)
+    for name, value_fn, grad_fn in (
+        ("rho1", _rho1, _rho1_grad),
+        ("rho2", _rho2, _rho2_grad),
+        ("rho3", _rho3, _rho3_grad),
+    )
 }
 
 
@@ -228,11 +240,12 @@ def reference_density(name: str) -> ReferenceDensity:
 
     All three are strictly positive and integrate to one over the unit
     square; rho2 is the tilted bilinear density, rho3 the oscillatory one.
+    Every call with one name returns the same instance, which keeps the
+    sampler tables `sample_density` has built for it.
     """
     if name not in _DENSITIES:
         raise ValidationError(f"unknown density {name!r}; choose from {sorted(_DENSITIES)}")
-    value_fn, grad_fn = _DENSITIES[name]
-    return ReferenceDensity(name, value_fn, grad_fn)
+    return _DENSITIES[name]
 
 
 @dataclass(frozen=True)

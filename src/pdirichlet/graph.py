@@ -8,7 +8,13 @@ energy
 
 over the other nodes. `minimize_discrete` runs the damped Newton driver of
 `pdirichlet.solver` for every p > 1, whose conjugate gradients solve each
-step's weighted-Laplacian Hessian system under a Jacobi preconditioner. For
+step's weighted-Laplacian Hessian system under a two-level preconditioner:
+Jacobi plus a coarse solve on aggregates, one per epsilon-wide cell of free
+nodes. The graph energy tends to a continuum energy at scale epsilon
+(Garcia Trillos & Slepcev, ARMA 220, 2016), so the Hessian's smooth error
+modes, which Jacobi cannot damp, are continuum modes that such cells
+resolve. On small graphs (fewer than _COARSE_MIN_CELLS cells) the coarse
+term costs more than it saves and the preconditioner is Jacobi alone. For
 1 < p < 2 the Hessian blows up where neighbouring values meet, so Newton
 runs on the smoothed energy with |t|^p replaced by (t^2 + s^2)^(p/2), along
 a ladder of shrinking s; the smoothing adds at most sum_ij W_ij s^p
@@ -213,6 +219,13 @@ def discrete_energy_gradient(graph: WeightedGraph, values: np.ndarray, p: float)
     return 2.0 * p * _energy_scale(graph, p) * grad
 
 
+# the preconditioner's coarse term is used from this many epsilon-cells of
+# free nodes up. Jacobi-PCG iterations grow like 1 / epsilon, about the
+# square root of the cell count, while the coarse term costs a set-up per
+# solve and a coarse solve per iteration: on rho2 clouds it was slower at
+# 16-49 cells, even at 80-126 and faster from 143 on
+_COARSE_MIN_CELLS = 100
+
 # smoothing ladder (1 < p < 2): a stage ends once its decrement is below
 # _STAGE_TOL times its smoothing bias, the most by which its own minimum
 # can be off
@@ -239,6 +252,38 @@ def _start_values(graph: WeightedGraph, constraints: ConstraintSet):
     return f, (lo < hi)[comp]
 
 
+def _cells(points: np.ndarray, epsilon: float):
+    """Aggregate of each point, its cell in the grid of side ``epsilon``
+    (cells numbered over the nonempty ones), and the number of cells."""
+    # cell coordinates ranked per axis, so the key stays below n^2 for any epsilon
+    ix, iy = (np.unique(np.floor(c / epsilon), return_inverse=True)[1]
+              for c in points.T)
+    keys, agg = np.unique(ix * (iy.max() + 1) + iy, return_inverse=True)
+    return agg, keys.size
+
+
+def _coarse_pattern(agg: np.ndarray, cells: int, a: np.ndarray, b: np.ndarray):
+    """Where the entries of a free-node Hessian H land in the coarse matrix
+    P^T H P, for P the aggregation of node k into aggregate ``agg[k]``.
+
+    H's off-diagonal entries are given by their pairs (a, b), each stored
+    once. Returns ``slot``, the coarse entry (agg[a], agg[b]) of each pair;
+    ``swap``, the transpose of each coarse entry; ``diagonal``, the coarse
+    diagonal entries; and the symmetric CSR pattern (indices, indptr) that
+    these positions index.
+    """
+    keys = np.concatenate([agg[a] * cells + agg[b], np.arange(cells) * (cells + 1)])
+    first, inverse = np.unique(keys, return_inverse=True)
+    del keys
+    rows, cols = np.divmod(first, cells)
+    pattern = np.union1d(first, cols * cells + rows)
+    slot = np.searchsorted(pattern, first)[inverse[:a.size]].astype(np.int32)
+    rows, cols = np.divmod(pattern, cells)
+    return (slot, np.searchsorted(pattern, cols * cells + rows),
+            np.searchsorted(pattern, np.arange(cells) * (cells + 1)),
+            cols, np.searchsorted(rows, np.arange(cells + 1)))
+
+
 class _PinnedEdges:
     """The free part of a constrained graph energy, with each edge stored once.
 
@@ -246,6 +291,9 @@ class _PinnedEdges:
     ``free`` lists the unpinned ones, and every other node keeps its start
     value. Edges (i < j) and the sparsity pattern of the free-node Hessian
     are built once here, so each Newton step only refills the Hessian data.
+    So is the aggregation of the free nodes into their cells of side
+    ``graph.epsilon``, with the slots of the coarse matrix, when there are
+    at least _COARSE_MIN_CELLS cells.
 
     With smoothing ``s`` > 0 each edge term |t|^p, t = f_i - f_j, becomes
     (t^2 + s^2)^(p/2). For p <= 2 that term exceeds |t|^p by at most s^p,
@@ -277,12 +325,21 @@ class _PinnedEdges:
         # single gather in CSR order
         diag = np.arange(nf)
         pattern = sp.csr_matrix(
-            (np.arange(1.0, 2 * a.size + nf + 1),
+            (np.arange(1, 2 * a.size + nf + 1, dtype=np.int32),
              (np.concatenate([a, b, diag]), np.concatenate([b, a, diag]))),
             shape=(nf, nf),
         )
-        self._order = pattern.data.astype(np.int64) - 1
+        self._order = pattern.data - 1
         self._indices, self._indptr = pattern.indices, pattern.indptr
+        # freed before the coarse pattern's sort, which would otherwise add
+        # to the peak of this set-up
+        del upper, keep, local, li, lj, pattern
+        self._coarse = None
+        # every cell holds a free node, so there are no more cells than nodes
+        if nf >= _COARSE_MIN_CELLS:
+            agg, cells = _cells(graph.points[self.free], graph.epsilon)
+            if cells >= _COARSE_MIN_CELLS:
+                self._coarse = (agg, *_coarse_pattern(agg, cells, a, b))
 
     def smooth(self, s: float) -> None:
         """Set the smoothing ``s`` and its energy bias bound."""
@@ -319,10 +376,18 @@ class _PinnedEdges:
 
     def hessian(self, f: np.ndarray, p: float, delta: float):
         """Free-node Hessian of the (smoothed) exponent-``p`` energy and its
-        Jacobi preconditioner. The Hessian is a weighted Laplacian with edge
+        preconditioner. The Hessian H is a weighted Laplacian with edge
         weights scale p (p - 1 - (p - 2) s^2 / u^2) w u^(p - 2). A positive
         s keeps u >= s; without it, u is floored at ``delta``, since the
-        curvature vanishes with u for p > 2."""
+        curvature vanishes with u for p > 2.
+
+        The preconditioner is additive two-level: r / diag(H) + P A_c^-1
+        P^T r, with P the 0/1 aggregation of the free nodes into their
+        epsilon-cells and A_c = P^T H P, filled through the fixed slot map
+        and factored by sparse LU here. Both terms are SPD (A_c is, since P
+        has full column rank), so their sum is; it costs one coarse solve
+        per PCG iteration and has no weight to tune. Without an
+        aggregation (fewer than _COARSE_MIN_CELLS cells) it is Jacobi."""
         u = self._gaps(f)[1]
         if not self.s:
             u = np.maximum(u, delta)
@@ -332,8 +397,25 @@ class _PinnedEdges:
         data = np.concatenate([off, off, diag])[self._order]
         nf = self.free.size
         inv_diag = 1.0 / diag
-        return (sp.csr_matrix((data, self._indices, self._indptr), shape=(nf, nf)),
-                lambda r: inv_diag * r)
+        coarse = None
+        if self._coarse is not None:
+            agg, slot, swap, diagonal, indices, indptr = self._coarse
+            cells = diagonal.size
+            values = np.bincount(slot, off, swap.size)
+            values += values[swap]
+            values[diagonal] += np.bincount(agg, diag, cells)
+            # symmetric, so its CSR arrays are also its CSC arrays
+            coarse = spla.splu(sp.csc_matrix((values, indices, indptr), shape=(cells, cells)),
+                               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+
+        def precondition(r):
+            z = inv_diag * r
+            if coarse is not None:
+                z += coarse.solve(np.bincount(agg, r, cells))[agg]
+            return z
+
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(nf, nf)), precondition
 
 
 def minimize_discrete(
@@ -353,7 +435,9 @@ def minimize_discrete(
     The solver is the damped Newton driver of `pdirichlet.solver`, for
     every p > 1. It starts from the exact p = 2 minimizer (one Newton step
     of the p = 2 energy from the start values). Each step solves the
-    weighted-Laplacian Hessian system by Jacobi-preconditioned CG and takes
+    weighted-Laplacian Hessian system by CG under a two-level
+    preconditioner (Jacobi plus a coarse solve on the epsilon-cells of the
+    free nodes, or Jacobi alone below _COARSE_MIN_CELLS cells) and takes
     an Armijo backtracking step. For
     p >= 2, with edge curvature floored at a gap of sqrt(machine eps) times
     the label range, it stops when the Newton decrement lambda^2 / 2 =

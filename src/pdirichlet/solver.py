@@ -23,8 +23,10 @@ Vandenberghe, *Convex Optimization*, §9.5). A problem exposes
   did, which changes ``energy`` and ``bias``.
 
 `_newton` solves every Newton system with `_pcg` on the problem's operator
-and preconditioner: Jacobi on the graph, an exact sparse LU on the
-continuum, whose first PCG iteration solves the system.
+and preconditioner: on the graph, Jacobi plus a coarse solve on the
+aggregates of epsilon-wide cells (Jacobi alone on small graphs); on the
+continuum, an exact sparse LU, whose first PCG iteration solves the system.
+The run's `MinimizerResult` counts the PCG iterations of all its systems.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ class MinimizerResult:
     ``stop_reason`` is "converged", "budget" or "stalled"; only the first
     is converged. ``decrement`` is the last bound on the energy gap (0 for
     a direct solve). ``field`` is the evaluable continuum field, None for
-    graph labelings.
+    graph labelings. ``pcg_iterations`` counts the conjugate-gradient
+    iterations of every Newton system the run solved (0 for a direct
+    solve).
     """
 
     values: np.ndarray
@@ -65,28 +69,30 @@ class MinimizerResult:
     stop_reason: str
     decrement: float
     field: object = None
+    pcg_iterations: int = 0
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
 
 
-def _pcg(a, precondition, b: np.ndarray) -> np.ndarray:
+def _pcg(a, precondition, b: np.ndarray):
     """Preconditioned conjugate gradients for the SPD system a x = b,
     started from 0 and stopped once |a x - b| <= _PCG_RTOL |b|, or after
     _PCG_MAX_ITER_FACTOR iterations per unknown plus 10. Every iterate is a
     descent direction for the quadratic model, so a capped solve still
     gives a usable Newton step. The residual is tested before the
     preconditioner is applied again, so an exact preconditioner costs one
-    application."""
+    application. Returns x and the number of iterations (products with
+    ``a``)."""
     x = np.zeros_like(b)
     r = b.copy()
     stop = (_PCG_RTOL * float(np.linalg.norm(b))) ** 2
     if float(r @ r) <= stop:
-        return x
+        return x, 0
     d = precondition(r)
     rz = float(r @ d)
-    for _ in range(_PCG_MAX_ITER_FACTOR * b.size + 10):
+    for k in range(1, _PCG_MAX_ITER_FACTOR * b.size + 11):
         ad = a @ d
         alpha = rz / float(d @ ad)
         x += alpha * d
@@ -96,7 +102,7 @@ def _pcg(a, precondition, b: np.ndarray) -> np.ndarray:
         z = precondition(r)
         rz, rz_old = float(r @ z), rz
         d = z + (rz / rz_old) * d
-    return x
+    return x, k
 
 
 def _newton(problem, f: np.ndarray, tol: float, max_iter: int) -> MinimizerResult:
@@ -113,18 +119,21 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int) -> MinimizerResul
     from the same iterate.
 
     Returns the `MinimizerResult` over ``f``: the energies after every
-    accepted step, the max free-node gradient as the residual, and the last
-    gap bound as the decrement.
+    accepted step, the max free-node gradient as the residual, the last
+    gap bound as the decrement, and the PCG iterations of every system
+    solved.
     """
     free = problem.free
     delta = np.sqrt(_EPS) * max(float(np.ptp(f)), 1e-12)
-    f[free] += _pcg(*problem.hessian(f, 2.0, delta), -problem.gradient(f, 2.0))
+    start, pcg_iterations = _pcg(*problem.hessian(f, 2.0, delta), -problem.gradient(f, 2.0))
+    f[free] += start
     energy = problem.energy(f)
     energies = [energy]
     iterations = 0
     while True:
         grad = problem.gradient(f, problem.p)
-        step = _pcg(*problem.hessian(f, problem.p, delta), -grad)
+        step, k = _pcg(*problem.hessian(f, problem.p, delta), -grad)
+        pcg_iterations += k
         decrement = -0.5 * float(grad @ step)
         bias = problem.bias
         certified = decrement + bias <= tol * (energy - bias)
@@ -167,4 +176,5 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int) -> MinimizerResul
         residual=residual,
         stop_reason=reason,
         decrement=decrement + bias,
+        pcg_iterations=pcg_iterations,
     )

@@ -10,6 +10,7 @@ import pytest
 import pdirichlet
 from pdirichlet.cli import run
 from pdirichlet.csvio import read_csv, write_csv
+from pdirichlet.density import reference_density
 from pdirichlet.experiments import StudyConfig, constraint_labels, label_value, minimizer_comparison
 from pdirichlet.patches import build_patches
 
@@ -57,6 +58,19 @@ def test_solve_discrete_artifacts(tmp_path):
     assert all(w > 0 for w in edges.column("w"))
 
 
+def test_solve_discrete_reruns_share_the_sampler_tables(tmp_path, monkeypatch):
+    rho = reference_density("rho1")
+    assert reference_density("rho1") is rho
+    # start from no tables, so the first run builds them and the second reuses them
+    monkeypatch.setattr(rho, "_sampler_cache", {})
+    assert run(["solve-discrete", *TINY, "--out", str(tmp_path / "a")]) == 0
+    tables = rho._sampler_cache[1024]
+    assert run(["solve-discrete", *TINY, "--out", str(tmp_path / "b")]) == 0
+    assert rho._sampler_cache[1024] is tables
+    for name in ("discrete_labels.csv", "discrete_edges.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_solve_discrete_knn_variant(tmp_path):
     assert run(["solve-discrete", *TINY, "--k", "6", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "discrete_labels.csv").exists()
@@ -99,15 +113,17 @@ def test_solve_line_ends_with_the_certificate(tmp_path, capsys, command):
     assert run([command, *TINY, "--out", str(tmp_path)]) == 0
     line = re.search(
         r"^solve: p=\S+ converged=(\S+) iterations=\d+ residual=\S+ energy=(\S+) "
-        r"\(\d+\.\d\ds\) stop=(\S+) decrement=(\S+)$",
+        r"\(\d+\.\d\ds\) stop=(\S+) decrement=(\S+) pcg=(\d+)$",
         capsys.readouterr().out,
         re.M,
     )
     assert line is not None
-    converged, energy, stop, decrement = line.groups()
+    converged, energy, stop, decrement, pcg = line.groups()
     assert (converged, stop) == ("True", "converged")
     # the decrement certifies the relative energy gap at the CLI's --tol
     assert 0.0 <= float(decrement) <= 1e-3 * float(energy)
+    # at least the start step's system is solved
+    assert int(pcg) >= 1
 
 
 def test_study_density_csv_shape(tmp_path):

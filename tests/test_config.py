@@ -150,3 +150,35 @@ def test_out_of_range_values_name_their_key():
     ):
         with pytest.raises(ConfigError, match=f"config key '{key}'"):
             parse_config_text(text, subcommand="sample")
+
+
+def test_sample_count_and_knots_capped_for_memory(tmp_path, capsys):
+    # studies draw 4n points, so their n is capped at a quarter of the cloud cap
+    assert parse_config_text("n=1048576\n", subcommand="sample").n == 2**20
+    assert parse_config_text("n=262144\n", subcommand="study-density").n == 2**18
+    assert parse_config_text("T=65536\n", subcommand="density").T == 2**16
+    for text, sub, key in (("n=1048577\n", "sample", "n"), ("n=262145\n", "study-density", "n"),
+                           ("T=66049\n", "density", "T")):
+        with pytest.raises(ConfigError, match=f"config key '{key}' = \\d+ out of range"):
+            parse_config_text(text, subcommand=sub)
+    assert run(["sample", "--n", "100000000", "--out", str(tmp_path)]) == 2
+    assert "error[config]: config key 'n' = 100000000" in capsys.readouterr().err
+
+
+def test_graph_size_capped_for_memory(tmp_path, capsys):
+    # p = 3 at n = 65536 has about 4M edges (0.72 GB) and stays accepted
+    assert parse_config_text("n=65536\n", subcommand="solve-discrete").n == 65536
+    assert parse_config_text("n=262144\nk=10\n", subcommand="solve-discrete").k == 10
+    for text, sub, key in (
+        ("n=131072\n", "solve-discrete", "'p' = 3.0"),
+        ("n=4096\nepsilon=2\n", "solve-discrete", "'epsilon' = 2.0"),
+        ("n=1048576\nk=10\n", "solve-discrete", "'k' = 10"),
+        # the study's discrete route runs at 4n = 131072 on the default scale
+        ("n=32768\n", "study-minimizers", "'p' = 3.0"),
+    ):
+        with pytest.raises(ConfigError, match=f"'n' = \\d+, {key} rejected for {sub}"):
+            parse_config_text(text, subcommand=sub)
+    # a sampling subcommand builds no graph
+    assert parse_config_text("n=131072\n", subcommand="sample").n == 131072
+    assert run(["solve-discrete", "--n", "1000000", "--out", str(tmp_path)]) == 2
+    assert "edges; at most 6e+06 fit in memory" in capsys.readouterr().err

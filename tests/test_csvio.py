@@ -126,6 +126,25 @@ def test_column_writer_matches_cell_formatter(tmp_path, monkeypatch, chunk):
     assert b"\n99999999999999984.0," in raw
 
 
+@pytest.mark.parametrize("column, first", [
+    (np.ones(5), b"1.0"),
+    (np.array([0.0, -0.0, 0.0, -0.0]), b"0.0"),
+    (np.full(4, -0.0), b"-0.0"),
+    (np.full(3, np.nan), b"nan"),
+    (np.array([2.5]), b"2.5"),
+    (np.full(6, 1e17, dtype=np.float32), b"99999998430674944.0"),
+])
+def test_constant_float_columns_match_the_cell_formatter(tmp_path, monkeypatch, column, first):
+    # the writer formats a constant column once; 0.0 and -0.0 compare equal
+    # but print apart, and nan compares unequal but prints alike
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 4)
+    path = tmp_path / "const.csv"
+    write_csv(Table.from_columns(("v", "k"), (column, np.arange(column.size))), path)
+    raw = path.read_bytes()
+    assert raw == _reference_bytes(("v", "k"), (column, np.arange(column.size)))
+    assert raw.split(b"\n")[1] == first + b",0"
+
+
 def test_row_and_column_tables_write_the_same_bytes(tmp_path):
     columns = _adversarial_columns()
     header = tuple(columns)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from pdirichlet.density import reference_density, sample_density
 from pdirichlet.errors import ConstraintError, ValidationError
 from pdirichlet.experiments import constraint_labels
 from pdirichlet.graph import (
+    _COARSE_MIN_CELLS,
     ConstraintSet,
+    _cells,
     _PinnedEdges,
     _start_values,
     build_epsilon_graph,
@@ -291,3 +294,98 @@ def test_disconnected_component_detected():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
     g = build_epsilon_graph(pts, epsilon=0.2)
     assert sp.csgraph.connected_components(g.weights, directed=False)[0] == 2
+
+
+def _two_level_cases():
+    """(graph, constraints) pairs for the preconditioner tests: an epsilon
+    graph, a kNN graph, and a graph with a pin-free component, an isolated
+    node and a component whose pins agree."""
+    rng = np.random.default_rng(31)
+    pts = rng.random((300, 2))
+    pins = ConstraintSet(indices=[0, 1, 2, 3], values=[0.0, 1.0, 0.3, -0.5])
+    parts = np.vstack([0.4 * rng.random((150, 2)), 0.3 * rng.random((30, 2)) + 0.65,
+                       [[0.95, 0.05]], 0.3 * rng.random((20, 2)) + [0.0, 0.65]])
+    mixed = build_epsilon_graph(parts, epsilon=0.08)
+    _, comp = sp.csgraph.connected_components(mixed.weights, directed=False)
+    assert np.unique(comp[:150]).size == 1 and comp[150] not in comp[:150]
+    mixed_pins = ConstraintSet(indices=[0, 5, 9, 181, 185], values=[0.0, 1.0, 0.4, 0.7, 0.7])
+    return {
+        "epsilon": (build_epsilon_graph(pts, epsilon=0.12), pins),
+        "knn": (build_knn_graph(pts, k=8), pins),
+        "components": (mixed, mixed_pins),
+    }
+
+
+def _solve_both(monkeypatch, graph, constraints, p, tol=1e-10):
+    """The same solve with the coarse term forced on and forced off."""
+    runs = []
+    for threshold in (1, graph.n + 1):
+        monkeypatch.setattr("pdirichlet.graph._COARSE_MIN_CELLS", threshold)
+        runs.append(minimize_discrete(graph, constraints, p=p, tol=tol))
+    return runs
+
+
+def test_two_level_preconditioner_is_spd(monkeypatch):
+    monkeypatch.setattr("pdirichlet.graph._COARSE_MIN_CELLS", 1)
+    graph, cons = _two_level_cases()["epsilon"]
+    f, solved = _start_values(graph, cons)
+    problem = _PinnedEdges(graph, cons, 3.0, solved, 0.0)
+    assert problem._coarse is not None
+    f[problem.free] = np.random.default_rng(2).random(problem.free.size)
+    hess, precondition = problem.hessian(f, 3.0, 1e-12)
+    inverse = np.column_stack([precondition(e) for e in np.eye(problem.free.size)])
+    np.testing.assert_allclose(inverse, inverse.T, rtol=1e-10, atol=1e-14 * np.abs(inverse).max())
+    assert np.linalg.eigvalsh((inverse + inverse.T) / 2.0).min() > 0.0
+    # dense reference: D^-1 + P (P^T H P)^-1 P^T, P the 0/1 cell aggregation
+    agg, cells = _cells(graph.points[problem.free], graph.epsilon)
+    assert 1 < cells < problem.free.size
+    agg_matrix = np.eye(cells)[agg]
+    h = hess.toarray()
+    reference = np.diag(1.0 / np.diag(h)) + agg_matrix @ np.linalg.solve(
+        agg_matrix.T @ h @ agg_matrix, agg_matrix.T)
+    np.testing.assert_allclose(inverse, reference, rtol=1e-8, atol=1e-12 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("kind", ["epsilon", "knn", "components"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_two_level_matches_jacobi(monkeypatch, kind, p):
+    graph, cons = _two_level_cases()[kind]
+    two_level, jacobi = _solve_both(monkeypatch, graph, cons, p)
+    assert two_level.energy == pytest.approx(jacobi.energy, rel=1e-9)
+    assert two_level.iterations == jacobi.iterations
+    assert two_level.stop_reason == jacobi.stop_reason == "converged"
+    assert two_level.pcg_iterations <= jacobi.pcg_iterations
+    np.testing.assert_array_equal(two_level.values[cons.indices], cons.values)
+
+
+@pytest.mark.parametrize("epsilon, cells", [(1e-3, "one node each"), (2.0, "one cell")])
+def test_two_level_at_extreme_cell_sizes(monkeypatch, epsilon, cells):
+    # the cells follow the graph's length scale, which here differs from the
+    # connection radius the graph was built with
+    graph, cons = _two_level_cases()["epsilon"]
+    graph = replace(graph, epsilon=epsilon)
+    f, solved = _start_values(graph, cons)
+    solved[cons.indices] = False
+    _, count = _cells(graph.points[solved], epsilon)
+    assert count == (solved.sum() if cells == "one node each" else 1)
+    two_level, jacobi = _solve_both(monkeypatch, graph, cons, 3.0)
+    assert two_level.energy == pytest.approx(jacobi.energy, rel=1e-9)
+    assert two_level.iterations == jacobi.iterations
+    assert two_level.stop_reason == jacobi.stop_reason == "converged"
+
+
+@pytest.mark.parametrize("epsilon, coarse", [(0.15, False), (0.06, True)])
+def test_coarse_term_only_from_the_cell_count_rule_up(epsilon, coarse):
+    # a jittered 30 x 30 lattice: about (1 / epsilon)^2 nonempty cells, 49
+    # at epsilon = 0.15 and 288 at 0.06
+    rng = np.random.default_rng(8)
+    grid = (np.stack(np.meshgrid(np.arange(30), np.arange(30)), -1).reshape(-1, 2) + 0.5) / 30
+    graph = build_epsilon_graph(grid + 0.005 * rng.standard_normal(grid.shape), epsilon)
+    cons = ConstraintSet(indices=[0, 29, 870, 899], values=[0.0, 1.0, 1.0, 0.0])
+    f, solved = _start_values(graph, cons)
+    problem = _PinnedEdges(graph, cons, 3.0, solved, 0.0)
+    _, count = _cells(graph.points[problem.free], epsilon)
+    assert (count >= _COARSE_MIN_CELLS) == coarse
+    assert (problem._coarse is not None) == coarse
+    res = minimize_discrete(graph, cons, p=3.0, tol=1e-8)
+    assert res.converged

@@ -87,7 +87,8 @@ def grid_laplacian(m, low, seed):
 def test_pcg_jacobi_reaches_the_relative_residual():
     a, b = grid_laplacian(12, 1e-2, seed=3)
     inv_diag = 1.0 / a.diagonal()
-    x = _pcg(a, lambda r: inv_diag * r, b)
+    x, iterations = _pcg(a, lambda r: inv_diag * r, b)
+    assert 1 <= iterations <= 4 * b.size + 10
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -100,8 +101,8 @@ def test_pcg_with_an_exact_factorization_takes_one_iteration():
         calls.append(r)
         return lu.solve(r)
 
-    x = _pcg(a, precondition, b)
-    assert len(calls) == 1
+    x, iterations = _pcg(a, precondition, b)
+    assert len(calls) == 1 and iterations == 1
     exact = lu.solve(b)
     assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
 
@@ -111,6 +112,7 @@ def test_capped_pcg_still_gives_a_descent_direction(monkeypatch):
     monkeypatch.setattr(solver, "_PCG_MAX_ITER_FACTOR", 0)
     a, b = grid_laplacian(30, 1e-6, seed=5)
     inv_diag = 1.0 / a.diagonal()
-    x = _pcg(a, lambda r: inv_diag * r, b)
+    x, iterations = _pcg(a, lambda r: inv_diag * r, b)
+    assert iterations == 10
     assert np.linalg.norm(a @ x - b) > 1e-3 * np.linalg.norm(b)
     assert float(b @ x) > 0.0
