@@ -80,6 +80,7 @@ _FLAG_KEYS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdirichlet",

@@ -12,7 +12,10 @@ line breaks.
 Tables are stored column-major. `write_csv` formats numpy number columns
 in bulk and other columns cell by cell, `_CHUNK_ROWS` rows at a time, and
 writes each chunk before formatting the next: it never holds the whole
-file, a list of all its lines, or row tuples.
+file, a list of all its lines, or row tuples. An integer column whose
+value range is no longer than the column (node indices, edge endpoints)
+is formatted once per value of that range, and its chunks gather their
+cells from those texts, which are at most one per row.
 """
 
 from __future__ import annotations
@@ -115,6 +118,23 @@ def _format_column(values) -> list:
     return list(map(_format_cell, values))
 
 
+def _column_formatter(column):
+    """The function that `write_csv` maps each row slice of ``column`` to its
+    cell texts with: `_format_column`, or for a numpy integer column whose
+    range max - min + 1 is at most its length, a gather from the texts of
+    that range, each formatted once."""
+    if not (isinstance(column, np.ndarray) and column.dtype.kind in "iu" and column.size):
+        return _format_column
+    lo, hi = column.min(), column.max()
+    if int(hi) - int(lo) >= column.size:
+        return _format_column
+    texts = np.array(list(map(str, range(int(lo), int(hi) + 1))), dtype=object)
+    # the offsets lie in [0, 2^bits) but may wrap in a signed dtype, so they
+    # are read back unsigned
+    unsigned = np.dtype(f"u{column.itemsize}")
+    return lambda values: texts[(values - lo).view(unsigned)].tolist()
+
+
 def _parse_cell(text: str):
     if _INT_CELL.match(text):
         return int(text)
@@ -129,8 +149,10 @@ def write_csv(table: Table, path) -> None:
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(map(_format_cell, table.header)) + "\n")
+            formatters = [_column_formatter(c) for c in table.columns]
             for start in range(0, len(table.columns[0]), _CHUNK_ROWS):
-                texts = [_format_column(c[start:start + _CHUNK_ROWS]) for c in table.columns]
+                texts = [fmt(c[start:start + _CHUNK_ROWS])
+                         for fmt, c in zip(formatters, table.columns)]
                 fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
     except ValidationError:
         os.remove(path)

@@ -145,18 +145,19 @@ def build_epsilon_graph(points: np.ndarray, epsilon: float, eta: str = "indicato
     pts = _points_array(points)
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    if eta == "indicator":
-        radius, profile = epsilon, lambda r: np.ones_like(r)
-    elif eta == "gaussian":
-        radius, profile = 5.0 * epsilon, lambda r: np.exp(-(r / epsilon) ** 2 / 2.0)
-    else:
+    if eta not in ("indicator", "gaussian"):
         raise ValidationError(f"unknown profile {eta!r}; choose indicator or gaussian")
     n = pts.shape[0]
     tree = cKDTree(pts)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
+    pairs = tree.query_pairs(epsilon if eta == "indicator" else 5.0 * epsilon,
+                             output_type="ndarray")
     if pairs.size:
-        dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        w = profile(dists) / epsilon**2
+        if eta == "indicator":
+            # constant weights, so the pair distances are not needed
+            w = np.ones(pairs.shape[0]) / epsilon**2
+        else:
+            dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+            w = np.exp(-(dists / epsilon) ** 2 / 2.0) / epsilon**2
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         data = np.concatenate([w, w])
@@ -304,9 +305,16 @@ class _PinnedEdges:
 
     def __init__(self, graph: WeightedGraph, constraints: ConstraintSet, p: float,
                  solved: np.ndarray, s: float):
-        upper = sp.triu(graph.weights, k=1).tocoo()
-        keep = solved[upper.row]
-        self.i, self.j, self.w = upper.row[keep], upper.col[keep], upper.data[keep]
+        w = graph.weights
+        if not w.has_canonical_format:
+            w = w.copy()
+            w.sum_duplicates()
+        rows = np.repeat(np.arange(graph.n, dtype=np.int32), np.diff(w.indptr))
+        # the edges i < j of the solved components, in the CSR order of the
+        # weights' upper triangle
+        edges = np.flatnonzero((w.indices > rows) & solved.take(rows))
+        self.i, self.j, self.w = rows.take(edges), w.indices.take(edges), w.data.take(edges)
+        del rows, edges
         solved = solved.copy()
         solved[constraints.indices] = False
         self.free = np.flatnonzero(solved)
@@ -315,25 +323,46 @@ class _PinnedEdges:
         self.scale = 2.0 * _energy_scale(graph, p)
         self.smooth(s)
         nf = self.free.size
-        local = np.full(graph.n, -1)
-        local[self.free] = np.arange(nf)
-        li, lj = local[self.i], local[self.j]
-        self._both = (li >= 0) & (lj >= 0)
-        a, b = li[self._both], lj[self._both]
-        # the Hessian's entries, each once: both triangles, then the diagonal;
-        # the data records each entry's place in that list, so a refill is a
-        # single gather in CSR order
-        diag = np.arange(nf)
-        pattern = sp.csr_matrix(
-            (np.arange(1, 2 * a.size + nf + 1, dtype=np.int32),
-             (np.concatenate([a, b, diag]), np.concatenate([b, a, diag]))),
-            shape=(nf, nf),
-        )
-        self._order = pattern.data - 1
-        self._indices, self._indptr = pattern.indices, pattern.indptr
+        self._both = solved.take(self.i) & solved.take(self.j)
+        local = np.full(graph.n, -1, dtype=np.int32)
+        local[self.free] = np.arange(nf, dtype=np.int32)
+        inner = np.flatnonzero(self._both)
+        a, b = local.take(self.i.take(inner)), local.take(self.j.take(inner))
+        del local, inner
+        # the Hessian's entries, each once: the free-free edges (a, b), a < b,
+        # their transposes (b, a), then the diagonal. A CSR row holds its
+        # transposes, its diagonal entry and its edges, each part in column
+        # order, and ``_order`` gives each CSR entry's place in that list, so
+        # a refill is a single gather in CSR order
+        m = a.size
+        ids = np.arange(m, dtype=np.int32)
+        upper = np.zeros(nf + 1, dtype=np.int32)
+        np.cumsum(np.bincount(a, minlength=nf), out=upper[1:])
+        # the transposes by row, without a sort: the CSC arrays of the
+        # upper triangle are the CSR arrays of the lower one, and its data
+        # the id of each transpose's edge
+        lower = sp.csr_matrix((ids, b, upper), shape=(nf, nf)).tocsc()
+        rank, below = lower.data, lower.indptr.astype(np.int32)
+        self._indptr = below + upper + np.arange(nf + 1, dtype=np.int32)
+        self._indices = np.empty(2 * m + nf, dtype=np.int32)
+        self._order = np.empty_like(self._indices)
+        # an entry's CSR place counts the entries before it. Edge k of row
+        # a: k edges, the transposes of rows <= a and a + 1 diagonal entries
+        place = ids + below[1:].take(a) + a + 1
+        self._indices[place], self._order[place] = b, ids
+        # transpose k, of row r: k transposes, the edges of rows < r and r
+        # diagonal entries
+        r = b.take(rank)
+        place = ids + upper.take(r) + r
+        self._indices[place], self._order[place] = lower.indices, m + rank
+        # diagonal entry r: the transposes of rows <= r, the edges of rows < r
+        # and r diagonal entries
+        r = np.arange(nf, dtype=np.int32)
+        place = below[1:] + upper[:-1] + r
+        self._indices[place], self._order[place] = r, 2 * m + r
         # freed before the coarse pattern's sort, which would otherwise add
         # to the peak of this set-up
-        del upper, keep, local, li, lj, pattern
+        del ids, upper, lower, rank, below, place, r
         self._coarse = None
         # every cell holds a free node, so there are no more cells than nodes
         if nf >= _COARSE_MIN_CELLS:

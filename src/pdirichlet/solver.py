@@ -17,7 +17,10 @@ Vandenberghe, *Convex Optimization*, §9.5). A problem exposes
   Newton system for that energy. The operator is its Hessian (anything
   with ``@``), with gradient magnitudes floored at ``delta``, since its
   weights vanish with them for p > 2. ``precondition(r)`` applies an SPD
-  approximation of the Hessian's inverse to a residual;
+  approximation of the Hessian's inverse to a residual. The exponent-2
+  system must not depend on ``f`` (true of both energies: their curvature
+  weights are |gap|^0), so at ``p`` = 2 `_newton` builds it once and solves
+  every Newton system with it;
 - ``refine(decrement)``, read only when ``bias`` > 0: tighten the problem
   once the decrement no longer dominates its bias, returning whether it
   did, which changes ``energy`` and ``bias``.
@@ -125,14 +128,19 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int) -> MinimizerResul
     """
     free = problem.free
     delta = np.sqrt(_EPS) * max(float(np.ptp(f)), 1e-12)
-    start, pcg_iterations = _pcg(*problem.hessian(f, 2.0, delta), -problem.gradient(f, 2.0))
+    system = problem.hessian(f, 2.0, delta)
+    start, pcg_iterations = _pcg(*system, -problem.gradient(f, 2.0))
     f[free] += start
+    # kept only where it is every step's system, so that at other exponents
+    # it is freed before the next one is built
+    fixed = system if problem.p == 2.0 else None
+    del system
     energy = problem.energy(f)
     energies = [energy]
     iterations = 0
     while True:
         grad = problem.gradient(f, problem.p)
-        step, k = _pcg(*problem.hessian(f, problem.p, delta), -grad)
+        step, k = _pcg(*(fixed or problem.hessian(f, problem.p, delta)), -grad)
         pcg_iterations += k
         decrement = -0.5 * float(grad @ step)
         bias = problem.bias

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import pdirichlet
+from pdirichlet import cli
 from pdirichlet.cli import run
+from pdirichlet.config import RunConfig
 from pdirichlet.csvio import read_csv, write_csv
 from pdirichlet.density import reference_density
 from pdirichlet.experiments import StudyConfig, constraint_labels, label_value, minimizer_comparison
@@ -178,6 +180,25 @@ def test_config_file_flags_precedence(tmp_path):
     assert len(read_csv(out / "sample.csv").rows) == 32
     manifest = (out / "sample_manifest.txt").read_text()
     assert "seed=9" in manifest
+
+
+def test_shared_parser_keeps_no_value_between_runs(tmp_path, monkeypatch):
+    # the parser is built once per process; each run must still see only
+    # its own flags
+    seen = []
+    monkeypatch.setattr("pdirichlet.cli._HANDLERS",
+                        dict.fromkeys(cli._HANDLERS, seen.append))
+    out = str(tmp_path)
+    assert run(["solve-discrete", "--n", "64", "--p", "2.5", "--k", "5", "--seed", "9",
+                "--density", "rho3", "--svg", "--out", out]) == 0
+    assert run(["study-minimizers", "--tol", "0.01", "--out", out]) == 0
+    assert run(["sample", "--out", out]) == 0
+    assert seen == [
+        RunConfig("solve-discrete", n=64, p=2.5, k=5, seed=9, density="rho3", svg=True, out=out),
+        RunConfig("study-minimizers", tol=0.01, out=out),
+        RunConfig("sample", out=out),
+    ]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def _python(*args):

@@ -352,6 +352,19 @@ def test_ritz_hessian_matches_gradient_differences(kind, ppp, p):
 
 
 @pytest.mark.parametrize("kind", ["lattice", "boundary"])
+def test_ritz_exponent_2_system_does_not_depend_on_the_iterate(kind):
+    # `_newton` builds the p = 2 system once and solves every step with it
+    dom, energy, v = hessian_point(kind, 7, 2.0)
+    rng = np.random.default_rng(2)
+    w = v.copy()
+    w[dom.free_nodes] = 10.0 * rng.standard_normal(dom.free_nodes.size)
+    (h1, solve1), (h2, solve2) = energy.hessian(v, 2.0, 1e-3), energy.hessian(w, 2.0, 1e-3)
+    np.testing.assert_array_equal(h1.toarray(), h2.toarray())
+    r = rng.standard_normal(dom.free_nodes.size)
+    np.testing.assert_array_equal(solve1(r), solve2(r))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "boundary"])
 @pytest.mark.parametrize("ppp", [4, 7])
 @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
 def test_ritz_hessian_equals_gtmg(kind, ppp, p):

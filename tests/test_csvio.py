@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pdirichlet import csvio
 from pdirichlet.csvio import Table, _format_cell, read_csv, write_csv
+from pdirichlet.density import reference_density, sample_density
 from pdirichlet.errors import ValidationError
+from pdirichlet.graph import build_epsilon_graph, default_epsilon
 
 
 # ---------------------------------------------------------------------- table
@@ -143,6 +146,75 @@ def test_constant_float_columns_match_the_cell_formatter(tmp_path, monkeypatch, 
     raw = path.read_bytes()
     assert raw == _reference_bytes(("v", "k"), (column, np.arange(column.size)))
     assert raw.split(b"\n")[1] == first + b",0"
+
+
+_DENSE = 10
+
+
+def _dense_integer_columns():
+    """Integer columns whose value range is at most their length, so the
+    writer formats each value of the range once, and two just past it."""
+    rng = np.random.default_rng(5)
+    return {
+        "arange": np.arange(_DENSE),
+        "sorted_repeats": np.sort(rng.integers(3, 8, _DENSE)),
+        "negative": np.arange(_DENSE)[::-1] - 1000,
+        "int8": np.array([-128, -119, -120, -128, -125, -119, -121, -122, -123, -124],
+                         dtype=np.int8),
+        "int32": rng.permutation(_DENSE).astype(np.int32) + np.int32(-(2**31)),
+        "uint16": np.resize(np.array([65535, 65530, 65534], dtype=np.uint16), _DENSE),
+        "uint64": np.arange(_DENSE, dtype=np.uint64) + np.uint64(2**64 - _DENSE),
+        "range_length_minus_1": np.r_[0, np.arange(_DENSE - 1)],
+        "range_length": np.arange(-5, _DENSE - 5)[rng.permutation(_DENSE)],
+        "range_length_plus_1": np.r_[0, np.arange(2, _DENSE + 1)],
+        "sparse_range": np.arange(_DENSE) * 10**12,
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 3, _DENSE - 1, _DENSE, _DENSE + 1])
+def test_dense_integer_columns_match_the_cell_formatter(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk)
+    columns = _dense_integer_columns()
+    header = tuple(columns)
+    path = tmp_path / "dense.csv"
+    write_csv(Table.from_columns(header, columns.values()), path)
+    assert path.read_bytes() == _reference_bytes(header, columns.values())
+    # the switch point: a range of the column's length is formatted per value
+    for name, column in columns.items():
+        per_value = csvio._column_formatter(column) is not csvio._format_column
+        assert per_value == (name not in ("range_length_plus_1", "sparse_range")), name
+
+
+@pytest.mark.parametrize("column", [
+    np.array([7]),
+    np.array([-3], dtype=np.int8),
+    np.zeros(0, dtype=np.int64),
+    # offsets from the minimum above 127 wrap in int8
+    np.random.default_rng(6).permutation(np.resize(np.arange(-128, 100), 300)).astype(np.int8),
+    np.random.default_rng(7).permutation(np.arange(-128, 128)).astype(np.int8),
+])
+def test_short_and_full_range_integer_columns(tmp_path, column):
+    path = tmp_path / "short.csv"
+    write_csv(Table.from_columns(("i",), (column,)), path)
+    assert path.read_bytes() == _reference_bytes(("i",), (column,))
+
+
+def test_discrete_artifacts_match_the_cell_formatter(tmp_path, monkeypatch):
+    # the CLI's two solve-discrete tables for a real epsilon-graph, over
+    # several chunks: sorted edge endpoints and the node index column
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 1000)
+    cloud = sample_density(reference_density("rho2"), 1024, seed=3)
+    graph = build_epsilon_graph(cloud.points, default_epsilon(1024, 3.0))
+    upper = sp.triu(graph.weights, k=1).tocoo()
+    values = np.random.default_rng(3).random(graph.n)
+    tables = {
+        "edges": (("i", "j", "w"), (upper.row.astype(int), upper.col.astype(int), upper.data)),
+        "labels": (("i", "x", "y", "f"),
+                   (np.arange(graph.n), graph.points[:, 0], graph.points[:, 1], values)),
+    }
+    for name, (header, columns) in tables.items():
+        write_csv(Table.from_columns(header, columns), tmp_path / f"{name}.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == _reference_bytes(header, columns)
 
 
 def test_row_and_column_tables_write_the_same_bytes(tmp_path):

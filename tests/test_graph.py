@@ -61,6 +61,26 @@ def test_knn_graph_symmetric_and_unit_weights():
     assert g.epsilon > 0
 
 
+@pytest.mark.parametrize("eta, reach", [("indicator", 1.0), ("gaussian", 5.0)])
+def test_epsilon_graph_matches_brute_force_pairs(eta, reach):
+    rng = np.random.default_rng(21)
+    pts = rng.random((150, 2))
+    epsilon = 0.06
+    g = build_epsilon_graph(pts, epsilon, eta=eta)
+    i, j = np.triu_indices(pts.shape[0], k=1)
+    r = np.linalg.norm(pts[i] - pts[j], axis=1)
+    near = r <= reach * epsilon
+    profile = np.ones(near.sum()) if eta == "indicator" else np.exp(-(r[near] / epsilon) ** 2 / 2.0)
+    expect = sp.coo_matrix((profile / epsilon**2, (i[near], j[near])), shape=g.weights.shape)
+    expect = (expect + expect.T).tocsr()
+    assert g.num_edges == near.sum() and 0 < near.sum() < i.size
+    np.testing.assert_array_equal(g.weights.indptr, expect.indptr)
+    np.testing.assert_array_equal(g.weights.indices, expect.indices)
+    np.testing.assert_allclose(g.weights.data, expect.data, rtol=1e-15)
+    if eta == "indicator":
+        assert np.all(g.weights.data == 1.0 / epsilon**2)
+
+
 def test_default_epsilon_midpoint():
     n, p = 1000, 3.0
     lower = np.log(n) ** 0.75 / np.sqrt(n)
@@ -163,6 +183,62 @@ def test_pinned_edges_hessian_matches_gradient_differences(s):
     fm[problem.free] -= h * v
     fd = (problem.gradient(fp, p) - problem.gradient(fm, p)) / (2.0 * h)
     np.testing.assert_allclose(problem.hessian(f, p, 1e-12)[0] @ v, fd, rtol=1e-5, atol=1e-8)
+
+
+def _reference_pattern(problem, graph, solved):
+    """The free-node Hessian's CSR pattern and order map through a COO -> CSR
+    conversion of its entry list (the edges, their transposes, the diagonal),
+    and the solved components' edges from the weights' upper triangle."""
+    upper = sp.triu(graph.weights, k=1).tocoo()
+    keep = solved[upper.row]
+    local = np.full(graph.n, -1)
+    local[problem.free] = np.arange(problem.free.size)
+    li, lj = local[upper.row[keep]], local[upper.col[keep]]
+    both = (li >= 0) & (lj >= 0)
+    a, b, d = li[both], lj[both], np.arange(problem.free.size)
+    pattern = sp.csr_matrix(
+        (np.arange(1, 2 * a.size + d.size + 1, dtype=np.int32),
+         (np.concatenate([a, b, d]), np.concatenate([b, a, d]))),
+        shape=(d.size, d.size),
+    )
+    return {"i": upper.row[keep], "j": upper.col[keep], "w": upper.data[keep], "_both": both,
+            "_order": pattern.data - 1, "_indices": pattern.indices, "_indptr": pattern.indptr}
+
+
+@pytest.mark.parametrize("kind", ["epsilon", "knn", "components", "sample"])
+def test_pinned_edges_pattern_matches_a_coo_build(kind):
+    if kind == "sample":
+        labels = constraint_labels()
+        cloud = sample_density(reference_density("rho2"), 1024, seed=5)
+        pts = np.vstack([cloud.points, labels.positions])
+        graph = build_epsilon_graph(pts, default_epsilon(pts.shape[0], 2.0))
+        cons = labels.graph_constraints(1024)
+    else:
+        graph, cons = _two_level_cases()[kind]
+    f, solved = _start_values(graph, cons)
+    problem = _PinnedEdges(graph, cons, 2.0, solved, 0.0)
+    for name, expect in _reference_pattern(problem, graph, solved).items():
+        got = getattr(problem, name)
+        assert got.dtype == expect.dtype, name
+        np.testing.assert_array_equal(got, expect, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["epsilon", "knn", "components"])
+def test_exponent_2_system_does_not_depend_on_the_iterate(monkeypatch, kind):
+    # `_newton` builds the p = 2 system once and solves every step with it
+    monkeypatch.setattr("pdirichlet.graph._COARSE_MIN_CELLS", 1)
+    graph, cons = _two_level_cases()[kind]
+    f, solved = _start_values(graph, cons)
+    problem = _PinnedEdges(graph, cons, 2.0, solved, 0.0)
+    assert problem._coarse is not None
+    rng = np.random.default_rng(4)
+    g = f.copy()
+    g[problem.free] = 10.0 * rng.standard_normal(problem.free.size)
+    (h1, m1), (h2, m2) = problem.hessian(f, 2.0, 1e-12), problem.hessian(g, 2.0, 1e-3)
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(h1, name), getattr(h2, name))
+    r = rng.standard_normal(problem.free.size)
+    np.testing.assert_array_equal(m1(r), m2(r))
 
 
 def test_minimizer_deterministic():

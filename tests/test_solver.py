@@ -2,6 +2,7 @@
 preconditioned CG kernel."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -67,6 +68,35 @@ def test_energy_rising_along_every_step_stalls():
     assert res.iterations == 0
     np.testing.assert_array_equal(res.values, np.zeros(3))
     np.testing.assert_array_equal(res.energies, [1.0])
+
+
+class Halfway(Quadratic):
+    """Counts the Newton systems it builds. Its operator is twice the
+    Hessian, so each step goes halfway and a run solves several systems."""
+
+    systems = 0
+
+    def hessian(self, f, p, delta):
+        self.systems += 1
+        return 2.0 * np.eye(self.free.size), lambda r: r / 2.0
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_exponent_2_system_is_built_once(monkeypatch, p):
+    # at p = 2 every step's system is the start step's; other exponents
+    # build one per step
+    solves = []
+
+    def counting_pcg(a, precondition, b):
+        solves.append(b)
+        return _pcg(a, precondition, b)
+
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    problem = Halfway(start=[0.5, -0.5], target=[1.0, 2.0] if p == 3.0 else [0.5, -0.5], p=p)
+    res = _newton(problem, np.zeros(3), tol=1e-10, max_iter=100)
+    assert res.converged and res.iterations >= 5
+    assert res.pcg_iterations == len(solves)
+    assert problem.systems == (1 if p == 2.0 else len(solves))
 
 
 def grid_laplacian(m, low, seed):
