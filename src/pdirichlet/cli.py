@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import __version__
 from .config import RunConfig, config_hash, config_text, parse_config
 from .continuum import ContinuumProblem, minimize_continuum
-from .csvio import Table, write_csv
+from .csvio import Table, _write_text, write_csv
 from .density import (
     KdeDensityField,
     SplineConfig,
@@ -142,7 +142,7 @@ def _write_manifest(config: RunConfig, out: Path, seeds) -> Path:
         "# full configuration (defaults included)",
         config_text(config).rstrip("\n"),
     ]
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -197,7 +197,7 @@ def _cmd_density(config: RunConfig) -> None:
     _stage("evaluate", f"mesh {config.mesh}x{config.mesh}, mean value {mass:.6f}",
            time.perf_counter() - start)
     write_csv(_mesh_table(values), out / "density.csv")
-    (out / "density.cfg").write_text(config_text(config))
+    _write_text(out / "density.cfg", config_text(config))
     manifest = _write_manifest(config, out, (config.seed,))
     print(f"write: density.csv ({config.mesh ** 2} rows), density.cfg, {manifest.name}")
 
@@ -305,7 +305,7 @@ def _cmd_study(config: RunConfig) -> None:
     written = [f"{name}.csv", f"{name}_timing.csv"]
     if config.svg:
         svg_path = out / f"{name}.svg"
-        svg_path.write_text(_svg_error_chart(study.reports))
+        _write_text(svg_path, _svg_error_chart(study.reports))
         written.append(svg_path.name)
     flags = ", ".join(
         f"{key}={str(value).lower() if isinstance(value, bool) else f'{value:.2f}'}"

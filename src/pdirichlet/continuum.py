@@ -238,16 +238,18 @@ class PatchedField:
         tx = self._tile_of(axis, dom.xlines)
         ty = self._tile_of(axis, dom.ylines)
         nodes_x, nodes_y, values = self._patch_arrays()
+        ntx = dom.xlines.size - 1
+        # the patches of a tile column share their x nodes and those of a
+        # tile row their y nodes, so the weights are built once per column
+        # and once per row (empty for a tile no mesh site falls in)
+        sx = [np.nonzero(tx == ix)[0] for ix in range(ntx)]
+        sy = [np.nonzero(ty == iy)[0] for iy in range(dom.ylines.size - 1)]
+        wx = [_bary_matrix(axis[s], nodes_x[ix]) for ix, s in enumerate(sx)]
+        wy = [_bary_matrix(axis[s], nodes_y[iy * ntx]) for iy, s in enumerate(sy)]
         out = np.empty((mesh_size, mesh_size))
         for patch in range(values.shape[0]):
-            iy, ix = divmod(patch, dom.xlines.size - 1)
-            sx = np.nonzero(tx == ix)[0]
-            sy = np.nonzero(ty == iy)[0]
-            if sx.size == 0 or sy.size == 0:
-                continue
-            wx = _bary_matrix(axis[sx], nodes_x[patch])
-            wy = _bary_matrix(axis[sy], nodes_y[patch])
-            out[np.ix_(sy, sx)] = wy @ values[patch] @ wx.T
+            iy, ix = divmod(patch, ntx)
+            out[np.ix_(sy[iy], sx[ix])] = wy[iy] @ values[patch] @ wx[ix].T
         return out
 
 

@@ -20,6 +20,11 @@ bandwidths.
 
 The eta-moment constant sigma (the weight appearing in front of local
 continuum energies) is computed here as well, in closed form.
+
+`scipy.interpolate` (which loads `scipy.optimize`) and `scipy.fft` are
+imported where they are used, on first use: a process that never fits a
+spline or convolves on a mesh, such as a graph solve, does not load them,
+which takes about 0.07 s off its start (2-core VM).
 """
 
 from __future__ import annotations
@@ -28,10 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sp_fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import BSpline, NdBSpline
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import gamma as _gamma
@@ -463,6 +466,8 @@ def _convolve_same(mass: np.ndarray, stencil: np.ndarray) -> np.ndarray:
     bit-identical; importing `scipy.signal`, which loads `scipy.stats`, would
     add about 0.25 s to the package import and so to every CLI start.
     """
+    import scipy.fft as sp_fft
+
     full = [m + s - 1 for m, s in zip(mass.shape, stencil.shape)]
     fshape = [sp_fft.next_fast_len(k, True) for k in full]
     conv = sp_fft.irfftn(sp_fft.rfftn(mass, fshape) * sp_fft.rfftn(stencil, fshape), fshape)
@@ -508,6 +513,8 @@ def _open_knot_vector(sites: np.ndarray, degree: int = 3) -> np.ndarray:
 def _bspline_gram(t: np.ndarray, degree: int, deriv: int) -> np.ndarray:
     # Exact Gram matrix of deriv-th basis derivatives via per-span Gauss
     # quadrature (degree+1 points: exact up to degree 2*degree products).
+    from scipy.interpolate import BSpline
+
     xg, wg = np.polynomial.legendre.leggauss(degree + 1)
     breaks = np.unique(t)
     xq, wq = [], []
@@ -524,6 +531,8 @@ class SplineDensityField(DensityField):
     """Penalized tensor-product cubic B-spline fit of gridded density values."""
 
     def __init__(self, knot_vector: np.ndarray, coefs: np.ndarray, config: SplineConfig):
+        from scipy.interpolate import NdBSpline
+
         self.t = knot_vector
         self.coefs = coefs  # (n_basis_y, n_basis_x)
         self.config = config
@@ -550,6 +559,8 @@ class SplineFit:
     """
 
     def __init__(self, config: SplineConfig):
+        from scipy.interpolate import BSpline
+
         g = config.grid_size
         sites = np.linspace(0.0, 1.0, g)
         t = _open_knot_vector(sites)

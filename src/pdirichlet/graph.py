@@ -151,20 +151,31 @@ def build_epsilon_graph(points: np.ndarray, epsilon: float, eta: str = "indicato
     tree = cKDTree(pts)
     pairs = tree.query_pairs(epsilon if eta == "indicator" else 5.0 * epsilon,
                              output_type="ndarray")
-    if pairs.size:
-        if eta == "indicator":
-            # constant weights, so the pair distances are not needed
-            w = np.ones(pairs.shape[0]) / epsilon**2
-        else:
-            dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-            w = np.exp(-(dists / epsilon) ** 2 / 2.0) / epsilon**2
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        data = np.concatenate([w, w])
+    if eta == "indicator":
+        # constant weights, so the pair distances are not needed
+        w = np.ones(pairs.shape[0]) / epsilon**2
     else:
-        rows = cols = np.zeros(0, dtype=int)
-        data = np.zeros(0)
-    weights = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+        w = np.exp(-(dists / epsilon) ** 2 / 2.0) / epsilon**2
+    # the sorted CSR without an index sort, by two O(nnz) transposes. A
+    # matrix with one row per stored entry, holding that entry's row as its
+    # column, transposes to the entries grouped by row in pair order. The
+    # CSR they form is symmetric, so its CSC arrays are its own CSR arrays,
+    # now with every row's columns in order; the pairs are unique, so there
+    # are no duplicates to sum
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    entries = rows.size
+    ids = np.arange(entries, dtype=np.int32)
+    by_row = sp.csr_matrix((ids, rows, np.arange(entries + 1)), shape=(entries, n)).tocsc()
+    del rows, ids
+    order = by_row.data
+    grouped = sp.csr_matrix((np.concatenate([w, w])[order], cols[order], by_row.indptr),
+                            shape=(n, n))
+    del cols, by_row, order
+    csc = grouped.tocsc()
+    weights = sp.csr_matrix((csc.data, csc.indices, csc.indptr), shape=(n, n))
+    weights.has_canonical_format = True
     return WeightedGraph(points=pts, weights=weights, epsilon=float(epsilon), kind="epsilon")
 
 

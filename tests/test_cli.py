@@ -223,6 +223,32 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_graph_route_leaves_spline_and_fft_modules_unloaded(tmp_path):
+    # only the density estimate loads scipy.interpolate (and with it
+    # scipy.optimize) and scipy.fft: about 0.07 s of a start that needs neither
+    code = f"""
+import sys
+from pdirichlet.cli import run
+
+lazy = ("scipy.interpolate", "scipy.fft")
+def loaded():
+    return [name for name in lazy if name in sys.modules]
+
+assert loaded() == [], loaded()
+assert run(["solve-discrete", "--n", "64", "--p", "2", "--out", {str(tmp_path / "d")!r}]) == 0
+assert loaded() == [], loaded()
+assert run(["density", "--n", "64", "--T", "64", "--mesh", "16", "--h", "0.2",
+            "--out", {str(tmp_path / "e")!r}]) == 0
+assert run(["study-minimizers", "--n", "8", "--T", "64", "--mesh", "16",
+            "--points-per-patch", "4", "--tol", "0.01", "--out", {str(tmp_path / "s")!r}]) == 0
+assert loaded() == list(lazy), loaded()
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("discrete_labels.csv", "density.csv", "study_minimizers.csv"):
+        assert next(tmp_path.rglob(name)).stat().st_size > 0
+
+
 def test_cli_run_keeps_large_buffers_on_the_heap(tmp_path):
     # glibc only: after a CLI call a 16 MiB buffer comes from the heap, not
     # from a mapping of its own, however the run before it left the heap

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from pdirichlet.chebyshev import chebyshev_nodes, quadrature_2d, tensor_diff_ops
 from pdirichlet.continuum import (
     ContinuumProblem,
+    _bary_matrix,
     _RitzEnergy,
     PatchedField,
     local_energy,
@@ -436,6 +437,38 @@ def test_on_mesh_agrees_with_pointwise_evaluation():
     xx, yy = np.meshgrid(axis, axis)
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     np.testing.assert_allclose(mesh.ravel(), fld.evaluate(pts), atol=1e-12)
+
+
+@pytest.mark.parametrize("tiles, mesh", [((3, 3), 17), ((3, 3), 2), ((2, 3), 9)])
+def test_on_mesh_builds_weights_once_per_tile_column_and_row(monkeypatch, tiles, mesh):
+    # bit for bit the per-patch construction, with one `_bary_matrix` call
+    # per tile column and per tile row; a 2-point mesh leaves the middle
+    # tiles of a 3 x 3 tiling without a site
+    dom = make_problem(p=2.0, ppp=5, tiles=tiles, boundary=lambda x, y: x).domain
+    fld = PatchedField(dom, node_values(dom, lambda x, y: np.sin(3 * x) * y + x * x))
+    axis = np.linspace(0.0, 1.0, mesh)
+    tx, ty = fld._tile_of(axis, dom.xlines), fld._tile_of(axis, dom.ylines)
+    nodes_x, nodes_y, values = fld._patch_arrays()
+    expect = np.empty((mesh, mesh))
+    for patch in range(values.shape[0]):
+        iy, ix = divmod(patch, tiles[0])
+        sx, sy = np.nonzero(tx == ix)[0], np.nonzero(ty == iy)[0]
+        wx = _bary_matrix(axis[sx], nodes_x[patch])
+        wy = _bary_matrix(axis[sy], nodes_y[patch])
+        expect[np.ix_(sy, sx)] = wy @ values[patch] @ wx.T
+    calls = []
+
+    def counted(queries, nodes):
+        calls.append(queries.size)
+        return _bary_matrix(queries, nodes)
+
+    monkeypatch.setattr("pdirichlet.continuum._bary_matrix", counted)
+    got = fld.on_mesh(mesh)
+    assert len(calls) == sum(tiles) and sum(calls) == 2 * mesh
+    assert got.tobytes() == expect.tobytes()
+    xx, yy = np.meshgrid(axis, axis)
+    np.testing.assert_allclose(got.ravel(), fld.evaluate(np.column_stack([xx.ravel(), yy.ravel()])),
+                               atol=1e-12)
 
 
 def test_evaluate_on_mesh_dispatch():

@@ -263,6 +263,30 @@ def test_bad_cell_in_a_later_chunk_leaves_no_file(tmp_path, monkeypatch):
     assert not (tmp_path / "late.csv").exists()
 
 
+def test_rerun_overwrites_and_a_rejected_table_keeps_the_previous_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 2)
+    path = tmp_path / "t.csv"
+    first = Table.from_columns(("i", "s"), (np.arange(5), ["a", "b", "c", "d", "e"]))
+    second = Table.from_columns(("i", "s"), (np.arange(3), ["x", "y", "z"]))
+    write_csv(first, path)
+    write_csv(second, path)
+    assert read_csv(path) == second
+    written = path.read_bytes()
+    bad = Table.from_columns(("i", "s"), (np.arange(5), ["a", "b", "c", "d\ne", "f"]))
+    with pytest.raises(ValidationError, match="line break"):
+        write_csv(bad, path)
+    assert path.read_bytes() == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_text_artifacts_are_replaced_whole(tmp_path):
+    path = tmp_path / "run_manifest.txt"
+    csvio._write_text(path, "first\nrun\n")
+    csvio._write_text(path, "second\n")
+    assert path.read_bytes() == b"second\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_manifest.txt"]
+
+
 # ------------------------------------------------------------------ bad files
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 from pdirichlet.density import reference_density, sample_density
 from pdirichlet.errors import ConstraintError, ValidationError
@@ -79,6 +80,32 @@ def test_epsilon_graph_matches_brute_force_pairs(eta, reach):
     np.testing.assert_allclose(g.weights.data, expect.data, rtol=1e-15)
     if eta == "indicator":
         assert np.all(g.weights.data == 1.0 / epsilon**2)
+
+
+@pytest.mark.parametrize(
+    "eta, n, epsilon",
+    [("indicator", 600, 0.08), ("gaussian", 300, 0.02), ("indicator", 40, 1e-6)],
+)
+def test_epsilon_graph_weights_match_a_coo_build(eta, n, epsilon):
+    # the weights' arrays and dtypes equal a COO -> CSR build (sorted by
+    # `sum_duplicates`) of the same pairs, bit for bit; the last case has no pairs
+    pts = np.random.default_rng(8).random((n, 2))
+    g = build_epsilon_graph(pts, epsilon, eta=eta)
+    reach = epsilon if eta == "indicator" else 5.0 * epsilon
+    pairs = cKDTree(pts).query_pairs(reach, output_type="ndarray")
+    r = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    w = (np.ones(r.size) if eta == "indicator" else np.exp(-(r / epsilon) ** 2 / 2.0)) / epsilon**2
+    expect = sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([pairs[:, 0], pairs[:, 1]]),
+                                  np.concatenate([pairs[:, 1], pairs[:, 0]]))),
+        shape=(n, n),
+    )
+    assert (expect.nnz == 0) == (epsilon < 1e-3)
+    assert g.weights.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(g.weights, name), getattr(expect, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_default_epsilon_midpoint():
