@@ -172,8 +172,8 @@ def validate(config: RunConfig) -> RunConfig:
     # 0.63 GB for D = 1536 (n = 4096) and 1.0 GB for D = 2048
     if not 4 <= c.mesh <= 1536:
         raise _fail("mesh", c.mesh)
-    # the p > 2 Newton Hessian is dense per patch, so its memory grows like
-    # 9 x points_per_patch^4; 40 keeps the 16-pin p = 3 solve under 1 GB
+    # the LU fill of the Newton preconditioner grows like 9 x
+    # points_per_patch^4; at 40 the 16-pin p = 3 solve peaks at 330 MB
     if not 4 <= c.points_per_patch <= 40:
         raise _fail("points_per_patch", c.points_per_patch)
     return c

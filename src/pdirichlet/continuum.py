@@ -13,9 +13,13 @@ Pins fix geometric-node values, so continuity, flux balance across
 interfaces and the natural boundary condition need no equations of their
 own. The energy is convex in v, and `minimize_continuum` minimizes it by
 damped Newton on the driver of `pdirichlet.solver` that the discrete route
-also runs. Each step's Hessian is the domain's `PatchedDomain.stiffness` of
-the per-copy curvature, and its sparse LU is the preconditioner of the
-driver's conjugate gradients, which it makes a direct solve.
+also runs. Each Newton system is solved by the driver's conjugate
+gradients on the Hessian applied as batched per-patch products, with no
+matrix, preconditioned by the sparse LU of the domain's
+`PatchedDomain.stiffness` of the curvature's diagonal: the Hessian without
+its cross term, whose condition number relative to the Hessian is at most
+p - 1 at every resolution, so the iterations per system stay flat in the
+points per side.
 
 The module also evaluates the nonlocal relative of the energy,
 eps^-p * double integral of eta_eps(|x-z|) |u(x)-u(z)|^p rho(x) rho(z),
@@ -64,7 +68,8 @@ class ContinuumProblem:
         if self.p < 2.0:
             raise ValidationError(f"the continuum solver needs p >= 2, got {self.p}")
         self.sigma = sigma_eta(self.p, "indicator")
-        rho = self.density.value_at(self.domain.points)
+        # once per geometric node: the copies of a node share its coordinates
+        rho = self.density.value_at(self.domain.node_points)[self.domain.node_of]
         if not np.all(rho > 0.0):
             raise ValidationError("density is not strictly positive on the grid")
         # energy weight sigma * w * rho^2 of every node copy, [patch, iy, ix]
@@ -77,6 +82,11 @@ def _spectral_gradient(u: np.ndarray, dom: PatchedDomain) -> tuple[np.ndarray, n
     """Per-patch d/dx and d/dy of node-copy values, both [patch, iy, ix]."""
     u = u.reshape(dom.d1x.shape)
     return u @ dom.d1x.transpose(0, 2, 1), dom.d1y @ u
+
+
+def _spectral_adjoint(fx: np.ndarray, fy: np.ndarray, dom: PatchedDomain) -> np.ndarray:
+    """Per-copy Dx^T fx + Dy^T fy, the adjoint of `_spectral_gradient`, flat."""
+    return (fx @ dom.d1x + dom.d1y.transpose(0, 2, 1) @ fy).ravel()
 
 
 def local_energy(u: np.ndarray, problem: ContinuumProblem) -> float:
@@ -117,25 +127,52 @@ class _RitzEnergy:
         dom = self._dom
         gx, gy = _spectral_gradient(v[dom.node_of], dom)
         q = p * self._problem._weight * (gx * gx + gy * gy) ** ((p - 2.0) / 2.0)
-        per_copy = (q * gx) @ dom.d1x + dom.d1y.transpose(0, 2, 1) @ (q * gy)
-        return np.bincount(dom.node_of, per_copy.ravel(), v.size)[self.free]
+        per_copy = _spectral_adjoint(q * gx, q * gy, dom)
+        return np.bincount(dom.node_of, per_copy, v.size)[self.free]
 
     def hessian(self, v: np.ndarray, p: float, delta: float):
-        """The domain's stiffness of the per-copy 2x2 Hessian a I + b g g^T of
-        weight * |g|^p, with |g| floored at ``delta``: a = p weight
-        |g|^(p-2), b = (p - 2) a / |g|^2. At p = 2, b is 0, so the matrix
-        holds only the operator's grid-line coupling. Its preconditioner is
-        its exact sparse LU, so one PCG iteration solves the system."""
+        """The Newton system of the exponent-p energy: the Hessian
+        Q^T D^T M D Q over the free nodes as a product, M the per-copy 2x2
+        Hessian a I + b g g^T of weight * |g|^p with |g| floored at
+        ``delta`` (a = p weight |g|^(p-2), b = (p - 2) a / |g|^2), and the
+        sparse LU of P, the domain's stiffness of diag(M), as its
+        preconditioner. As b |g|^2 <= (p - 2) a, every M lies between
+        (2/p) diag(M) and (2(p-1)/p) diag(M), so P^-1 H has condition number
+        at most p - 1; at p = 2, P = H and one PCG iteration solves the
+        system. P is SPD, so it is factored without pivoting."""
         gx, gy = _spectral_gradient(v[self._dom.node_of], self._dom)
         sq = np.maximum(gx * gx + gy * gy, delta * delta)
         a = p * self._problem._weight * sq ** ((p - 2.0) / 2.0)
         b = (p - 2.0) * a / sq
-        h = self._dom.stiffness(a + b * gx * gx, b * gx * gy, a + b * gy * gy)
+        mxx, mxy, myy = a + b * gx * gx, b * gx * gy, a + b * gy * gy
         try:
-            lu = splu(h, permc_spec="MMD_AT_PLUS_A")
+            lu = splu(
+                self._dom.stiffness(mxx, myy),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:
             raise SingularSystemError(f"Newton system is singular: {exc}") from exc
-        return h, lu.solve
+        return _Hessian(self._dom, mxx, mxy, myy), lu.solve
+
+
+class _Hessian:
+    """w -> Q^T D^T M D Q w over the free nodes, for the per-copy tensor
+    M = [[mxx, mxy], [mxy, myy]] ([patch, iy, ix] each), by the batched
+    per-patch products: pinned copies read 0, and the copies' results are
+    summed onto their free nodes."""
+
+    def __init__(self, dom: PatchedDomain, mxx, mxy, myy):
+        self._dom = dom
+        self._m = mxx, mxy, myy
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        free_of = self._dom._free_of
+        mxx, mxy, myy = self._m
+        gx, gy = _spectral_gradient(np.append(w, 0.0)[free_of], self._dom)
+        per_copy = _spectral_adjoint(mxx * gx + mxy * gy, mxy * gx + myy * gy, self._dom)
+        return np.bincount(free_of, per_copy, w.size + 1)[:-1]
 
 
 def minimize_continuum(
@@ -146,9 +183,10 @@ def minimize_continuum(
     """Minimize the quadrature energy over the free node values by damped Newton.
 
     The run starts from the exact p = 2 minimizer (one linear solve from the
-    pin-mean field), then takes full-Hessian Newton steps, each one sparse
-    LU factorization and one preconditioned CG iteration on it, with
-    Armijo backtracking on the energy. It stops when the
+    pin-mean field), then takes full-Hessian Newton steps, each solved by
+    conjugate gradients on the Hessian's products, preconditioned by one
+    sparse LU factorization of its grid-line part, with Armijo backtracking
+    on the energy. It stops when the
     Newton decrement lambda^2 / 2, an estimate of the remaining energy gap
     E - E_min, drops to ``tol * E``, so ``tol`` is a relative energy-gap
     certificate; the certified step is still taken at full length when it

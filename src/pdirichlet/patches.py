@@ -11,13 +11,13 @@ sends geometric-node values to the copies, so every field is continuous
 across patches by construction. This module owns the geometry and the
 static operators built from it: the tiling, the matching of copies to
 geometric nodes, the per-patch 1D derivative matrices and per-copy
-quadrature weights, the pins, and the layout of the free-node Newton
-Hessian: a fixed CSC pattern, laid out once, with the slot of every
-per-patch block entry in its data, so that the Hessian of each Newton step
-is one fill of that data from the per-copy curvature. One pattern serves
-every p: a block couples every pair of copies of its patch. A constraint
-pins its geometric node exactly, including a cross point where four
-patches meet.
+quadrature weights, the pins, the free index of every copy and the layout
+of the grid-line stiffness: a fixed CSC pattern, laid out once, with the
+slot of every grid-line entry in its data, so that each fill is one
+``np.bincount`` of the per-copy weights' entries. Dx and Dy act along grid
+lines, so a node couples only to the nodes on its x-line and y-line in its
+patches. A constraint pins its geometric node exactly, including a cross
+point where four patches meet.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .errors import ConstraintError, ValidationError
 __all__ = ["PatchedDomain", "build_patches"]
 
 _KEY_DECIMALS = 12
-# entries of the patch blocks that one chunk of a stiffness fill holds
-_BLOCK_BUDGET = 1 << 21
 
 
 def _key(x: float, y: float) -> tuple[float, float]:
@@ -50,8 +48,8 @@ class PatchedDomain:
     geometric nodes follow ``node_points``. ``d1x``/``d1y`` stack the
     patches' 1D derivative matrices, so a field ``u`` reshaped to
     ``d1x.shape`` has d/dx ``u @ d1x^T`` and d/dy ``d1y @ u``. `stiffness`
-    assembles the free-node matrix of a per-copy 2x2 tensor on the fixed
-    pattern that `build_patches` lays out.
+    assembles the free-node matrix of per-copy grid-line weights on the
+    fixed pattern that `build_patches` lays out.
     """
 
     xlines: np.ndarray  # tile boundaries along x, ascending
@@ -65,9 +63,10 @@ class PatchedDomain:
     free_nodes: np.ndarray  # the other geometric nodes, ascending
     d1x: np.ndarray  # per-patch 1D d/dx, shape (patches, N, N)
     d1y: np.ndarray
-    # free index of every copy ([patch, ix, iy], -1 if pinned), the CSC
-    # indices and indptr of the free-node pattern, and the slots of the
-    # block entries in its data (see build_patches)
+    # free index of every copy, flat [patch, iy, ix], free_nodes.size if pinned
+    _free_of: np.ndarray
+    # the CSC indices and indptr of the grid-line pattern and the slots of
+    # its entries in the data (see build_patches)
     _layout: tuple
 
     @property
@@ -75,51 +74,24 @@ class PatchedDomain:
         """Number of node copies, the length of a field's value vector."""
         return self.points.shape[0]
 
-    def stiffness(self, mxx: np.ndarray, mxy: np.ndarray, myy: np.ndarray) -> sp.csc_matrix:
-        """Q^T D^T M D Q over the free nodes, D = (Dx, Dy) per patch, for the
-        per-copy symmetric tensor M = [[mxx, mxy], [mxy, myy]], each
+    def stiffness(self, mxx: np.ndarray, myy: np.ndarray) -> sp.csc_matrix:
+        """Q^T (Dx^T diag(mxx) Dx + Dy^T diag(myy) Dy) Q over the free nodes,
+        D = (Dx, Dy) per patch, for per-copy weights ``mxx`` and ``myy``, each
         ``[patch, iy, ix]``.
 
-        As Dx and Dy act along grid lines, the xx and yy terms are
-        d1^T diag(m) d1 along each grid line and the cross term is
-        d1x[jx, ix] mxy[iy, jx] d1y[iy, jy], which couples every pair of
-        copies of a patch. Pinned copies' rows and columns are zeroed, and the
-        blocks are added, a chunk of patches at a time, into the data of the
-        fixed pattern. An all-zero ``mxy`` skips the cross term, and then the
-        pattern's empty slots are dropped, so the matrix (and its LU fill)
-        holds only the grid-line coupling.
+        Along each grid line the terms are d1^T diag(m) d1, entries
+        [patch, iy, ix, j] that couple a copy to the j-th copy of its x-line
+        (xx) or y-line (yy). One ``np.bincount`` adds them into the data of the
+        fixed pattern; entries in a pinned row or column land in one extra
+        slot, which is dropped.
         """
-        free_of, indices, indptr, starts, ranks, kind = self._layout
-        cross_term = bool(mxy.any())
-        # myy transposed to [patch, ix, iy], as its lines run along y
-        myy = myy.transpose(0, 2, 1)
-        data = np.zeros(max(indices.size, 1))  # slot 0 exists even with no free node
-        chunk = max(1, _BLOCK_BUDGET // self.d1x.shape[1] ** 4)
-        for lo in range(0, self.d1x.shape[0], chunk):
-            at = slice(lo, lo + chunk)
-            d1x, d1y, free = self.d1x[at], self.d1y[at], free_of[at] >= 0
-            d1xt, d1yt = d1x.transpose(0, 2, 1), d1y.transpose(0, 2, 1)
-            # [patch, ix, iy, jx] and [patch, ix, iy, jy], as the slots run
-            xx = (d1xt[:, :, None] * mxx[at][:, None]) @ d1x[:, None]
-            xx *= free[..., None] & free.transpose(0, 2, 1)[:, None]
-            yy = (d1yt[:, None] * myy[at][:, :, None]) @ d1y[:, None]
-            yy *= free[..., None] & free[:, :, None]
-            where = starts[at][..., None, None] + ranks[at][:, kind]
-            if cross_term:
-                # [patch, ix, iy, jx, jy]
-                cross = (d1xt[:, :, None] * mxy[at][:, None] * free[..., None])[..., None]
-                cross = cross * (d1y[:, :, None] * free[:, None])[:, None]
-                block = np.add(cross, cross.transpose(0, 3, 4, 1, 2), order="C")
-                # flat, as ufunc.at takes its fast path on 1D indices only
-                np.add.at(data, where.ravel(), block.ravel())
-            np.add.at(data, np.einsum("pxyXy->pxyX", where).ravel(), xx.ravel())
-            np.add.at(data, np.einsum("pxyxY->pxyY", where).ravel(), yy.ravel())
-        h = sp.csc_matrix((data[: indices.size], indices, indptr), shape=(self.free_nodes.size,) * 2)
-        if not cross_term:
-            # on a copy: h shares the layout's index arrays, which this edits
-            h = h.copy()
-            h.eliminate_zeros()
-        return h
+        indices, indptr, slots = self._layout
+        d1x, d1y = self.d1x, self.d1y
+        # xx[p, iy, ix, j] = sum_k d1x[k, ix] mxx[iy, k] d1x[k, j], and yy alike
+        xx = (d1x.transpose(0, 2, 1)[:, None] * mxx[:, :, None]) @ d1x[:, None]
+        yy = (d1y.transpose(0, 2, 1)[:, :, None] * myy.transpose(0, 2, 1)[:, None]) @ d1y[:, None]
+        data = np.bincount(slots, np.concatenate((xx, yy), axis=None), indices.size + 1)
+        return sp.csc_matrix((data[:-1], indices, indptr), shape=(self.free_nodes.size,) * 2)
 
 
 def _tile_axis(lines: np.ndarray, points_per_patch: int) -> tuple:
@@ -131,25 +103,6 @@ def _tile_axis(lines: np.ndarray, points_per_patch: int) -> tuple:
         np.array([chebyshev_diff_matrix(g) for g in grids]),
         np.array([clenshaw_curtis_weights(order, g.interval) for g in grids]),
     )
-
-
-def _coupling(free_of: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """CSC indices and indptr of the pattern of the free nodes (``free_of``)
-    with copies in a common patch, the node-patch incidence times its
-    transpose, and the data slots of the entries (``rows``, ``cols``); a
-    pinned index (-1) reads as node 0."""
-    keep = free_of >= 0
-    patch = np.broadcast_to(np.arange(free_of.shape[0])[:, None, None], free_of.shape)
-    incidence = sp.csr_matrix(
-        (np.ones(keep.sum(), np.int8), (free_of[keep], patch[keep])),
-        shape=(int(free_of.max()) + 1, free_of.shape[0]),
-    )
-    pattern = (incidence @ incidence.T).T  # symmetric: the CSR product read as CSC
-    pattern.sort_indices()
-    pattern.data = np.arange(pattern.nnz, dtype=np.int32)
-    r, c = np.broadcast_arrays(np.maximum(rows, 0), np.maximum(cols, 0))
-    slots = pattern[r.ravel(), c.ravel()] if pattern.nnz else np.zeros(r.size, np.int32)
-    return pattern.indices, pattern.indptr, np.asarray(slots).reshape(r.shape)
 
 
 def _lines_from_positions(values: np.ndarray) -> np.ndarray:
@@ -260,21 +213,20 @@ def build_patches(
     pin_nodes = np.array(sorted(pins), dtype=int)
     pin_values = np.array([pins[k] for k in pin_nodes], dtype=float)
     free_nodes = np.setdiff1d(np.arange(node_points.shape[0]), pin_nodes)
-    # free index of every copy (-1 if pinned), [patch, ix, iy]: x-major like
-    # the node numbering, so that a refill walks each CSC column in order
-    free_of = np.where(np.isin(node_of, pin_nodes), -1, np.searchsorted(free_nodes, node_of))
-    free_of = free_of.reshape(n_patches, n, n).transpose(0, 2, 1)
-    # a block couples all copies of its patch, so a column's rows are
-    # the free nodes of the patches holding its node. They depend only on
-    # the node's kind (inside, on one of four sides or at one of four
-    # corners): an entry's slot is its column's start plus its row's rank in
-    # a free column ``rep`` of that kind.
-    side = (np.arange(n) > 0) + (np.arange(n) == n - 1).astype(int)
-    kind = 3 * side[:, None] + side
-    rep = np.full((n_patches, 9), -1)
-    np.maximum.at(rep, (np.arange(n_patches)[:, None, None], kind), free_of)
-    indices, indptr, ranks = _coupling(free_of, free_of[:, None], rep[..., None, None])
-    ranks = np.maximum(ranks - indptr[np.maximum(rep, 0)][..., None, None], 0)
+    n_free = free_nodes.size
+    free_of = np.where(np.isin(node_of, pin_nodes), n_free, np.searchsorted(free_nodes, node_of))
+    # the grid-line entries [xx | yy, patch, iy, ix, j] couple each copy (row)
+    # to the copies of its x-line and its y-line (column); their CSC keys,
+    # column-major, sorted and made unique, are the pattern, and a key past
+    # every free pair stands for an entry with a pinned end
+    row = free_of.reshape(n_patches, n, n)[..., None]
+    col = np.stack(np.broadcast_arrays(row.transpose(0, 1, 3, 2), row.transpose(0, 3, 2, 1)))
+    dump = n_free * n_free
+    keys = np.where((row == n_free) | (col == n_free), dump, col * n_free + row)
+    pattern, slots = np.unique(keys.ravel(), return_inverse=True)
+    pattern = pattern[pattern < dump]
+    indices = (pattern % max(n_free, 1)).astype(np.int32)
+    indptr = np.searchsorted(pattern, np.arange(n_free + 1) * n_free).astype(np.int32)
     return PatchedDomain(
         xlines=xlines,
         ylines=ylines,
@@ -287,5 +239,6 @@ def build_patches(
         free_nodes=free_nodes,
         d1x=d1x,
         d1y=d1y,
-        _layout=(free_of, indices, indptr, indptr[np.maximum(free_of, 0)], ranks, kind),
+        _free_of=free_of,
+        _layout=(indices, indptr, slots.ravel()),
     )

@@ -28,7 +28,9 @@ Vandenberghe, *Convex Optimization*, §9.5). A problem exposes
 `_newton` solves every Newton system with `_pcg` on the problem's operator
 and preconditioner: on the graph, Jacobi plus a coarse solve on the
 aggregates of epsilon-wide cells (Jacobi alone on small graphs); on the
-continuum, an exact sparse LU, whose first PCG iteration solves the system.
+continuum, the sparse LU of the Hessian's grid-line part (the Hessian
+without its cross term), which bounds the preconditioned condition number
+by p - 1 at every resolution and is exact at p = 2.
 The run's `MinimizerResult` counts the PCG iterations of all its systems.
 """
 
@@ -58,10 +60,11 @@ class MinimizerResult:
     the initial iterate), so monotonicity can be audited after the fact.
     ``stop_reason`` is "converged", "budget" or "stalled"; only the first
     is converged. ``decrement`` is the last bound on the energy gap (0 for
-    a direct solve). ``field`` is the evaluable continuum field, None for
-    graph labelings. ``pcg_iterations`` counts the conjugate-gradient
-    iterations of every Newton system the run solved (0 for a direct
-    solve).
+    `graph.solve_p2_direct`, whose one sparse solve is exact). ``field`` is
+    the evaluable continuum field, None for graph labelings.
+    ``pcg_iterations`` counts the conjugate-gradient iterations of every
+    Newton system the run solved (0 for `graph.solve_p2_direct`, which
+    runs none).
     """
 
     values: np.ndarray

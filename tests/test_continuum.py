@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
+from scipy.sparse.linalg import splu
 
+from pdirichlet import continuum, solver
 from pdirichlet.chebyshev import chebyshev_nodes, quadrature_2d, tensor_diff_ops
 from pdirichlet.continuum import (
     ContinuumProblem,
@@ -15,9 +17,18 @@ from pdirichlet.continuum import (
     minimize_continuum,
     nonlocal_energy,
 )
-from pdirichlet.density import reference_density, sigma_eta
+from pdirichlet.density import (
+    KdeDensityField,
+    SplineConfig,
+    reference_density,
+    sample_density,
+    sigma_eta,
+    skde_fit,
+    spline_knots,
+)
 from pdirichlet.errors import ValidationError
 from pdirichlet.patches import build_patches
+from pdirichlet.solver import _pcg
 
 
 def constraint_lattice():
@@ -315,9 +326,10 @@ def hessian_point(kind, ppp, p):
     return dom, energy, v
 
 
-def reference_hessian(dom, energy, v, p, delta):
+def reference_hessian(dom, energy, v, p, delta, cross=True):
     """G^T M G, G the free-node gradient operator built from the per-patch
-    `tensor_diff_ops` and the gather, M the per-copy 2x2 blocks."""
+    `tensor_diff_ops` and the gather, M the per-copy 2x2 blocks (with their
+    off-diagonal zeroed unless ``cross``)."""
     n = dom.n_nodes
     gather = sp.csr_matrix(
         (np.ones(n), (np.arange(n), dom.node_of)), shape=(n, dom.node_points.shape[0])
@@ -332,9 +344,21 @@ def reference_hessian(dom, energy, v, p, delta):
         m = sp.diags(np.concatenate([a, a]))
     else:
         b = (p - 2.0) * a / sq
-        bxy = sp.diags(b * gx * gy)
+        bxy = sp.diags(b * gx * gy) if cross else None
         m = sp.bmat([[sp.diags(a + b * gx * gx), bxy], [bxy, sp.diags(a + b * gy * gy)]])
     return g.T @ (m @ g)
+
+
+def factored_matrices(monkeypatch):
+    """The matrices `_RitzEnergy.hessian` passes to `splu`, in call order."""
+    factored = []
+
+    def recording(a, **kwargs):
+        factored.append(a)
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(continuum, "splu", recording)
+    return factored
 
 
 @pytest.mark.parametrize("kind", ["lattice", "boundary"])
@@ -360,37 +384,82 @@ def test_ritz_exponent_2_system_does_not_depend_on_the_iterate(kind):
     w = v.copy()
     w[dom.free_nodes] = 10.0 * rng.standard_normal(dom.free_nodes.size)
     (h1, solve1), (h2, solve2) = energy.hessian(v, 2.0, 1e-3), energy.hessian(w, 2.0, 1e-3)
-    np.testing.assert_array_equal(h1.toarray(), h2.toarray())
     r = rng.standard_normal(dom.free_nodes.size)
+    np.testing.assert_array_equal(h1 @ r, h2 @ r)
     np.testing.assert_array_equal(solve1(r), solve2(r))
 
 
 @pytest.mark.parametrize("kind", ["lattice", "boundary"])
 @pytest.mark.parametrize("ppp", [4, 7])
 @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
-def test_ritz_hessian_equals_gtmg(kind, ppp, p):
+def test_ritz_hessian_equals_gtmg(monkeypatch, kind, ppp, p):
+    # the operator is G^T M G; the preconditioner factors the same with the
+    # cross term of M zeroed, which at p = 2 is the operator itself
     dom, energy, v = hessian_point(kind, ppp, p)
+    factored = factored_matrices(monkeypatch)
     h = energy.hessian(v, p, 1e-3)[0]
     ref = reference_hessian(dom, energy, v, p, 1e-3)
-    assert h.shape == ref.shape == (dom.free_nodes.size,) * 2
-    assert abs(h - ref).max() <= 1e-13 * abs(ref).max()
+    w = np.random.default_rng(3).standard_normal(dom.free_nodes.size)
+    scale = (abs(ref) @ np.abs(w)).max()
+    assert np.abs(h @ w - ref @ w).max() <= 1e-13 * scale
+    (stiffness,) = factored
+    ref = reference_hessian(dom, energy, v, p, 1e-3, cross=False)
+    assert stiffness.shape == ref.shape == (dom.free_nodes.size,) * 2
+    assert abs(stiffness - ref).max() <= 1e-13 * abs(ref).max()
     if p == 2.0:
-        # the vanishing cross term is skipped and the slots only it fills are dropped
-        assert h.nnz == ref.nnz
+        # the grid-line pattern holds exactly the nonzeros of G^T M G
+        assert stiffness.nnz == ref.nnz
 
 
-def test_p2_hessian_leaves_the_domain_pattern_intact():
-    # the p = 2 Hessian drops zeros from a matrix sharing the layout's arrays
+def test_repeated_fills_leave_the_domain_layout_intact(monkeypatch):
+    # every stiffness matrix is built on the layout's index arrays
     dom, energy, v = hessian_point("boundary", 7, 3.0)
-    saved = [a.copy() for a in dom._layout]
-    energy.hessian(v, 2.0, 1e-3)
-    for before, after in zip(saved, dom._layout, strict=True):
+    saved = [a.copy() for a in (dom._free_of, *dom._layout)]
+    factored = factored_matrices(monkeypatch)
+    for p in (3.0, 2.0, 3.0, 2.0, 3.0):
+        energy.hessian(v, p, 1e-3)
+    for before, after in zip(saved, (dom._free_of, *dom._layout), strict=True):
         np.testing.assert_array_equal(after, before)
-    h = energy.hessian(v, 3.0, 1e-3)[0]
-    _, fresh, _ = hessian_point("boundary", 7, 3.0)
-    ref = fresh.hessian(v, 3.0, 1e-3)[0]
-    for a, b in [(h.indices, ref.indices), (h.indptr, ref.indptr), (h.data, ref.data)]:
+    first, last = factored[0], factored[-1]
+    for a, b in [(first.indices, last.indices), (first.indptr, last.indptr), (first.data, last.data)]:
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("ppp", [4, 8, 12])
+def test_pcg_iterations_per_newton_system_stay_flat(monkeypatch, ppp):
+    # the grid-line preconditioner bounds kappa(P^-1 H) by p - 1 at every
+    # resolution, and at p = 2 it is the Hessian, so one iteration solves
+    counts = []
+
+    def counted(*args):
+        x, k = _pcg(*args)
+        counts.append(k)
+        return x, k
+
+    monkeypatch.setattr(solver, "_pcg", counted)
+    dom = build_patches(*constraint_lattice(), ppp)
+    for p in (2.0, 3.0):
+        counts.clear()
+        res = minimize_continuum(ContinuumProblem(dom, reference_density("rho2"), p), tol=1e-8)
+        assert res.converged and sum(counts) == res.pcg_iterations
+        if p == 2.0:
+            assert counts == [1, 1]
+        else:
+            assert counts[0] == 1 and max(counts) <= 20
+
+
+def test_density_is_evaluated_once_per_geometric_node():
+    # the copies of a node share its coordinates, so reading the density at
+    # the geometric nodes and gathering gives the per-copy values bit for bit
+    dom = build_patches(*constraint_lattice(), 8)
+    cloud = sample_density(reference_density("rho2"), 512, seed=4)
+    kde = KdeDensityField(cloud, 0.1)  # 512 x 324 pairs: the dense branch
+    config = SplineConfig(num_knots=256, lam=1e-6)
+    for rho in (reference_density("rho2"), kde, skde_fit(kde.value_at(spline_knots(config)), config)):
+        prob = ContinuumProblem(domain=dom, density=rho, p=3.0)
+        per_copy = rho.value_at(dom.points)
+        expect = prob.sigma * dom.quad_weights * per_copy * per_copy
+        assert prob._weight.ravel().tobytes() == expect.tobytes()
 
 
 def test_minimize_with_every_node_pinned():

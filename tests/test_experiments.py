@@ -215,7 +215,7 @@ def test_minimizer_study_charges_each_estimator_only_its_own_work(monkeypatch):
             assert row[estimate] > 0.2
 
 
-def test_kde_only_study_evaluates_the_kde_at_the_collocation_copies(monkeypatch):
+def test_kde_only_study_evaluates_the_kde_once_per_geometric_node(monkeypatch):
     evaluated = []
 
     def counting_kde_evaluate(samples, h, points):
@@ -225,8 +225,9 @@ def test_kde_only_study_evaluates_the_kde_at_the_collocation_copies(monkeypatch)
     monkeypatch.setattr("pdirichlet.density.kde_evaluate", counting_kde_evaluate)
     tiny = dict(TINY, seeds=(1,), points_per_patch=4, estimators=("kde",))
     minimizer_comparison(StudyConfig(**tiny))
-    # one call per (n, seed): the solve's density at the 3x3 x 4^2 node copies
-    assert evaluated == [9 * 4 * 4] * 2
+    # one call per (n, seed): the solve's density at the geometric nodes,
+    # 3 x 3 + 1 per axis on 3 tiles of 4 points that share their end nodes
+    assert evaluated == [10 * 10] * 2
 
 
 def test_density_study_reports_are_row_medians(density_study):
