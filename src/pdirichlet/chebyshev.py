@@ -1,11 +1,12 @@
-"""Chebyshev collocation primitives on intervals and tensor-product rectangles.
+"""Chebyshev collocation primitives on intervals.
 
 Nodes are Chebyshev-Gauss-Lobatto points, stored in the conventional
 descending order (right endpoint first). Differentiation matrices are built
 from the barycentric form with the negative-sum trick on the diagonal, which
 keeps them exact on polynomials up to the grid order and makes every row sum
-to zero. Rectangle operators act on fields flattened in C order with x
-fastest, i.e. a field sampled as ``F[iy, ix]`` is passed as ``F.ravel()``.
+to zero. Clenshaw-Curtis weights integrate on the same nodes. The patch
+layer (`pdirichlet.patches`) builds its tensor-product operators and
+quadrature from these 1D pieces.
 """
 
 from __future__ import annotations
@@ -13,18 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 
 __all__ = [
     "ChebGrid1D",
-    "QuadratureRule",
     "chebyshev_nodes",
     "chebyshev_diff_matrix",
-    "tensor_diff_ops",
     "clenshaw_curtis_weights",
-    "quadrature_2d",
 ]
 
 
@@ -50,28 +47,6 @@ class ChebGrid1D:
     @property
     def size(self) -> int:
         return self.order + 1
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Quadrature nodes and weights on a rectangle.
-
-    Points are flattened in the same x-fastest C order used by the tensor
-    differentiation operators, so a field and the rule can be combined as
-    ``rule.weights @ values``.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.weights.shape[0]:
-            raise ValidationError(
-                f"quadrature rule with {self.weights.shape[0]} nodes applied "
-                f"to {values.shape[0]} values"
-            )
-        return float(self.weights @ values)
 
 
 def _check_interval(interval: tuple[float, float]) -> tuple[float, float]:
@@ -139,21 +114,6 @@ def chebyshev_diff_matrix(grid: ChebGrid1D) -> np.ndarray:
     return d
 
 
-def tensor_diff_ops(grid_x: ChebGrid1D, grid_y: ChebGrid1D) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Partial-derivative operators on the tensor grid of two 1D grids.
-
-    Fields are flattened x-fastest: node (ix, iy) sits at flat index
-    ``iy * grid_x.size + ix``. Returns (Dx, Dy) as sparse CSR matrices of
-    size ``grid_x.size * grid_y.size``.
-    """
-    d1x = chebyshev_diff_matrix(grid_x)
-    d1y = chebyshev_diff_matrix(grid_y)
-    nx, ny = grid_x.size, grid_y.size
-    dx = sp.kron(sp.identity(ny, format="csr"), sp.csr_matrix(d1x), format="csr")
-    dy = sp.kron(sp.csr_matrix(d1y), sp.identity(nx, format="csr"), format="csr")
-    return dx, dy
-
-
 def clenshaw_curtis_weights(order: int, interval: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
     """Clenshaw-Curtis weights for the Lobatto nodes of `chebyshev_nodes`.
 
@@ -182,17 +142,3 @@ def clenshaw_curtis_weights(order: int, interval: tuple[float, float] = (-1.0, 1
     else:
         w[:] = 1.0
     return w * (b - a) / 2.0
-
-
-def quadrature_2d(grid_x: ChebGrid1D, grid_y: ChebGrid1D) -> QuadratureRule:
-    """Tensor Clenshaw-Curtis rule on the rectangle spanned by two grids.
-
-    Point k of the rule is node (ix, iy) with ``k = iy * grid_x.size + ix``,
-    matching the flattening of `tensor_diff_ops`.
-    """
-    wx = clenshaw_curtis_weights(grid_x.order, grid_x.interval)
-    wy = clenshaw_curtis_weights(grid_y.order, grid_y.interval)
-    xx, yy = np.meshgrid(grid_x.nodes, grid_y.nodes)
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    weights = np.outer(wy, wx).ravel()
-    return QuadratureRule(points=points, weights=weights)

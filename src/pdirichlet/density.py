@@ -5,10 +5,12 @@ are drawn from them by inverse-transform sampling on a fine lattice. Kernel
 density estimates can be evaluated exactly (truncated sums) at arbitrary
 points or on a full uniform mesh via binned FFT convolution. The exact sums
 work in chunks of at most about 8M (point, sample) pairs, so their memory
-is bounded whatever n and h are: dense distance blocks for small problems,
-KD-tree pair lists for large ones. The spline-smoothed variant fits a
-penalized tensor-product cubic B-spline to KDE values on a square knot
-lattice and evaluates it, values and gradients, with SciPy's `NdBSpline`;
+is bounded whatever n and h are: on a row-major tensor lattice (the spline
+knots) the Gaussian is summed in 1D factors, elsewhere in dense distance
+blocks for small problems and KD-tree pair lists for large ones. The
+spline-smoothed variant fits a penalized tensor-product cubic B-spline to
+KDE values on a square knot lattice and evaluates it, values and
+gradients, with SciPy's `NdBSpline`;
 `SplineFit` factors the fit's normal matrix once, so a study fitting many
 value vectors at one (T, lam) pays for it once. Every
 estimator is exposed as a `DensityField` with consistent value/gradient
@@ -193,7 +195,9 @@ class ReferenceDensity(DensityField):
         for j in range(grid_size):
             total, v[j] = total + v[j], total
         cdf_y = v
-        cdf_y /= cdf_y[-1, :]
+        # dividing by a view of the last row would make NumPy buffer a copy of
+        # the whole table; the row alone is copied instead
+        cdf_y /= cdf_y[-1, :].copy()
         self._sampler_cache[grid_size] = (s, cdf_x, cdf_y)
         return self._sampler_cache[grid_size]
 
@@ -322,22 +326,127 @@ def _sample_array(samples) -> np.ndarray:
     return _as_points(pts)
 
 
+def _lattice_axes(pts: np.ndarray):
+    """``(xs, ys)`` when ``pts`` is the row-major lattice of xs times ys, else None.
+
+    Row-major means x fastest: point ``j * len(xs) + i`` is ``(xs[i], ys[j])``,
+    the layout of `spline_knots` and `_mesh_points`. The leading run of points
+    sharing the first y gives len(xs); the check is then O(m) and exact.
+    """
+    m = pts.shape[0]
+    if m == 0:
+        return None
+    off_first_row = np.flatnonzero(pts[:, 1] != pts[0, 1])
+    nx = int(off_first_row[0]) if off_first_row.size else m
+    if nx == 0 or m % nx:
+        return None
+    grid = pts.reshape(m // nx, nx, 2)
+    xs, ys = grid[0, :, 0], grid[:, 0, 1]
+    if (grid[:, :, 0] == xs).all() and (grid[:, :, 1] == ys[:, None]).all():
+        return xs, ys
+    return None
+
+
+def _gauss_factors(sites: np.ndarray, coords: np.ndarray, h: float):
+    """1D Gaussian factors of the lattice sites against the sample coordinates.
+
+    Returns ``(q, e)``, shape (len(sites), len(coords)): the squared offsets
+    q = ((sites[a] - coords[i]) / h)^2 and e = exp(-q / 2). Beyond the
+    truncation, where every pair is masked out, e holds exp(-25 / 2) instead:
+    exponentials that underflow take NumPy's slow path, about 5x the time
+    per element on x86-64.
+    """
+    q = np.subtract.outer(sites, coords)
+    q /= h
+    q *= q
+    e = np.minimum(q, _GAUSS_TRUNC**2)
+    e *= -0.5
+    np.exp(e, out=e)
+    return q, e
+
+
+def _kde_lattice(data: np.ndarray, h: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Truncated Gaussian sums on the lattice xs times ys, in 1D factors.
+
+    exp(-(u^2 + v^2) / 2) = exp(-u^2 / 2) exp(-v^2 / 2), so the exponentials
+    cost (len(xs) + len(ys)) per sample instead of one per pair; per pair
+    only the disk mask u^2 <= 25 - v^2 and a multiply-add remain. The
+    samples are sorted by y and cut into chunks of at most
+    _PAIR_BUDGET // len(xs), whose x factors are computed once. Knot rows,
+    in increasing y, are taken in blocks of at most _DENSE_BLOCK pair slots,
+    each over the samples of the chunk within 5 h of it in y. Returns the
+    unnormalized sums, row-major.
+    """
+    mx, my = xs.size, ys.size
+    by_y = np.argsort(data[:, 1], kind="stable")
+    sx, sy = data[by_y, 0], data[by_y, 1]
+    rows = np.argsort(ys, kind="stable")
+    yr = ys[rows]
+    # the y window only has to hold every pair the mask keeps; widening it
+    # by a relative 1e-9 leaves the truncation decision to the mask alone
+    reach = _GAUSS_TRUNC * h * (1.0 + 1e-9)
+    sums = np.zeros((my, mx))
+    # scratch for one block's mask and masked x factors
+    mask_buf = np.empty(max(_DENSE_BLOCK, mx), dtype=bool)
+    term_buf = np.empty(mask_buf.size)
+    chunk = max(1, _PAIR_BUDGET // mx)
+    for c0 in range(0, sx.size, chunk):
+        cx, cy = sx[c0 : c0 + chunk], sy[c0 : c0 + chunk]
+        qx, ex = _gauss_factors(xs, cx, h)
+        lo = np.searchsorted(cy, yr - reach, side="left")
+        hi = np.searchsorted(cy, yr + reach, side="right")
+        r0 = 0
+        while r0 < my:
+            # the most rows from r0 whose joint window fits one block
+            r1 = r0 + 1
+            while r1 < my and (r1 + 1 - r0) * mx * (hi[r1] - lo[r0]) <= _DENSE_BLOCK:
+                r1 += 1
+            # a single row whose window does not fit takes it in slices
+            width = max(1, _DENSE_BLOCK // ((r1 - r0) * mx))
+            for w0 in range(lo[r0], hi[r1 - 1], width):
+                w = slice(w0, min(w0 + width, hi[r1 - 1]))
+                qy, ey = _gauss_factors(yr[r0:r1], cy[w], h)
+                shape = (r1 - r0, mx, qy.shape[1])
+                size = shape[0] * shape[1] * shape[2]
+                mask = np.less_equal(
+                    qx[None, :, w], (_GAUSS_TRUNC**2 - qy)[:, None, :],
+                    out=mask_buf[:size].reshape(shape),
+                )
+                masked = np.multiply(mask, ex[None, :, w], out=term_buf[:size].reshape(shape))
+                sums[rows[r0:r1]] += np.matmul(masked, ey[:, :, None])[:, :, 0]
+            r0 = r1
+        # free this chunk's factors before the next chunk's are built
+        del qx, ex
+    return sums.ravel()
+
+
 def kde_evaluate(samples, h: float, points: np.ndarray) -> np.ndarray:
     """Exact Gaussian kernel density estimate at arbitrary points.
 
     Computes (1/n) sum_i K_h(x - x_i) with K_h(u) = h^-2 K(u/h), truncating
-    each kernel at 5 h. Two branches give the same sums:
+    each kernel at 5 h (squared distance <= 25 h^2). Three branches give
+    the same sums, to rounding:
 
-    - dense, when n * m is at most 8M: squared distances of a block of
-      points to all samples (`cdist`), about 64k pairs per block (a single
-      point to all samples when n is larger);
+    - lattice, when the points are a row-major tensor lattice (x fastest,
+      as `spline_knots` and the mesh dumps lay them out; see
+      `_lattice_axes`): the Gaussian factors into 1D exponentials per
+      lattice line and sample, so per pair only the truncation mask and a
+      multiply-add remain. Samples are taken in chunks of at most 8M x
+      factors and knot rows in blocks of about 64k pair slots, over the
+      samples within 5 h of them in y;
+    - dense, for other points when n * m is at most 8M: squared distances
+      of a block of points to all samples (`cdist`), about 64k pairs per
+      block (a single point to all samples when n is larger);
     - KD-tree, otherwise: the (point, sample) pairs within the truncation
       radius, listed for chunks of points holding at most 8M pairs each (a
       single point whose neighbourhood is larger forms its own chunk), and
       summed per point with `bincount`.
 
     Memory is thus bounded by the pair budget (or by n), whatever n and h
-    are.
+    are. Only the row-major order is recognised: the geometric nodes a
+    `ContinuumProblem` reads the density at are ordered y fastest, so they
+    take the pointwise branches, where each point's value does not depend
+    on the other points and equals its value at any copy of the node.
 
     Parameters
     ----------
@@ -359,6 +468,9 @@ def kde_evaluate(samples, h: float, points: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     m = pts.shape[0]
     scale = 1.0 / (n * h * h)
+    axes = _lattice_axes(pts)
+    if axes is not None:
+        return _kde_lattice(data, h, *axes) * (scale / (2.0 * np.pi))
     out = np.empty(m)
     if n * m <= _PAIR_BUDGET:
         step = max(1, _DENSE_BLOCK // max(n, 1))
@@ -401,9 +513,13 @@ def _kde_gradient(data: np.ndarray, h: float, pts: np.ndarray) -> np.ndarray:
 class KdeDensityField(DensityField):
     """Gaussian kernel density estimate as an evaluable field.
 
-    Pointwise queries use the exact truncated sums; `on_mesh` switches to a
-    binned FFT convolution with the same truncated kernel, which is what the
-    large error studies rely on (the two paths are cross-checked in tests).
+    Values at points are the exact truncated sums of `kde_evaluate`: summed
+    in 1D Gaussian factors when the points are a row-major lattice, as the
+    spline knots are, and per point otherwise, as at a continuum domain's
+    geometric nodes. Gradients are dense per-point sums. `on_mesh` switches
+    to a binned FFT convolution with the same truncated kernel, which is
+    what the large error studies rely on (the two paths are cross-checked
+    in tests).
     The positivity floor is 1e-3, that is 1e-3 times the uniform density,
     the mean of any density on the unit square; it costs no evaluation.
     """

@@ -21,7 +21,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from pdirichlet.chebyshev import chebyshev_nodes, quadrature_2d, tensor_diff_ops
+from pdirichlet.chebyshev import chebyshev_nodes
 from pdirichlet.continuum import (
     ContinuumProblem,
     minimize_continuum,
@@ -52,6 +52,7 @@ from pdirichlet.graph import (
     solve_p2_direct,
 )
 from pdirichlet.patches import build_patches
+from tensor_grid import quadrature_2d, tensor_diff_ops
 
 # Energy sequences recorded by the solver runs in criteria 3-6, audited by
 # criterion 11 together with the per-row flags of the criterion 9 study.

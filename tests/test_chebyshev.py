@@ -5,10 +5,9 @@ from pdirichlet.chebyshev import (
     chebyshev_diff_matrix,
     chebyshev_nodes,
     clenshaw_curtis_weights,
-    quadrature_2d,
-    tensor_diff_ops,
 )
 from pdirichlet.errors import ValidationError
+from tensor_grid import quadrature_2d, tensor_diff_ops
 
 
 def test_nodes_order_two_reference_interval():

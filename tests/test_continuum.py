@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from scipy.sparse.linalg import splu
 
 from pdirichlet import continuum, solver
-from pdirichlet.chebyshev import chebyshev_nodes, quadrature_2d, tensor_diff_ops
+from pdirichlet.chebyshev import chebyshev_nodes
 from pdirichlet.continuum import (
     ContinuumProblem,
     _bary_matrix,
@@ -29,6 +29,7 @@ from pdirichlet.density import (
 from pdirichlet.errors import ValidationError
 from pdirichlet.patches import build_patches
 from pdirichlet.solver import _pcg
+from tensor_grid import quadrature_2d, tensor_diff_ops
 
 
 def constraint_lattice():

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy import integrate
 from scipy.interpolate import BSpline
 from scipy.signal import fftconvolve
+from scipy.spatial.distance import cdist
 
 import pdirichlet.density as density_module
 from pdirichlet.density import (
@@ -177,6 +178,110 @@ def test_kde_brute_and_tree_paths_agree(monkeypatch):
     for budget in (5000, 100):
         monkeypatch.setattr(density_module, "_PAIR_BUDGET", budget)
         np.testing.assert_allclose(kde_evaluate(data, h, pts), brute, rtol=1e-10)
+
+
+def _brute_kde(data, h, pts):
+    """The truncated pair sum, written out: every (point, sample) pair with
+    squared distance <= 25 h^2 contributes exp(-d^2 / 2h^2) / (2 pi n h^2)."""
+    d2 = ((pts[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
+    terms = np.where(d2 <= 25.0 * h * h, np.exp(-d2 / (2.0 * h * h)), 0.0)
+    return terms.sum(axis=1) / (2.0 * np.pi * data.shape[0] * h * h)
+
+
+def _row_major(xs, ys):
+    xx, yy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def _pointwise_branches_fail(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a lattice took a pointwise branch")
+
+    monkeypatch.setattr(density_module, "cdist", fail)
+    monkeypatch.setattr(density_module, "cKDTree", fail)
+
+
+_LATTICES = {
+    "1xk": ([0.5], np.linspace(0.0, 1.0, 23)),
+    "kx1": (np.linspace(0.0, 1.0, 23), [0.3]),
+    "non-uniform": (np.sort(np.random.default_rng(5).random(13)), [0.9, 0.05, 0.4, 0.41, 0.7]),
+    "duplicated": ([0.1, 0.45, 0.45, 0.8, 1.0], [0.0, 0.6, 0.25, 0.6, 0.6, 1.0]),
+    "spline knots": (np.linspace(0.0, 1.0, 16), np.linspace(0.0, 1.0, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICES))
+def test_kde_lattice_path_matches_brute_pair_sum(name, monkeypatch):
+    rng = np.random.default_rng(31)
+    data = rng.random((700, 2))
+    pts = _row_major(*_LATTICES[name])
+    _pointwise_branches_fail(monkeypatch)
+    for h in (0.02, 0.07, 0.3):
+        np.testing.assert_allclose(kde_evaluate(data, h, pts), _brute_kde(data, h, pts), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "budget, block",
+    [
+        (8_000_000, 1 << 16),  # one chunk, row blocks of several rows
+        (11 * 37, 11 * 12),  # chunks of 37 samples, slices of 12 within a row
+        (1, 1),  # one sample per chunk and per slice
+    ],
+)
+def test_kde_lattice_chunks_and_row_blocks_match_brute_pair_sum(budget, block, monkeypatch):
+    rng = np.random.default_rng(32)
+    data = np.vstack([rng.random((500, 2)), [[0.5, 0.5]] * 5])  # five coincident samples
+    xs = np.linspace(0.0, 1.0, 11)
+    ys = np.sort(rng.random(9))
+    pts = _row_major(xs, ys)
+    h = 0.05
+    brute = _brute_kde(data, h, pts)
+    monkeypatch.setattr(density_module, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(density_module, "_DENSE_BLOCK", block)
+    _pointwise_branches_fail(monkeypatch)
+    # within the pair budget (99 x 505 pairs) for the first case, above it otherwise
+    np.testing.assert_allclose(kde_evaluate(data, h, pts), brute, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sample", [[0.5625, 0.25], [0.25, 0.5625]])
+def test_kde_lattice_keeps_a_sample_exactly_5h_away(sample):
+    # h and the offsets are binary fractions, so the distance is exactly 5 h
+    # along one axis and the pair sits on the truncation boundary
+    h = 0.0625
+    pts = _row_major([0.25, 0.375], [0.25, 0.375])
+    vals = kde_evaluate(np.array([sample]), h, pts)
+    on_edge = np.exp(-12.5) / (2.0 * np.pi * h * h)
+    assert vals[0] == pytest.approx(on_edge, rel=1e-12)
+    np.testing.assert_allclose(vals, _brute_kde(np.array([sample]), h, pts), rtol=1e-12)
+
+
+def test_kde_y_fastest_lattice_takes_the_dense_branch():
+    rng = np.random.default_rng(33)
+    data = rng.random((300, 2))
+    h = 0.08
+    s = np.linspace(0.0, 1.0, 12)
+    row_major = _row_major(s, s)
+    yy, xx = np.meshgrid(s, s)
+    y_fastest = np.column_stack([xx.ravel(), yy.ravel()])
+    assert density_module._lattice_axes(row_major) is not None
+    assert density_module._lattice_axes(y_fastest) is None
+    dense = density_module._gaussian(cdist(y_fastest, data, "sqeuclidean") / (h * h))
+    expect = dense.sum(axis=1) * (1.0 / (data.shape[0] * h * h))
+    vals = kde_evaluate(data, h, y_fastest)
+    assert vals.tobytes() == expect.tobytes()
+    lattice = kde_evaluate(data, h, row_major).reshape(12, 12).T.ravel()
+    np.testing.assert_allclose(lattice, vals, rtol=1e-12)
+
+
+def test_kde_lattice_detection_rejects_scattered_points():
+    pts = _row_major(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4))
+    assert density_module._lattice_axes(pts) is not None
+    for k, shift in ((7, [1e-12, 0.0]), (13, [0.0, 1e-12]), (0, [0.0, 1e-12])):
+        moved = pts.copy()
+        moved[k] += shift
+        assert density_module._lattice_axes(moved) is None
+    assert density_module._lattice_axes(pts[:-1]) is None
+    assert density_module._lattice_axes(pts[::-1]) is not None  # decreasing axes
 
 
 def test_kde_mesh_path_matches_exact_evaluation():
