@@ -182,18 +182,21 @@ def minimize_continuum(
 ) -> MinimizerResult:
     """Minimize the quadrature energy over the free node values by damped Newton.
 
-    The run starts from the exact p = 2 minimizer (one linear solve from the
-    pin-mean field), then takes full-Hessian Newton steps, each solved by
-    conjugate gradients on the Hessian's products, preconditioned by one
-    sparse LU factorization of its grid-line part, with Armijo backtracking
-    on the energy. It stops when the
+    The run starts from the p = 2 minimizer (one linear solve from the
+    pin-mean field, exact at p = 2), then takes full-Hessian Newton steps,
+    each solved by conjugate gradients on the Hessian's products,
+    preconditioned by one sparse LU factorization of its grid-line part,
+    with Armijo backtracking on the energy. It stops when the
     Newton decrement lambda^2 / 2, an estimate of the remaining energy gap
     E - E_min, drops to ``tol * E``, so ``tol`` is a relative energy-gap
-    certificate; the certified step is still taken at full length when it
-    lowers the energy, unless its predicted decrease is within the rounding
-    of E. Exhausting ``max_iter`` accepted steps, or a line search that
-    cannot lower the energy, returns the last iterate flagged as
-    non-converged rather than raising.
+    certificate. CG runs to a relative residual of 1e-10, except that the
+    start (p != 2) and any step whose decrement provably exceeds ``tol * E``
+    end loose once CG's energy-norm progress stalls; the certifying system
+    is always solved tight. The certified step is still taken at full
+    length when it lowers the energy, unless its predicted decrease is
+    within the rounding of E. Exhausting ``max_iter`` accepted steps, or a
+    line search that cannot lower the energy, returns the last iterate
+    flagged as non-converged rather than raising.
 
     Returns
     -------
@@ -202,7 +205,8 @@ def minimize_continuum(
         field as an evaluable `PatchedField`, ``energies`` the energy after
         every accepted step (non-increasing), ``stop_reason`` is
         "converged", "budget" or "stalled", and ``decrement`` the
-        lambda^2 / 2 of the last Newton system.
+        lambda^2 / 2 of the last Newton system (exact when converged, else
+        possibly a lower bound from a loose solve).
     """
     dom = problem.domain
     v = np.full(dom.node_points.shape[0], float(dom.pin_values.mean()))

@@ -316,8 +316,13 @@ def sample_density(density: ReferenceDensity, n: int, seed: int) -> SampleSet:
 def _gaussian(sq: np.ndarray) -> np.ndarray:
     """Unit-mass 2D Gaussian at squared radius ``sq`` (bandwidth units),
     zero beyond _GAUSS_TRUNC. It is also its own gradient factor:
-    grad K(v) = -v K(|v|^2)."""
-    out = np.exp(-sq / 2.0) / (2.0 * np.pi)
+    grad K(v) = -v K(|v|^2). The exponent is clipped at the truncation,
+    beyond which every value is masked out, so that no exponential
+    underflows onto NumPy's slow path (see `_gauss_factors`)."""
+    out = np.minimum(sq, _GAUSS_TRUNC**2)
+    out /= -2.0
+    np.exp(out, out=out)
+    out /= 2.0 * np.pi
     return np.where(sq <= _GAUSS_TRUNC**2, out, 0.0)
 
 

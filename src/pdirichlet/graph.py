@@ -473,12 +473,17 @@ def minimize_discrete(
     constraint mean.
 
     The solver is the damped Newton driver of `pdirichlet.solver`, for
-    every p > 1. It starts from the exact p = 2 minimizer (one Newton step
-    of the p = 2 energy from the start values). Each step solves the
-    weighted-Laplacian Hessian system by CG under a two-level
+    every p > 1. It starts from the p = 2 minimizer (one Newton step of the
+    p = 2 energy from the start values, exact at p = 2). Each step solves
+    the weighted-Laplacian Hessian system by CG under a two-level
     preconditioner (Jacobi plus a coarse solve on the epsilon-cells of the
     free nodes, or Jacobi alone below _COARSE_MIN_CELLS cells) and takes
-    an Armijo backtracking step. For
+    an Armijo backtracking step. CG runs to a relative residual of 1e-10,
+    except on the start's system at p != 2 and on a step's system whose
+    decrement provably exceeds the stop below (a lower bound on it, which
+    CG only raises, passes it): those end loose once CG's energy-norm
+    progress stalls, while the certifying system, and for p < 2 every
+    system, is solved tight. For
     p >= 2, with edge curvature floored at a gap of sqrt(machine eps) times
     the label range, it stops when the Newton decrement lambda^2 / 2 =
     -g.d / 2, an estimate of the remaining energy gap E - E_min, drops to
@@ -521,7 +526,8 @@ def minimize_discrete(
         the true energy. ``stop_reason`` is "converged", "budget" or
         "stalled" (only the first is converged), and ``decrement`` the last
         gap bound: the decrement of the last Newton system solved, plus B
-        for p < 2.
+        for p < 2 (exact when converged; after a budget or stalled stop at
+        p >= 2 possibly a lower bound from a loose solve).
     """
     if p <= 1:
         raise ValidationError(f"the discrete minimizer needs p > 1, got p = {p}")

@@ -152,6 +152,18 @@ def test_gaussian_tail_mass_below_truncation_budget():
     assert tail < 1e-5
 
 
+def test_gaussian_clipped_exponent_keeps_every_value():
+    # squared radii straddling the 5h truncation, down to where exp(-sq / 2)
+    # underflows to 0
+    edge = density_module._GAUSS_TRUNC**2
+    sq = np.concatenate([[0.0, 1.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 99.0)],
+                         np.linspace(edge - 3.0, edge + 3.0, 601), [1e3, 1e6, np.inf]])
+    reference = np.where(sq <= edge, np.exp(-sq / 2.0) / (2.0 * np.pi), 0.0)
+    np.testing.assert_array_equal(density_module._gaussian(sq), reference)
+    np.testing.assert_array_equal(density_module._gaussian(sq.reshape(-1, 7)),
+                                  reference.reshape(-1, 7))
+
+
 def test_kde_peak_value_single_sample():
     h = 0.1
     vals = kde_evaluate(np.array([[0.5, 0.5]]), h, [[0.5, 0.5]])

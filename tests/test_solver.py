@@ -1,5 +1,6 @@
 """Shared Newton driver: its three stops, on stub problems, and its
-preconditioned CG kernel."""
+preconditioned CG kernel with its loose stop, alone and under the driver
+on both routes."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from pdirichlet import solver
+from pdirichlet.continuum import ContinuumProblem, minimize_continuum
+from pdirichlet.density import reference_density, sample_density
+from pdirichlet.experiments import constraint_labels, label_value
+from pdirichlet.graph import build_epsilon_graph, default_epsilon, minimize_discrete
+from pdirichlet.patches import build_patches
 from pdirichlet.solver import _newton, _pcg
 
 
@@ -87,9 +93,9 @@ def test_exponent_2_system_is_built_once(monkeypatch, p):
     # build one per step
     solves = []
 
-    def counting_pcg(a, precondition, b):
+    def counting_pcg(a, precondition, b, enough):
         solves.append(b)
-        return _pcg(a, precondition, b)
+        return _pcg(a, precondition, b, enough)
 
     monkeypatch.setattr(solver, "_pcg", counting_pcg)
     problem = Halfway(start=[0.5, -0.5], target=[1.0, 2.0] if p == 3.0 else [0.5, -0.5], p=p)
@@ -146,3 +152,64 @@ def test_capped_pcg_still_gives_a_descent_direction(monkeypatch):
     assert iterations == 10
     assert np.linalg.norm(a @ x - b) > 1e-3 * np.linalg.norm(b)
     assert float(b @ x) > 0.0
+
+
+def test_pcg_stops_loose_only_above_enough():
+    a, b = grid_laplacian(30, 1e-2, seed=6)
+    inv_diag = 1.0 / a.diagonal()
+    jacobi = lambda r: inv_diag * r
+    exact = 0.5 * float(b @ splu(a, permc_spec="MMD_AT_PLUS_A").solve(b))
+    tight, tight_iterations = _pcg(a, jacobi, b)
+    for enough in (0.0, 0.5 * exact, 0.9 * exact):
+        x, iterations = _pcg(a, jacobi, b, enough)
+        # CG from 0 only raises b.x / 2 toward b.a^-1 b / 2
+        assert enough < 0.5 * float(b @ x) <= exact
+        assert iterations < tight_iterations
+        assert np.linalg.norm(a @ x - b) > 1e-10 * np.linalg.norm(b)
+    # a bound that stays below enough leaves the residual stop alone
+    for enough in ((1.0 + 1e-9) * exact, np.inf):
+        x, iterations = _pcg(a, jacobi, b, enough)
+        assert iterations == tight_iterations
+        np.testing.assert_array_equal(x, tight)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _recorded_solves(monkeypatch):
+    """Patch `solver._pcg` to record, per system, whether its solve met the
+    residual stop and whether its decrement b.x / 2 exceeded ``enough``."""
+    solves = []
+
+    def recording_pcg(a, precondition, b, enough):
+        x, k = _pcg(a, precondition, b, enough)
+        tight = np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+        solves.append((tight, 0.5 * float(b @ x) > enough))
+        return x, k
+
+    monkeypatch.setattr(solver, "_pcg", recording_pcg)
+    return solves
+
+
+def _graph_run(p):
+    labels = constraint_labels()
+    cloud = sample_density(reference_density("rho2"), 2048, seed=11).points
+    graph = build_epsilon_graph(np.vstack([labels.positions, cloud]), default_epsilon(2048, p))
+    return minimize_discrete(graph, labels.graph_constraints(0), p=p)
+
+
+def _continuum_run(p):
+    labels = constraint_labels()
+    dom = build_patches(labels.positions, labels.values, 10, tiles=(3, 3), label_fn=label_value)
+    return minimize_continuum(ContinuumProblem(dom, reference_density("rho2"), p))
+
+
+@pytest.mark.parametrize("run", [_graph_run, _continuum_run], ids=["graph", "continuum"])
+@pytest.mark.parametrize("p", [3.0, 5.0])
+def test_every_converged_stop_rests_on_a_tight_solve(monkeypatch, run, p):
+    solves = _recorded_solves(monkeypatch)
+    res = run(p)
+    assert res.converged
+    # the certifying system met the residual stop, and every system that
+    # stopped loose had a decrement no tight solve could certify
+    assert solves[-1][0]
+    assert all(tight or above for tight, above in solves)
+    assert not all(tight for tight, _ in solves)
