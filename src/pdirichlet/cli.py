@@ -31,11 +31,11 @@ from .csvio import Table, _write_text, write_csv
 from .density import (
     KdeDensityField,
     SplineConfig,
+    _mesh_points,
     reference_density,
     sample_density,
     skde_fit,
     spline_knots,
-    uniform_mesh,
 )
 from .errors import ConfigError, PDirichletError
 from .experiments import (
@@ -147,12 +147,8 @@ def _write_manifest(config: RunConfig, out: Path, seeds) -> Path:
 
 
 def _mesh_table(values: np.ndarray) -> Table:
-    mesh = values.shape[0]
-    sites = uniform_mesh(mesh)
-    xx, yy = np.meshgrid(sites, sites)
-    return Table.from_columns(
-        ("x", "y", "value"), (xx.ravel(), yy.ravel(), values.ravel())
-    )
+    points = _mesh_points(values.shape[0])
+    return Table.from_columns(("x", "y", "value"), (points[:, 0], points[:, 1], values.ravel()))
 
 
 def _estimate_field(config: RunConfig, cloud):

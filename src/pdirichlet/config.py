@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+from .density import _DENSITIES
 from .errors import ConfigError
 from .graph import default_epsilon
 
@@ -26,7 +27,6 @@ SUBCOMMANDS = (
     "study-density",
     "study-minimizers",
 )
-_DENSITIES = ("rho1", "rho2", "rho3")
 # subcommands whose pipeline runs the continuum solver, where p > d = 2 applies
 _CONTINUUM = ("solve-continuum", "study-minimizers")
 # subcommands whose pipeline builds a graph on the cloud

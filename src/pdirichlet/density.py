@@ -4,13 +4,13 @@ Three strictly positive reference densities drive the studies. Point clouds
 are drawn from them by inverse-transform sampling on a fine lattice. Kernel
 density estimates can be evaluated exactly (truncated sums) at arbitrary
 points or on a full uniform mesh via binned FFT convolution. The exact sums
-work in chunks of at most about 8M (point, sample) pairs, so their memory
-is bounded whatever n and h are: on a row-major tensor lattice (the spline
-knots) the Gaussian is summed in 1D factors, elsewhere in dense distance
-blocks for small problems and KD-tree pair lists for large ones. The
-spline-smoothed variant fits a penalized tensor-product cubic B-spline to
-KDE values on a square knot lattice and evaluates it, values and
-gradients, with SciPy's `NdBSpline`;
+take one of two paths, each in bounded memory whatever n and h are: on a
+tensor lattice in either axis order (the spline knots are laid out x
+fastest, a continuum domain's geometric nodes y fastest) the Gaussian is
+summed in 1D factors, elsewhere in dense distance blocks of about 64k
+pairs. The spline-smoothed variant fits a penalized tensor-product cubic
+B-spline to KDE values on a square knot lattice and evaluates it, values
+and gradients, with SciPy's `NdBSpline`;
 `SplineFit` factors the fit's normal matrix once, so a study fitting many
 value vectors at one (T, lam) pays for it once. Every
 estimator is exposed as a `DensityField` with consistent value/gradient
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import gamma as _gamma
 
@@ -72,7 +71,8 @@ _FLOOR_RATIO = 1.0e-3
 _GAUSS_TRUNC = 5.0
 # resolution of the lattice on which `sample_density` tabulates its CDFs
 _SAMPLER_GRID = 1024
-# (point, sample) pairs one chunk of an exact KDE sum may hold
+# x factors, one per (lattice x site, sample), that one sample chunk of a
+# lattice KDE sum may hold
 _PAIR_BUDGET = 8_000_000
 # pairs per dense distance block; blocks this small stay in cache, which
 # halves the time of a 1M-pair sum and leaves every row sum unchanged
@@ -429,29 +429,25 @@ def kde_evaluate(samples, h: float, points: np.ndarray) -> np.ndarray:
     """Exact Gaussian kernel density estimate at arbitrary points.
 
     Computes (1/n) sum_i K_h(x - x_i) with K_h(u) = h^-2 K(u/h), truncating
-    each kernel at 5 h (squared distance <= 25 h^2). Three branches give
-    the same sums, to rounding:
+    each kernel at 5 h (squared distance <= 25 h^2). Two paths give the
+    same sums, to rounding:
 
-    - lattice, when the points are a row-major tensor lattice (x fastest,
-      as `spline_knots` and the mesh dumps lay them out; see
-      `_lattice_axes`): the Gaussian factors into 1D exponentials per
-      lattice line and sample, so per pair only the truncation mask and a
-      multiply-add remain. Samples are taken in chunks of at most 8M x
-      factors and knot rows in blocks of about 64k pair slots, over the
+    - lattice, when the points are a tensor lattice in either axis order:
+      x fastest, as `spline_knots` and the mesh dumps lay them out, or y
+      fastest, as a continuum domain's geometric nodes are (see
+      `_lattice_axes`; a y-fastest lattice is summed with x and y swapped,
+      which leaves the Gaussian unchanged). It factors into 1D exponentials
+      per lattice line and sample, so per pair only the truncation mask and
+      a multiply-add remain. Samples are taken in chunks of at most 8M x
+      factors and lattice rows in blocks of about 64k pair slots, over the
       samples within 5 h of them in y;
-    - dense, for other points when n * m is at most 8M: squared distances
-      of a block of points to all samples (`cdist`), about 64k pairs per
-      block (a single point to all samples when n is larger);
-    - KD-tree, otherwise: the (point, sample) pairs within the truncation
-      radius, listed for chunks of points holding at most 8M pairs each (a
-      single point whose neighbourhood is larger forms its own chunk), and
-      summed per point with `bincount`.
+    - dense, for every other point set: squared distances of a block of
+      points to all samples (`cdist`), about 64k pairs per block (a single
+      point to all samples when n is larger). `KdeDensityField` takes its
+      gradients in the same blocks.
 
-    Memory is thus bounded by the pair budget (or by n), whatever n and h
-    are. Only the row-major order is recognised: the geometric nodes a
-    `ContinuumProblem` reads the density at are ordered y fastest, so they
-    take the pointwise branches, where each point's value does not depend
-    on the other points and equals its value at any copy of the node.
+    Memory is thus bounded, whatever n and h are: by blocks of max(64k, n)
+    pairs, and on a lattice also by one sample chunk's 8M x factors.
 
     Parameters
     ----------
@@ -473,31 +469,18 @@ def kde_evaluate(samples, h: float, points: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     m = pts.shape[0]
     scale = 1.0 / (n * h * h)
-    axes = _lattice_axes(pts)
-    if axes is not None:
-        return _kde_lattice(data, h, *axes) * (scale / (2.0 * np.pi))
+    # a y-fastest lattice, such as a continuum domain's geometric nodes, is
+    # the row-major lattice of (y, x), and the Gaussian is symmetric in x and
+    # y, so the swapped sums come back in the caller's order
+    for swap in (slice(None), slice(None, None, -1)):
+        axes = _lattice_axes(pts[:, swap])
+        if axes is not None:
+            return _kde_lattice(data[:, swap], h, *axes) * (scale / (2.0 * np.pi))
     out = np.empty(m)
-    if n * m <= _PAIR_BUDGET:
-        step = max(1, _DENSE_BLOCK // max(n, 1))
-        for start in range(0, m, step):
-            d2 = cdist(pts[start : start + step], data, "sqeuclidean")
-            out[start : start + step] = _gaussian(d2 / (h * h)).sum(axis=1) * scale
-        return out
-    radius = _GAUSS_TRUNC * h
-    tree = cKDTree(data)
-    counts = tree.query_ball_point(pts, radius, return_length=True)
-    ends = np.cumsum(counts)
-    start = 0
-    while start < m:
-        # the longest run of points from `start` within the pair budget
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, side="right")))
-        pairs = cKDTree(pts[start:stop]).sparse_distance_matrix(
-            tree, radius, output_type="ndarray"
-        )
-        weights = _gaussian(pairs["v"] ** 2 / (h * h))
-        out[start:stop] = np.bincount(pairs["i"], weights=weights, minlength=stop - start) * scale
-        start = stop
+    step = max(1, _DENSE_BLOCK // max(n, 1))
+    for start in range(0, m, step):
+        d2 = cdist(pts[start : start + step], data, "sqeuclidean")
+        out[start : start + step] = _gaussian(d2 / (h * h)).sum(axis=1) * scale
     return out
 
 
@@ -519,12 +502,12 @@ class KdeDensityField(DensityField):
     """Gaussian kernel density estimate as an evaluable field.
 
     Values at points are the exact truncated sums of `kde_evaluate`: summed
-    in 1D Gaussian factors when the points are a row-major lattice, as the
-    spline knots are, and per point otherwise, as at a continuum domain's
-    geometric nodes. Gradients are dense per-point sums. `on_mesh` switches
-    to a binned FFT convolution with the same truncated kernel, which is
-    what the large error studies rely on (the two paths are cross-checked
-    in tests).
+    in 1D Gaussian factors when the points are a tensor lattice in either
+    axis order, as the spline knots and a continuum domain's geometric
+    nodes are, and in dense distance blocks otherwise. Gradients are summed
+    in the same dense blocks. `on_mesh` switches to a binned FFT
+    convolution with the same truncated kernel, which is what the large
+    error studies rely on (the two paths are cross-checked in tests).
     The positivity floor is 1e-3, that is 1e-3 times the uniform density,
     the mean of any density on the unit square; it costs no evaluation.
     """

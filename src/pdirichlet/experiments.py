@@ -28,6 +28,7 @@ import numpy as np
 from .continuum import ContinuumProblem, minimize_continuum
 from .csvio import Table
 from .density import (
+    _DENSITIES,
     KdeDensityField,
     SplineConfig,
     SplineFit,
@@ -41,7 +42,6 @@ from .errors import ValidationError
 from .graph import ConstraintSet, build_epsilon_graph, default_epsilon, minimize_discrete
 from .patches import build_patches
 
-_DENSITIES = ("rho1", "rho2", "rho3")
 _ESTIMATORS = ("kde", "skde")
 # evaluation window (x0, x1, y0, y1) of every study error norm
 _REGION = (0.01, 0.99, 0.01, 0.99)

@@ -11,7 +11,7 @@ import pdirichlet
 from pdirichlet import cli
 from pdirichlet.cli import run
 from pdirichlet.config import RunConfig
-from pdirichlet.csvio import read_csv, write_csv
+from pdirichlet.csvio import Table, read_csv, write_csv
 from pdirichlet.density import reference_density
 from pdirichlet.experiments import StudyConfig, constraint_labels, label_value, minimizer_comparison
 from pdirichlet.patches import build_patches
@@ -45,6 +45,11 @@ def test_density_writes_mesh_dump_and_sidecar(tmp_path):
     t = read_csv(tmp_path / "density.csv")
     assert t.header == ("x", "y", "value")
     assert len(t.rows) == 32 * 32
+    # the mesh sites, x fastest, written byte for byte as the meshgrid layout
+    xx, yy = np.meshgrid(np.linspace(0.0, 1.0, 32), np.linspace(0.0, 1.0, 32))
+    expect = Table.from_columns(("x", "y", "value"), (xx.ravel(), yy.ravel(), t.column("value")))
+    write_csv(expect, tmp_path / "expect.csv")
+    assert (tmp_path / "density.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()
     sidecar = (tmp_path / "density.cfg").read_text()
     assert "h=0.10000000000000001" in sidecar  # full precision, no silent defaults
     assert "subcommand=density" in sidecar
@@ -160,6 +165,22 @@ def test_study_minimizers_matches_the_library_study(tmp_path, capsys):
     assert [row[:3] for row in timing.rows] == [row[:3] for row in study.timing.rows]
     manifest = (tmp_path / "study_minimizers_manifest.txt").read_text()
     assert "seeds=4,5,6,7,8" in manifest
+
+
+def test_no_pipeline_reads_the_kde_at_scattered_points(tmp_path, monkeypatch):
+    # every KDE value a subcommand reads is on a tensor lattice (the spline
+    # knots, the collocation nodes) or an FFT mesh, so the dense pair blocks
+    # and the pointwise gradient are never needed
+    def fail(*args, **kwargs):
+        raise AssertionError("the KDE was read at scattered points")
+
+    monkeypatch.setattr("pdirichlet.density.cdist", fail)
+    monkeypatch.setattr("pdirichlet.density._kde_gradient", fail)
+    small = ["--density", "rho2", "--n", "32", "--T", "256", "--mesh", "32",
+             "--points-per-patch", "4", "--tol", "0.001"]
+    for command, args in (("density", TINY), ("solve-continuum", TINY),
+                          ("study-density", TINY), ("study-minimizers", small)):
+        assert run([command, *args, "--out", str(tmp_path / command)]) == 0
 
 
 def test_study_rejects_indivisible_n(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy import integrate
 from scipy.optimize import minimize
 from scipy.sparse.linalg import splu
 
@@ -450,17 +451,74 @@ def test_pcg_iterations_per_newton_system_stay_flat(monkeypatch, ppp):
 
 
 def test_density_is_evaluated_once_per_geometric_node():
-    # the copies of a node share its coordinates, so reading the density at
-    # the geometric nodes and gathering gives the per-copy values bit for bit
+    # the weights come from one read at the geometric nodes, gathered to the
+    # copies; the copies of a node share its coordinates, so a pointwise
+    # density gives the per-copy values bit for bit
     dom = build_patches(*constraint_lattice(), 8)
     cloud = sample_density(reference_density("rho2"), 512, seed=4)
-    kde = KdeDensityField(cloud, 0.1)  # 512 x 324 pairs: the dense branch
+    kde = KdeDensityField(cloud, 0.1)
     config = SplineConfig(num_knots=256, lam=1e-6)
-    for rho in (reference_density("rho2"), kde, skde_fit(kde.value_at(spline_knots(config)), config)):
+    spline = skde_fit(kde.value_at(spline_knots(config)), config)
+    for rho in (reference_density("rho2"), kde, spline):
         prob = ContinuumProblem(domain=dom, density=rho, p=3.0)
-        per_copy = rho.value_at(dom.points)
-        expect = prob.sigma * dom.quad_weights * per_copy * per_copy
+        at_nodes = rho.value_at(dom.node_points)[dom.node_of]
+        expect = prob.sigma * dom.quad_weights * at_nodes * at_nodes
         assert prob._weight.ravel().tobytes() == expect.tobytes()
+        # the KDE sums the geometric nodes, a y-fastest lattice, in 1D
+        # factors and the scattered copies in dense blocks
+        per_copy = rho.value_at(dom.points)
+        if rho is kde:
+            np.testing.assert_allclose(at_nodes, per_copy, rtol=1e-13)
+        else:
+            assert at_nodes.tobytes() == per_copy.tobytes()
+
+
+def _point_pin_minimizer(p):
+    """The exact minimizer around a pin at (0.5, 0.5) with value 0, for p > 2.
+
+    On the uniform density u*(x) = r^a, a = (p - 2) / (p - 1), r = |x - c|,
+    is p-harmonic away from c, and a point has positive p-capacity for
+    p > 2, so u* is the minimizer on the square with boundary values u* and
+    that pin. Returns ``(u*, E*)``, E* = sigma int |grad u*|^p by polar
+    quadrature: the radial integral is a^(p-1) R(theta)^a, with R the
+    distance to the square's edge, and eight wedges of pi/4 fill the square.
+    """
+    a = (p - 2.0) / (p - 1.0)
+
+    def u(x, y):
+        return np.hypot(x - 0.5, y - 0.5) ** a
+
+    wedge, _ = integrate.quad(lambda t: (0.5 / np.cos(t)) ** a, 0.0, np.pi / 4.0,
+                              epsabs=1e-13, epsrel=1e-13)
+    return u, sigma_eta(p, "indicator") * a ** (p - 1.0) * 8.0 * wedge
+
+
+# sup error at the node copies and (E_h - E*) / E* at N = 16: 1.25 x the
+# readings of today's solver, rounded up
+_PIN_BOUNDS = {
+    (3.0, (2, 2)): (1.3e-2, 3.5e-2),
+    (3.0, (4, 4)): (9.4e-3, 2.5e-2),
+    (5.0, (2, 2)): (2.7e-3, 9.2e-3),
+    (5.0, (4, 4)): (1.7e-3, 5.5e-3),
+}
+
+
+@pytest.mark.parametrize("p, tiles", sorted(_PIN_BOUNDS),
+                         ids=[f"p{p:g}-{t[0]}x{t[1]}" for p, t in sorted(_PIN_BOUNDS)])
+def test_point_pin_solve_converges_to_the_exact_minimizer(p, tiles):
+    u, exact = _point_pin_minimizer(p)
+    assert exact == pytest.approx({3.0: 0.626701, 5.0: 0.392401}[p], abs=1e-6)
+    sup, rel = [], []
+    for n in (8, 12, 16):
+        dom = build_patches([[0.5, 0.5]], [0.0], n, tiles=tiles, boundary_value_fn=u)
+        res = minimize_continuum(ContinuumProblem(dom, reference_density("rho1"), p), tol=1e-10)
+        assert res.converged
+        sup.append(np.abs(res.values - u(dom.points[:, 0], dom.points[:, 1])).max())
+        rel.append((res.energy - exact) / exact)
+    # algebraic convergence from above, in N
+    assert sup[0] > sup[1] > sup[2] and rel[0] > rel[1] > rel[2] > 0.0
+    sup_bound, rel_bound = _PIN_BOUNDS[p, tiles]
+    assert sup[2] <= sup_bound and rel[2] <= rel_bound
 
 
 def test_minimize_with_every_node_pinned():

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from scipy import integrate
 from scipy.interpolate import BSpline
 from scipy.signal import fftconvolve
-from scipy.spatial.distance import cdist
 
 import pdirichlet.density as density_module
 from pdirichlet.density import (
@@ -170,26 +169,20 @@ def test_kde_peak_value_single_sample():
     assert vals[0] == pytest.approx(1.0 / (2 * np.pi * h * h), rel=1e-12)
 
 
-def test_kde_brute_and_tree_paths_agree(monkeypatch):
+def test_kde_dense_blocks_match_brute_pair_sum(monkeypatch):
     rng = np.random.default_rng(8)
     data = rng.random((4000, 2))
-    pts = rng.random((50, 2))
     h = 0.05
-    brute = kde_evaluate(data, h, pts)
-    # force the tree path by replicating the data past the brute-force cutoff;
-    # its 16.4M pairs fill three chunks of the 8M-pair budget
-    big = np.tile(data, (501, 1))
-    tree = kde_evaluate(big, h, pts)
-    np.testing.assert_allclose(brute, tree, rtol=1e-10)
-    # many chunks: a pair budget under n * m takes the tree path, and one
-    # under a whole neighbourhood (860 pairs at most here) leaves one point
-    # per chunk; the first point sits on a sample (zero distance) and the
-    # last has no sample within the truncation radius
-    pts = np.vstack([data[:1], pts, [[2.0, 2.0]]])
-    brute = kde_evaluate(data, h, pts)
-    for budget in (5000, 100):
-        monkeypatch.setattr(density_module, "_PAIR_BUDGET", budget)
-        np.testing.assert_allclose(kde_evaluate(data, h, pts), brute, rtol=1e-10)
+    # the first point sits on a sample (zero distance) and the last has no
+    # sample within the truncation radius
+    pts = np.vstack([data[:1], rng.random((51, 2)), [[2.0, 2.0]]])
+    # blocks of one point, of two points for three samples, and the default
+    # blocks (16 points for 4000 samples), the last two with a remainder
+    for block in (1, 7, density_module._DENSE_BLOCK):
+        monkeypatch.setattr(density_module, "_DENSE_BLOCK", block)
+        for cloud in (data, data[:3]):
+            np.testing.assert_allclose(kde_evaluate(cloud, h, pts), _brute_kde(cloud, h, pts),
+                                       rtol=1e-12)
 
 
 def _brute_kde(data, h, pts):
@@ -205,12 +198,11 @@ def _row_major(xs, ys):
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def _pointwise_branches_fail(monkeypatch):
+def _dense_path_fails(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("a lattice took a pointwise branch")
+        raise AssertionError("a lattice took the dense path")
 
     monkeypatch.setattr(density_module, "cdist", fail)
-    monkeypatch.setattr(density_module, "cKDTree", fail)
 
 
 _LATTICES = {
@@ -227,7 +219,7 @@ def test_kde_lattice_path_matches_brute_pair_sum(name, monkeypatch):
     rng = np.random.default_rng(31)
     data = rng.random((700, 2))
     pts = _row_major(*_LATTICES[name])
-    _pointwise_branches_fail(monkeypatch)
+    _dense_path_fails(monkeypatch)
     for h in (0.02, 0.07, 0.3):
         np.testing.assert_allclose(kde_evaluate(data, h, pts), _brute_kde(data, h, pts), rtol=1e-12)
 
@@ -250,7 +242,7 @@ def test_kde_lattice_chunks_and_row_blocks_match_brute_pair_sum(budget, block, m
     brute = _brute_kde(data, h, pts)
     monkeypatch.setattr(density_module, "_PAIR_BUDGET", budget)
     monkeypatch.setattr(density_module, "_DENSE_BLOCK", block)
-    _pointwise_branches_fail(monkeypatch)
+    _dense_path_fails(monkeypatch)
     # within the pair budget (99 x 505 pairs) for the first case, above it otherwise
     np.testing.assert_allclose(kde_evaluate(data, h, pts), brute, rtol=1e-12)
 
@@ -267,22 +259,22 @@ def test_kde_lattice_keeps_a_sample_exactly_5h_away(sample):
     np.testing.assert_allclose(vals, _brute_kde(np.array([sample]), h, pts), rtol=1e-12)
 
 
-def test_kde_y_fastest_lattice_takes_the_dense_branch():
+def test_kde_y_fastest_lattice_takes_the_lattice_path(monkeypatch):
+    # the layout of a continuum domain's geometric nodes: x slowest, y fastest
     rng = np.random.default_rng(33)
     data = rng.random((300, 2))
     h = 0.08
-    s = np.linspace(0.0, 1.0, 12)
-    row_major = _row_major(s, s)
-    yy, xx = np.meshgrid(s, s)
+    xs, ys = np.linspace(0.0, 1.0, 12), np.sort(rng.random(7))
+    row_major = _row_major(xs, ys)
+    yy, xx = np.meshgrid(ys, xs)
     y_fastest = np.column_stack([xx.ravel(), yy.ravel()])
-    assert density_module._lattice_axes(row_major) is not None
     assert density_module._lattice_axes(y_fastest) is None
-    dense = density_module._gaussian(cdist(y_fastest, data, "sqeuclidean") / (h * h))
-    expect = dense.sum(axis=1) * (1.0 / (data.shape[0] * h * h))
+    assert density_module._lattice_axes(y_fastest[:, ::-1]) is not None
+    _dense_path_fails(monkeypatch)
     vals = kde_evaluate(data, h, y_fastest)
-    assert vals.tobytes() == expect.tobytes()
-    lattice = kde_evaluate(data, h, row_major).reshape(12, 12).T.ravel()
-    np.testing.assert_allclose(lattice, vals, rtol=1e-12)
+    transposed = kde_evaluate(data, h, row_major).reshape(ys.size, xs.size).T.ravel()
+    np.testing.assert_allclose(vals, transposed, rtol=1e-12)
+    np.testing.assert_allclose(vals, _brute_kde(data, h, y_fastest), rtol=1e-12)
 
 
 def test_kde_lattice_detection_rejects_scattered_points():
