@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from . import __version__
 from .config import RunConfig, config_hash, config_text, parse_config
@@ -45,7 +44,13 @@ from .experiments import (
     density_error_study,
     minimizer_comparison,
 )
-from .graph import build_epsilon_graph, build_knn_graph, default_epsilon, minimize_discrete
+from .graph import (
+    _upper_triangle,
+    build_epsilon_graph,
+    build_knn_graph,
+    default_epsilon,
+    minimize_discrete,
+)
 
 _EXIT_CODES = {
     "config": 2,
@@ -198,6 +203,22 @@ def _cmd_density(config: RunConfig) -> None:
     print(f"write: density.csv ({config.mesh ** 2} rows), density.cfg, {manifest.name}")
 
 
+def _edge_table(weights) -> Table:
+    """The i,j,w table of a graph's edges i < j, in CSR order. Its columns
+    are filled from the weights' upper triangle a block of rows at a time,
+    i and j in the weights' index type."""
+    m = weights.nnz // 2
+    columns = (np.empty(m, weights.indices.dtype), np.empty(m, weights.indices.dtype),
+               np.empty(m))
+    start = 0
+    for block in _upper_triangle(weights):
+        stop = start + block[0].size
+        for column, part in zip(columns, block):
+            column[start:stop] = part
+        start = stop
+    return Table.from_columns(("i", "j", "w"), columns)
+
+
 def _cmd_solve_discrete(config: RunConfig) -> None:
     out = _out_dir(config)
     rho = reference_density(config.density)
@@ -220,10 +241,7 @@ def _cmd_solve_discrete(config: RunConfig) -> None:
     constraints = labels.graph_constraints(config.n)
     result = minimize_discrete(graph, constraints, p=config.p, tol=config.tol)
     _solve_stage(config, result, time.perf_counter() - start)
-    upper = sp.triu(graph.weights, k=1).tocoo()
-    write_csv(Table.from_columns(("i", "j", "w"),
-                                 (upper.row.astype(int), upper.col.astype(int), upper.data)),
-              out / "discrete_edges.csv")
+    write_csv(_edge_table(graph.weights), out / "discrete_edges.csv")
     write_csv(
         Table.from_columns(
             ("i", "x", "y", "f"),
@@ -234,7 +252,7 @@ def _cmd_solve_discrete(config: RunConfig) -> None:
     manifest = _write_manifest(config, out, (config.seed,))
     print(
         f"write: discrete_labels.csv ({graph.n} rows), "
-        f"discrete_edges.csv ({upper.nnz} rows), {manifest.name}"
+        f"discrete_edges.csv ({graph.num_edges} rows), {manifest.name}"
     )
 
 

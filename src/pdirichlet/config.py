@@ -35,11 +35,13 @@ _GRAPH = ("solve-discrete", "study-minimizers")
 # scipy 1.17): a cloud costs up to about 600 bytes per point (`density`
 # at n = 2^20 peaks at 0.64 GB); the spline fit's normal-matrix LU peaks at
 # 0.22 / 0.71 GB for T = 16384 / 65536 and grows about 3.2x per 4x in T; a
-# graph solve costs about 160 bytes per edge over a 100 MB base
-# (`solve-discrete --n 65536`, 3.9M edges, peaks at 0.72 GB)
+# graph solve peaks at up to 80 bytes per edge over a 100 MB base, so 12M
+# edges fit in about 1.06 GB (`solve-discrete --density rho2 --p 3` at
+# n = 134116, the largest n accepted there, has 11.6M edges and peaks at
+# 0.84 GB)
 _MAX_POINTS = 2**20
 _MAX_KNOTS = 2**16
-_MAX_EDGES = 6.0e6
+_MAX_EDGES = 12.0e6
 # the expected edge count of an epsilon-graph on n points of density rho is
 # about n^2 / 2 * pi eps^2 * (integral of rho^2), which is at most this for
 # the reference densities (1 for rho1, 1.24 for rho2, 1.21 for rho3)

@@ -122,6 +122,51 @@ def _points_array(points: np.ndarray) -> np.ndarray:
     return pts
 
 
+# pairs grouped by row at a time in `build_epsilon_graph`; a chunk takes
+# about 44 bytes of scratch per pair
+_PAIR_CHUNK = 2**17
+# edges per block of consecutive rows in the chunked sums over edges
+_EDGE_CHUNK = 2**14
+
+
+def _row_blocks(indptr: np.ndarray, limit: int) -> list:
+    """Consecutive row ranges (r0, r1) that cover the CSR offsets ``indptr``,
+    each holding at most ``limit`` entries, or one row that holds more."""
+    blocks, r0, n = [], 0, indptr.size - 1
+    while r0 < n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + limit, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), n)
+        blocks.append((r0, r1))
+        r0 = r1
+    return blocks
+
+
+def _pairs_by_row(pairs: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The CSR column array of the entries (i, j) and (j, i) of every pair,
+    grouped by row but in no order within a row; ``indptr`` holds the row
+    offsets. A chunk of pairs at a time, a matrix with one row per pair,
+    holding the pair's two nodes as columns and the other node as their
+    values, transposes (a counting sort) to the chunk's entries grouped by
+    row. Each row's group goes after that row's entries from the earlier
+    chunks; a single chunk's transpose is the whole grouping."""
+    m, n = pairs.shape[0], indptr.size - 1
+    steps = np.arange(0, 2 * min(m, _PAIR_CHUNK) + 1, 2, dtype=indptr.dtype)
+    grouped = np.empty(2 * m if m > _PAIR_CHUNK else 0, dtype=indptr.dtype)
+    cursor = indptr[:-1].copy()
+    for start in range(0, m, _PAIR_CHUNK):
+        part = pairs[start:start + _PAIR_CHUNK]
+        by_row = sp.csr_matrix((part[:, ::-1].ravel(), part.ravel(), steps[:part.shape[0] + 1]),
+                               shape=(part.shape[0], n)).tocsc()
+        if m <= _PAIR_CHUNK:
+            return by_row.data
+        counts = np.diff(by_row.indptr)
+        place = np.repeat(cursor - by_row.indptr[:-1], counts)
+        place += np.arange(place.size, dtype=place.dtype)
+        grouped[place] = by_row.data
+        cursor += counts
+    return grouped
+
+
 def build_epsilon_graph(points: np.ndarray, epsilon: float, eta: str = "indicator") -> WeightedGraph:
     """Proximity graph with kernel weights W_ij = eps^-2 eta(|x_i - x_j| / eps).
 
@@ -148,33 +193,35 @@ def build_epsilon_graph(points: np.ndarray, epsilon: float, eta: str = "indicato
     if eta not in ("indicator", "gaussian"):
         raise ValidationError(f"unknown profile {eta!r}; choose indicator or gaussian")
     n = pts.shape[0]
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(epsilon if eta == "indicator" else 5.0 * epsilon,
-                             output_type="ndarray")
+    found = cKDTree(pts).query_pairs(epsilon if eta == "indicator" else 5.0 * epsilon,
+                                     output_type="ndarray")
+    m = found.shape[0]
+    idx = np.int32 if max(2 * m, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(found.ravel(), minlength=n), out=indptr[1:])
+    # the tree's int64 pairs (i < j), freed once in the CSR's index type
+    pairs = found.astype(idx)
+    del found
+    grouped = _pairs_by_row(pairs, indptr)
+    del pairs
+    # sorted by a transpose: the matrix whose rows hold these groups is the
+    # (symmetric) weights pattern, so its CSC arrays are the CSR arrays of
+    # that pattern, with every row's columns in order; the pairs are unique,
+    # so there are no duplicates to sum
+    indices = sp.csr_matrix((np.ones(2 * m, dtype=np.bool_), grouped, indptr),
+                            shape=(n, n)).tocsc().indices
+    del grouped
     if eta == "indicator":
         # constant weights, so the pair distances are not needed
-        w = np.ones(pairs.shape[0]) / epsilon**2
+        data = np.full(2 * m, 1.0 / epsilon**2)
     else:
-        dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        w = np.exp(-(dists / epsilon) ** 2 / 2.0) / epsilon**2
-    # the sorted CSR without an index sort, by two O(nnz) transposes. A
-    # matrix with one row per stored entry, holding that entry's row as its
-    # column, transposes to the entries grouped by row in pair order. The
-    # CSR they form is symmetric, so its CSC arrays are its own CSR arrays,
-    # now with every row's columns in order; the pairs are unique, so there
-    # are no duplicates to sum
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    entries = rows.size
-    ids = np.arange(entries, dtype=np.int32)
-    by_row = sp.csr_matrix((ids, rows, np.arange(entries + 1)), shape=(entries, n)).tocsc()
-    del rows, ids
-    order = by_row.data
-    grouped = sp.csr_matrix((np.concatenate([w, w])[order], cols[order], by_row.indptr),
-                            shape=(n, n))
-    del cols, by_row, order
-    csc = grouped.tocsc()
-    weights = sp.csr_matrix((csc.data, csc.indices, csc.indptr), shape=(n, n))
+        data = np.empty(2 * m)
+        for r0, r1 in _row_blocks(indptr, _EDGE_CHUNK):
+            span = slice(indptr[r0], indptr[r1])
+            rows = np.repeat(np.arange(r0, r1), np.diff(indptr[r0:r1 + 1]))
+            dists = np.linalg.norm(pts[rows] - pts[indices[span]], axis=1)
+            data[span] = np.exp(-(dists / epsilon) ** 2 / 2.0) / epsilon**2
+    weights = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     weights.has_canonical_format = True
     return WeightedGraph(points=pts, weights=weights, epsilon=float(epsilon), kind="epsilon")
 
@@ -206,28 +253,48 @@ def _energy_scale(graph: WeightedGraph, p: float) -> float:
     return 1.0 / (graph.epsilon**p * graph.n**2)
 
 
-def discrete_energy(graph: WeightedGraph, values: np.ndarray, p: float) -> float:
-    """Graph p-Dirichlet energy (1 / (eps^p n^2)) sum_ij W_ij |f_i - f_j|^p."""
+def _node_values(graph: WeightedGraph, values: np.ndarray, p: float) -> np.ndarray:
+    """The node values as floats, checked against the graph and the exponent."""
     if p < 1:
         raise ValidationError(f"exponent p must be >= 1, got {p}")
     f = np.asarray(values, dtype=float)
     if f.shape != (graph.n,):
         raise ValidationError(f"expected {graph.n} node values, got shape {f.shape}")
-    w = graph.weights
-    rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
-    diff = f[rows] - f[w.indices]
-    return float(_energy_scale(graph, p) * np.dot(w.data, np.abs(diff) ** p))
+    return f
+
+
+def _upper_triangle(weights: sp.csr_matrix):
+    """Per block of rows holding at most _EDGE_CHUNK stored entries: the
+    block's entries (i, j, w) with i < j, in CSR order. For a graph's
+    weights these are its edges, each once."""
+    indptr, indices = weights.indptr, weights.indices
+    for r0, r1 in _row_blocks(indptr, _EDGE_CHUNK):
+        span = slice(indptr[r0], indptr[r1])
+        rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype), np.diff(indptr[r0:r1 + 1]))
+        keep = np.flatnonzero(indices[span] > rows)
+        yield rows[keep], indices[span][keep], weights.data[span][keep]
+
+
+def discrete_energy(graph: WeightedGraph, values: np.ndarray, p: float) -> float:
+    """Graph p-Dirichlet energy (1 / (eps^p n^2)) sum_ij W_ij |f_i - f_j|^p."""
+    f = _node_values(graph, values, p)
+    # sum_ij counts every edge twice
+    total = sum(float(np.dot(w, np.abs(f[i] - f[j]) ** p))
+                for i, j, w in _upper_triangle(graph.weights))
+    return float(2.0 * _energy_scale(graph, p) * total)
 
 
 def discrete_energy_gradient(graph: WeightedGraph, values: np.ndarray, p: float) -> np.ndarray:
     """Gradient of `discrete_energy`: (2p / (eps^p n^2)) sum_j W_ij phi(f_i - f_j)
     with phi(t) = |t|^(p-1) sign(t); for p < 2 the zero-gap subgradient is 0."""
-    f = np.asarray(values, dtype=float)
-    w = graph.weights
-    rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
-    diff = f[rows] - f[w.indices]
-    contrib = w.data * np.abs(diff) ** (p - 1.0) * np.sign(diff)
-    grad = np.bincount(rows, weights=contrib, minlength=graph.n)
+    f = _node_values(graph, values, p)
+    grad = np.zeros(graph.n)
+    for i, j, w in _upper_triangle(graph.weights):
+        diff = f[i] - f[j]
+        # phi is odd, so edge (i, j) adds phi(t) to i and takes it from j
+        contrib = w * np.abs(diff) ** (p - 1.0) * np.sign(diff)
+        np.add.at(grad, i, contrib)
+        np.subtract.at(grad, j, contrib)
     return 2.0 * p * _energy_scale(graph, p) * grad
 
 
@@ -282,18 +349,39 @@ def _coarse_pattern(agg: np.ndarray, cells: int, a: np.ndarray, b: np.ndarray):
     once. Returns ``slot``, the coarse entry (agg[a], agg[b]) of each pair;
     ``swap``, the transpose of each coarse entry; ``diagonal``, the coarse
     diagonal entries; and the symmetric CSR pattern (indices, indptr) that
-    these positions index.
+    these positions index. The pairs' coarse entries are put in order by
+    two counting sorts, by column and then by row, so that equal ones are
+    adjacent; only the distinct ones look up their places in the pattern.
     """
-    keys = np.concatenate([agg[a] * cells + agg[b], np.arange(cells) * (cells + 1)])
-    first, inverse = np.unique(keys, return_inverse=True)
-    del keys
-    rows, cols = np.divmod(first, cells)
-    pattern = np.union1d(first, cols * cells + rows)
-    slot = np.searchsorted(pattern, first)[inverse[:a.size]].astype(np.int32)
-    rows, cols = np.divmod(pattern, cells)
-    return (slot, np.searchsorted(pattern, cols * cells + rows),
-            np.searchsorted(pattern, np.arange(cells) * (cells + 1)),
-            cols, np.searchsorted(rows, np.arange(cells + 1)))
+    idx = a.dtype
+    agg = agg.astype(idx)
+    rows, cols = agg[a], agg[b]
+    # a matrix with one row per pair, holding an entry in a column of the
+    # pair's, transposes to the pairs grouped by that column, in order
+    steps = np.arange(rows.size + 1, dtype=idx)
+    flags = np.ones(rows.size, dtype=np.bool_)
+    order = sp.csr_matrix((flags, cols, steps), shape=(rows.size, cells)).tocsc().indices
+    by_row = sp.csr_matrix((flags, rows[order], steps), shape=(rows.size, cells)).tocsc()
+    del steps, flags
+    order = order[by_row.indices]
+    rows = np.repeat(np.arange(cells, dtype=idx), np.diff(by_row.indptr))
+    cols = cols[order]
+    del by_row
+    fresh = np.ones(rows.size, dtype=np.bool_)
+    np.not_equal(rows[1:], rows[:-1], out=fresh[1:])
+    fresh[1:] |= cols[1:] != cols[:-1]
+    rows, cols = rows[fresh], cols[fresh]
+    distinct = sp.csr_array((np.ones(rows.size, dtype=np.bool_), cols,
+                             np.searchsorted(rows, np.arange(cells + 1))), shape=(cells, cells))
+    # canonical (each row's columns in order, no duplicates), as sums are
+    pattern = distinct + distinct.T + sp.eye_array(cells, dtype=np.bool_, format="csr")
+    pattern.data = np.arange(pattern.nnz, dtype=idx)
+    slot = np.empty(order.size, dtype=idx)
+    slot[order] = pattern[rows, cols][np.cumsum(fresh, dtype=idx) - 1]
+    every = np.arange(cells)
+    pattern_rows = np.repeat(every, np.diff(pattern.indptr))
+    return (slot, pattern[pattern.indices, pattern_rows], pattern[every, every],
+            pattern.indices.astype(idx), pattern.indptr.astype(idx))
 
 
 class _PinnedEdges:
@@ -301,9 +389,13 @@ class _PinnedEdges:
 
     Only the nodes marked ``solved`` (see `_start_values`) are solved:
     ``free`` lists the unpinned ones, and every other node keeps its start
-    value. Edges (i < j) and the sparsity pattern of the free-node Hessian
-    are built once here, so each Newton step only refills the Hessian data.
-    So is the aggregation of the free nodes into their cells of side
+    value. The edges (i < j) of the solved components are held as
+    ``edges``, their places in the CSR arrays of the graph's weights, from
+    which each sum over them reads j and w a block of rows at a time (see
+    `_gaps`). The sparsity pattern of the free-node Hessian is built once
+    here, with the places in its data of each edge's two entries and of the
+    diagonal, so each Newton step only writes the Hessian data. So is the
+    aggregation of the free nodes into their cells of side
     ``graph.epsilon``, with the slots of the coarse matrix, when there are
     at least _COARSE_MIN_CELLS cells.
 
@@ -320,12 +412,20 @@ class _PinnedEdges:
         if not w.has_canonical_format:
             w = w.copy()
             w.sum_duplicates()
-        rows = np.repeat(np.arange(graph.n, dtype=np.int32), np.diff(w.indptr))
-        # the edges i < j of the solved components, in the CSR order of the
+        self._weights = w
+        idx = w.indices.dtype
+        rows = np.repeat(np.arange(graph.n, dtype=idx), np.diff(w.indptr))
+        # the edges of the solved components, in the CSR order of the
         # weights' upper triangle
-        edges = np.flatnonzero((w.indices > rows) & solved.take(rows))
-        self.i, self.j, self.w = rows.take(edges), w.indices.take(edges), w.data.take(edges)
-        del rows, edges
+        self.edges = np.flatnonzero((w.indices > rows) & solved[rows]).astype(idx)
+        i = rows[self.edges]
+        del rows
+        # blocks of consecutive rows: the rows, their edges (node r's edges,
+        # i = r, lie between offsets[r] and offsets[r + 1]) and edge counts
+        offsets = np.searchsorted(self.edges, w.indptr)
+        self._blocks = [(slice(r0, r1), slice(offsets[r0], offsets[r1]),
+                         np.diff(offsets[r0:r1 + 1]))
+                        for r0, r1 in _row_blocks(offsets, _EDGE_CHUNK)]
         solved = solved.copy()
         solved[constraints.indices] = False
         self.free = np.flatnonzero(solved)
@@ -333,58 +433,74 @@ class _PinnedEdges:
         # sum_ij counts every edge twice
         self.scale = 2.0 * _energy_scale(graph, p)
         self.smooth(s)
-        nf = self.free.size
-        self._both = solved.take(self.i) & solved.take(self.j)
-        local = np.full(graph.n, -1, dtype=np.int32)
-        local[self.free] = np.arange(nf, dtype=np.int32)
-        inner = np.flatnonzero(self._both)
-        a, b = local.take(self.i.take(inner)), local.take(self.j.take(inner))
-        del local, inner
-        # the Hessian's entries, each once: the free-free edges (a, b), a < b,
-        # their transposes (b, a), then the diagonal. A CSR row holds its
-        # transposes, its diagonal entry and its edges, each part in column
-        # order, and ``_order`` gives each CSR entry's place in that list, so
-        # a refill is a single gather in CSR order
-        m = a.size
-        ids = np.arange(m, dtype=np.int32)
-        upper = np.zeros(nf + 1, dtype=np.int32)
-        np.cumsum(np.bincount(a, minlength=nf), out=upper[1:])
-        # the transposes by row, without a sort: the CSC arrays of the
-        # upper triangle are the CSR arrays of the lower one, and its data
-        # the id of each transpose's edge
-        lower = sp.csr_matrix((ids, b, upper), shape=(nf, nf)).tocsc()
-        rank, below = lower.data, lower.indptr.astype(np.int32)
-        self._indptr = below + upper + np.arange(nf + 1, dtype=np.int32)
-        self._indices = np.empty(2 * m + nf, dtype=np.int32)
-        self._order = np.empty_like(self._indices)
-        # an entry's CSR place counts the entries before it. Edge k of row
-        # a: k edges, the transposes of rows <= a and a + 1 diagonal entries
-        place = ids + below[1:].take(a) + a + 1
-        self._indices[place], self._order[place] = b, ids
-        # transpose k, of row r: k transposes, the edges of rows < r and r
-        # diagonal entries
-        r = b.take(rank)
-        place = ids + upper.take(r) + r
-        self._indices[place], self._order[place] = lower.indices, m + rank
-        # diagonal entry r: the transposes of rows <= r, the edges of rows < r
-        # and r diagonal entries
-        r = np.arange(nf, dtype=np.int32)
-        place = below[1:] + upper[:-1] + r
-        self._indices[place], self._order[place] = r, 2 * m + r
-        # freed before the coarse pattern's sort, which would otherwise add
-        # to the peak of this set-up
-        del ids, upper, lower, rank, below, place, r
+        nf, edges = self.free.size, self.edges.size
+        local = np.full(graph.n, -1, dtype=idx)
+        local[self.free] = np.arange(nf, dtype=idx)
+        a, b = local[i], local[w.indices[self.edges]]
+        del i, local
+        # the free-free edges (a, b), a < b, and their places among the edges
+        inner = np.flatnonzero((a >= 0) & (b >= 0)).astype(idx)
+        a, b = a[inner], b[inner]
         self._coarse = None
         # every cell holds a free node, so there are no more cells than nodes
         if nf >= _COARSE_MIN_CELLS:
             agg, cells = _cells(graph.points[self.free], graph.epsilon)
             if cells >= _COARSE_MIN_CELLS:
-                self._coarse = (agg, *_coarse_pattern(agg, cells, a, b))
+                inner_slot, swap, *pattern = _coarse_pattern(agg, cells, a, b)
+                # an edge with a pinned end adds to one more slot, dropped
+                slot = np.full(edges, swap.size, dtype=idx)
+                slot[inner] = inner_slot
+                self._coarse = (agg, slot, swap, *pattern)
+                del inner_slot, slot
+        # the Hessian's entries: the free-free edges (a, b), their
+        # transposes (b, a), then the diagonal. A CSR row holds its
+        # transposes, its diagonal entry and its edges, each part in column
+        # order. ``_edge_place`` and ``_transpose_place`` give each edge's
+        # two places in the CSR data, and ``_diagonal_place`` each diagonal
+        # entry's, so `hessian` writes every curvature where it goes; an
+        # edge with a pinned end has no entry and writes one place past the
+        # end
+        upper = np.zeros(nf + 1, dtype=idx)
+        np.cumsum(np.bincount(a, minlength=nf), out=upper[1:])
+        del a
+        # the transposes by row, without a sort: the CSC arrays of the
+        # upper triangle are the CSR arrays of the lower one, and its data
+        # each transpose's edge
+        lower = sp.csr_matrix((inner, b, upper), shape=(nf, nf)).tocsc()
+        below = lower.indptr.astype(idx)
+        self._indptr = below + upper + np.arange(nf + 1, dtype=idx)
+        size = 2 * inner.size + nf
+        self._indices = np.empty(size, dtype=idx)
+        # an entry's CSR place counts the entries before it. Free-free edge
+        # k, of row a: k edges, the transposes of rows <= a and a + 1
+        # diagonal entries
+        place = np.repeat(below[1:] + np.arange(1, nf + 1, dtype=idx), np.diff(upper))
+        place += np.arange(place.size, dtype=idx)
+        self._indices[place] = b
+        del b
+        self._edge_place = np.full(edges, size, dtype=idx)
+        self._edge_place[inner] = place
+        del inner, place
+        # transpose k, of row r: k transposes, the edges of rows < r and r
+        # diagonal entries
+        place = np.repeat(upper[:-1] + np.arange(nf, dtype=idx), np.diff(below))
+        place += np.arange(place.size, dtype=idx)
+        self._indices[place] = lower.indices
+        self._transpose_place = np.full(edges, size, dtype=idx)
+        self._transpose_place[lower.data] = place
+        del lower, place
+        # diagonal entry r: the transposes of rows <= r, the edges of rows < r
+        # and r diagonal entries
+        r = np.arange(nf, dtype=idx)
+        self._diagonal_place = below[1:] + upper[:-1] + r
+        self._indices[self._diagonal_place] = r
 
     def smooth(self, s: float) -> None:
         """Set the smoothing ``s`` and its energy bias bound."""
         self.s = s
-        self.bias = self.scale * float(self.w.sum()) * s**self.p
+        self.bias = 0.0
+        if s:
+            self.bias = self.scale * float(self._weights.data[self.edges].sum()) * s**self.p
 
     def refine(self, decrement: float) -> bool:
         """Start the next stage of the smoothing ladder, with s divided by
@@ -394,25 +510,44 @@ class _PinnedEdges:
             self.smooth(self.s / _SMOOTHING_RATIO)
         return done
 
-    def _gaps(self, f: np.ndarray):
-        """t = f_i - f_j per edge and its smoothed size u = sqrt(t^2 + s^2),
-        which is |t| exactly when s = 0."""
-        t = f[self.i] - f[self.j]
-        return t, np.sqrt(t * t + self.s**2)
+    def _gaps(self, f: np.ndarray, ends: bool = False):
+        """Per block of rows holding at most _EDGE_CHUNK edges: the block's
+        edges as a slice of ``edges``, t = f_i - f_j and its smoothed size u
+        = sqrt(t^2 + s^2), which is |t| exactly when s = 0, and with
+        ``ends`` also the edges' i, j and w. Sums over the edges accumulate
+        block by block in edge order, so they equal the sums over all edges
+        at once."""
+        w = self._weights
+        for rows, span, counts in self._blocks:
+            edges = self.edges[span]
+            j = w.indices[edges]
+            t = np.repeat(f[rows], counts) - f[j]
+            # t^2 + 0 is t^2, bit for bit
+            u = np.sqrt(t * t + self.s**2 if self.s else t * t)
+            if ends:
+                i = np.repeat(np.arange(rows.start, rows.stop), counts)
+                yield span, t, u, i, j, w.data[edges]
+            else:
+                yield span, t, u
 
     def energy(self, f: np.ndarray) -> float:
-        return self.scale * float(np.dot(self.w, self._gaps(f)[1] ** self.p))
+        terms = np.empty(self.edges.size)
+        for span, _, u in self._gaps(f):
+            np.power(u, self.p, out=terms[span])
+        return self.scale * float(np.dot(self._weights.data[self.edges], terms))
 
     def gradient(self, f: np.ndarray, p: float) -> np.ndarray:
         """Free-node gradient of the (smoothed) energy with exponent ``p``,
         under this problem's normalization (a common factor, which Newton
         steps cancel)."""
-        t, u = self._gaps(f)
-        # t / u is the smoothed sign, sign(t) when s = 0
-        sign = np.divide(t, u, out=np.zeros_like(t), where=u > 0.0)
-        contrib = self.w * u ** (p - 1.0) * sign
-        grad = np.bincount(self.i, contrib, self.n) - np.bincount(self.j, contrib, self.n)
-        return p * self.scale * grad[self.free]
+        forward, back = np.zeros(self.n), np.zeros(self.n)
+        for _, t, u, i, j, w in self._gaps(f, ends=True):
+            # t / u is the smoothed sign, sign(t) when s = 0
+            sign = np.divide(t, u, out=np.zeros_like(t), where=u > 0.0)
+            contrib = w * u ** (p - 1.0) * sign
+            np.add.at(forward, i, contrib)
+            np.add.at(back, j, contrib)
+        return p * self.scale * (forward - back)[self.free]
 
     def hessian(self, f: np.ndarray, p: float, delta: float):
         """Free-node Hessian of the (smoothed) exponent-``p`` energy and its
@@ -428,24 +563,39 @@ class _PinnedEdges:
         has full column rank), so their sum is; it costs one coarse solve
         per PCG iteration and has no weight to tune. Without an
         aggregation (fewer than _COARSE_MIN_CELLS cells) it is Jacobi."""
-        u = self._gaps(f)[1]
-        if not self.s:
-            u = np.maximum(u, delta)
-        curv = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale * self.w * u ** (p - 2.0)
-        diag = (np.bincount(self.i, curv, self.n) + np.bincount(self.j, curv, self.n))[self.free]
-        off = -curv[self._both]
-        data = np.concatenate([off, off, diag])[self._order]
         nf = self.free.size
-        inv_diag = 1.0 / diag
-        coarse = None
+        data = np.empty(self._indices.size + 1)
+        forward, back = np.zeros(self.n), np.zeros(self.n)
         if self._coarse is not None:
             agg, slot, swap, diagonal, indices, indptr = self._coarse
             cells = diagonal.size
-            values = np.bincount(slot, off, swap.size)
-            values += values[swap]
-            values[diagonal] += np.bincount(agg, diag, cells)
+            # the last slot gathers the edges with a pinned end
+            sums = np.zeros(swap.size + 1)
+        for span, _, u, i, j, w in self._gaps(f, ends=True):
+            if self.s:
+                scale = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale
+            else:
+                # the same products, with the factor that is constant at s = 0
+                u = np.maximum(u, delta)
+                scale = p * (p - 1.0) * self.scale
+            curv = scale * w * u ** (p - 2.0)
+            np.add.at(forward, i, curv)
+            np.add.at(back, j, curv)
+            off = np.negative(curv, out=curv)
+            data[self._edge_place[span]] = off
+            data[self._transpose_place[span]] = off
+            if self._coarse is not None:
+                np.add.at(sums, slot[span], off)
+        diag = (forward + back)[self.free]
+        data[self._diagonal_place] = diag
+        inv_diag = 1.0 / diag
+        coarse = None
+        if self._coarse is not None:
+            sums = sums[:-1]
+            sums += sums[swap]
+            sums[diagonal] += np.bincount(agg, diag, cells)
             # symmetric, so its CSR arrays are also its CSC arrays
-            coarse = spla.splu(sp.csc_matrix((values, indices, indptr), shape=(cells, cells)),
+            coarse = spla.splu(sp.csc_matrix((sums, indices, indptr), shape=(cells, cells)),
                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                options={"SymmetricMode": True})
 
@@ -455,7 +605,8 @@ class _PinnedEdges:
                 z += coarse.solve(np.bincount(agg, r, cells))[agg]
             return z
 
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(nf, nf)), precondition
+        return (sp.csr_matrix((data[:-1], self._indices, self._indptr), shape=(nf, nf)),
+                precondition)
 
 
 def minimize_discrete(
@@ -559,9 +710,9 @@ def solve_p2_direct(graph: WeightedGraph, constraints: ConstraintSet) -> Minimiz
     solved[constraints.indices] = False
     free = np.flatnonzero(solved)
     if free.size:
-        lap_csr = lap.tocsr()
-        a = lap_csr[free][:, free].tocsc()
-        rhs = -lap_csr[free][:, constraints.indices] @ constraints.values
+        rows = lap.tocsr()[free]
+        a = rows[:, free].tocsc()
+        rhs = -rows[:, constraints.indices] @ constraints.values
         f[free] = spla.spsolve(a, rhs)
     energy = discrete_energy(graph, f, 2.0)
     grad = discrete_energy_gradient(graph, f, 2.0)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import pdirichlet
 from pdirichlet import cli
@@ -14,6 +15,7 @@ from pdirichlet.config import RunConfig
 from pdirichlet.csvio import Table, read_csv, write_csv
 from pdirichlet.density import reference_density
 from pdirichlet.experiments import StudyConfig, constraint_labels, label_value, minimizer_comparison
+from pdirichlet.graph import build_epsilon_graph, default_epsilon
 from pdirichlet.patches import build_patches
 
 TINY = ["--n", "128", "--T", "256", "--mesh", "32", "--points-per-patch", "8",
@@ -64,6 +66,23 @@ def test_solve_discrete_artifacts(tmp_path):
     assert edges.header == ("i", "j", "w")
     assert all(w > 0 for w in edges.column("w"))
 
+
+
+def test_edge_csv_in_small_blocks_matches_a_coo_write(tmp_path, monkeypatch):
+    # the edge table gathered 5 stored entries and written 3 rows at a time
+    monkeypatch.setattr("pdirichlet.graph._EDGE_CHUNK", 5)
+    monkeypatch.setattr("pdirichlet.csvio._CHUNK_ROWS", 3)
+    assert run(["solve-discrete", *TINY, "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    labels = read_csv(tmp_path / "discrete_labels.csv")
+    points = np.column_stack([labels.column("x"), labels.column("y")])
+    graph = build_epsilon_graph(points, default_epsilon(points.shape[0], 3.0))
+    upper = sp.triu(graph.weights, k=1).tocoo()
+    assert upper.nnz > 100
+    write_csv(Table.from_columns(("i", "j", "w"),
+                                 (upper.row.astype(int), upper.col.astype(int), upper.data)),
+              tmp_path / "expect.csv")
+    assert (tmp_path / "discrete_edges.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()
 
 def test_solve_discrete_reruns_share_the_sampler_tables(tmp_path, monkeypatch):
     rho = reference_density("rho1")

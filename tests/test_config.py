@@ -166,19 +166,22 @@ def test_sample_count_and_knots_capped_for_memory(tmp_path, capsys):
 
 
 def test_graph_size_capped_for_memory(tmp_path, capsys):
-    # p = 3 at n = 65536 has about 4M edges (0.72 GB) and stays accepted
+    # p = 3 at n = 131072 has about 11.7M edges (12M are allowed) and is
+    # accepted, as are 65536 points and 1048576 points at k = 11
+    assert parse_config_text("n=131072\n", subcommand="solve-discrete").n == 131072
     assert parse_config_text("n=65536\n", subcommand="solve-discrete").n == 65536
-    assert parse_config_text("n=262144\nk=10\n", subcommand="solve-discrete").k == 10
+    assert parse_config_text("n=1048576\nk=11\n", subcommand="solve-discrete").k == 11
+    # the study's discrete route runs at 4n = 131072 on the default scale
+    assert parse_config_text("n=32768\n", subcommand="study-minimizers").n == 32768
     for text, sub, key in (
-        ("n=131072\n", "solve-discrete", "'p' = 3.0"),
-        ("n=4096\nepsilon=2\n", "solve-discrete", "'epsilon' = 2.0"),
-        ("n=1048576\nk=10\n", "solve-discrete", "'k' = 10"),
-        # the study's discrete route runs at 4n = 131072 on the default scale
-        ("n=32768\n", "study-minimizers", "'p' = 3.0"),
+        ("n=140000\n", "solve-discrete", "'p' = 3.0"),
+        ("n=8192\nepsilon=2\n", "solve-discrete", "'epsilon' = 2.0"),
+        ("n=1048576\nk=12\n", "solve-discrete", "'k' = 12"),
+        ("n=35000\n", "study-minimizers", "'p' = 3.0"),
     ):
         with pytest.raises(ConfigError, match=f"'n' = \\d+, {key} rejected for {sub}"):
             parse_config_text(text, subcommand=sub)
     # a sampling subcommand builds no graph
     assert parse_config_text("n=131072\n", subcommand="sample").n == 131072
     assert run(["solve-discrete", "--n", "1000000", "--out", str(tmp_path)]) == 2
-    assert "edges; at most 6e+06 fit in memory" in capsys.readouterr().err
+    assert "edges; at most 1.2e+07 fit in memory" in capsys.readouterr().err

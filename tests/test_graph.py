@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
+from pdirichlet import graph as graph_module
 from pdirichlet import solver
 from pdirichlet.density import reference_density, sample_density
 from pdirichlet.errors import ConstraintError, ValidationError
@@ -109,6 +111,38 @@ def test_epsilon_graph_weights_match_a_coo_build(eta, n, epsilon):
         assert got.tobytes() == want.tobytes(), name
 
 
+
+def _chunk_cases():
+    """(points, epsilon, eta) of the graphs of `_two_level_cases`, a
+    gaussian graph on the same points, and a rho2 sample at the default
+    scale."""
+    rng = np.random.default_rng(31)
+    pts = rng.random((300, 2))
+    parts = np.vstack([0.4 * rng.random((150, 2)), 0.3 * rng.random((30, 2)) + 0.65,
+                       [[0.95, 0.05]], 0.3 * rng.random((20, 2)) + [0.0, 0.65]])
+    cloud = sample_density(reference_density("rho2"), 1024, seed=5)
+    sample = np.vstack([cloud.points, constraint_labels().positions])
+    return [(pts, 0.12, "indicator"), (parts, 0.08, "indicator"), (pts, 0.03, "gaussian"),
+            (sample, default_epsilon(sample.shape[0], 3.0), "indicator")]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, graph_module._PAIR_CHUNK])
+def test_epsilon_graph_pair_chunks_match_one_chunk(monkeypatch, chunk):
+    # the weights' arrays and dtypes do not depend on how many pairs are
+    # grouped at a time (nor, for the gaussian weights, rows at a time)
+    for pts, epsilon, eta in _chunk_cases():
+        whole = build_epsilon_graph(pts, epsilon, eta=eta).weights
+        assert 7 < whole.nnz // 2 <= graph_module._PAIR_CHUNK
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_module, "_PAIR_CHUNK", chunk)
+            patch.setattr(graph_module, "_EDGE_CHUNK", min(chunk, graph_module._EDGE_CHUNK))
+            chunked = build_epsilon_graph(pts, epsilon, eta=eta).weights
+        assert chunked.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(chunked, name), getattr(whole, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
 def test_default_epsilon_midpoint():
     n, p = 1000, 3.0
     lower = np.log(n) ** 0.75 / np.sqrt(n)
@@ -140,6 +174,37 @@ def test_energy_gradient_matches_finite_differences():
             fd = (discrete_energy(g, fp, p) - discrete_energy(g, fm, p)) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
+
+
+@pytest.mark.parametrize("values, p", [(np.zeros(50), 0.5), (np.zeros(49), 2.0),
+                                       (np.zeros(51), 2.0), (np.zeros((50, 1)), 2.0)])
+def test_energy_and_gradient_reject_bad_exponents_and_lengths(values, p):
+    g = build_epsilon_graph(np.random.default_rng(6).random((50, 2)), epsilon=0.3)
+    values = values + np.random.default_rng(7).random(values.shape)
+    with pytest.raises(ValidationError):
+        discrete_energy(g, values, p)
+    with pytest.raises(ValidationError):
+        discrete_energy_gradient(g, values, p)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_energy_and_gradient_sum_the_upper_triangle_in_blocks(monkeypatch, chunk, p):
+    # both triangles summed at once, as a reference
+    graph = _two_level_cases()["knn"][0]
+    f = np.random.default_rng(9).standard_normal(graph.n)
+    f[:5] = f[5]  # some zero gaps
+    w = graph.weights
+    rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
+    diff = f[rows] - f[w.indices]
+    scale = 1.0 / (graph.epsilon**p * graph.n**2)
+    energy = scale * np.dot(w.data, np.abs(diff) ** p)
+    grad = 2.0 * p * scale * np.bincount(rows, w.data * np.abs(diff) ** (p - 1.0) * np.sign(diff),
+                                         minlength=graph.n)
+    monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
+    assert discrete_energy(graph, f, p) == pytest.approx(energy, rel=1e-13)
+    np.testing.assert_allclose(discrete_energy_gradient(graph, f, p), grad, rtol=1e-13,
+                               atol=1e-13 * np.abs(grad).max())
 
 def test_p2_direct_on_path_is_linear_interpolation():
     pts = _path_points(4, spacing=0.2)
@@ -229,8 +294,27 @@ def _reference_pattern(problem, graph, solved):
          (np.concatenate([a, b, d]), np.concatenate([b, a, d]))),
         shape=(d.size, d.size),
     )
-    return {"i": upper.row[keep], "j": upper.col[keep], "w": upper.data[keep], "_both": both,
-            "_order": pattern.data - 1, "_indices": pattern.indices, "_indptr": pattern.indptr}
+    return {"i": upper.row[keep], "j": upper.col[keep], "w": upper.data[keep], "both": both,
+            "order": pattern.data - 1, "_indices": pattern.indices, "_indptr": pattern.indptr}
+
+
+def _problem_pattern(problem, graph):
+    """The same arrays read off a problem: its edges through their places in
+    the weights, and each Hessian entry's place in the entry list (edges,
+    transposes, diagonal) from the places the problem writes them to."""
+    w = graph.weights
+    rows = np.repeat(np.arange(graph.n, dtype=w.indices.dtype), np.diff(w.indptr))
+    size = problem._indices.size
+    both = problem._edge_place < size
+    np.testing.assert_array_equal(both, problem._transpose_place < size)
+    m, nf = int(both.sum()), problem.free.size
+    order = np.full(size, -1, dtype=np.int32)
+    order[problem._edge_place[both]] = np.arange(m)
+    order[problem._transpose_place[both]] = np.arange(m, 2 * m)
+    order[problem._diagonal_place] = np.arange(2 * m, 2 * m + nf)
+    return {"i": rows[problem.edges], "j": w.indices[problem.edges], "w": w.data[problem.edges],
+            "both": both, "order": order, "_indices": problem._indices,
+            "_indptr": problem._indptr}
 
 
 @pytest.mark.parametrize("kind", ["epsilon", "knn", "components", "sample"])
@@ -245,10 +329,11 @@ def test_pinned_edges_pattern_matches_a_coo_build(kind):
         graph, cons = _two_level_cases()[kind]
     f, solved = _start_values(graph, cons)
     problem = _PinnedEdges(graph, cons, 2.0, solved, 0.0)
+    assert problem.edges.dtype == graph.weights.indices.dtype
+    got = _problem_pattern(problem, graph)
     for name, expect in _reference_pattern(problem, graph, solved).items():
-        got = getattr(problem, name)
-        assert got.dtype == expect.dtype, name
-        np.testing.assert_array_equal(got, expect, err_msg=name)
+        assert got[name].dtype == expect.dtype, name
+        np.testing.assert_array_equal(got[name], expect, err_msg=name)
 
 
 @pytest.mark.parametrize("kind", ["epsilon", "knn", "components"])
@@ -506,3 +591,36 @@ def test_coarse_term_only_from_the_cell_count_rule_up(epsilon, coarse):
     assert (problem._coarse is not None) == coarse
     res = minimize_discrete(graph, cons, p=3.0, tol=1e-8)
     assert res.converged
+
+
+def test_discrete_route_phases_stay_within_their_bytes_per_edge():
+    # about 0.5M edges; each phase's traced peak above its entry, in bytes
+    # per edge: the build (which keeps its 24 B/edge CSR), the set-up of the
+    # pinned problem (which keeps about 24 B/edge) and a Newton solve
+    rng = np.random.default_rng(3)
+    pts = rng.random((16384, 2))
+    cons = ConstraintSet(indices=np.arange(8), values=np.linspace(0.0, 1.0, 8))
+    peaks = {}
+
+    def traced(name, fn):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peaks[name] = tracemalloc.get_traced_memory()[1] - entry
+        return result
+
+    tracemalloc.start()
+    try:
+        graph = traced("build", lambda: build_epsilon_graph(pts, 0.0345))
+        f, solved = _start_values(graph, cons)
+        problem = traced("setup", lambda: _PinnedEdges(graph, cons, 3.0, solved, 0.0))
+        result = traced("newton", lambda: solver._newton(problem, f, 1e-8, 100))
+    finally:
+        tracemalloc.stop()
+    edges = graph.num_edges
+    assert 450_000 < edges < 550_000 and problem._coarse is not None
+    assert result.converged
+    per_edge = {name: peak / edges for name, peak in peaks.items()}
+    assert per_edge["build"] < 40.0, per_edge
+    assert per_edge["setup"] < 50.0, per_edge
+    assert per_edge["newton"] < 36.0, per_edge
