@@ -573,12 +573,12 @@ class _PinnedEdges:
             sums = np.zeros(swap.size + 1)
         for span, _, u, i, j, w in self._gaps(f, ends=True):
             if self.s:
-                scale = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale
+                factor = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale
             else:
                 # the same products, with the factor that is constant at s = 0
                 u = np.maximum(u, delta)
-                scale = p * (p - 1.0) * self.scale
-            curv = scale * w * u ** (p - 2.0)
+                factor = p * (p - 1.0) * self.scale
+            curv = factor * w * u ** (p - 2.0)
             np.add.at(forward, i, curv)
             np.add.at(back, j, curv)
             off = np.negative(curv, out=curv)
