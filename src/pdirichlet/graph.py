@@ -8,11 +8,13 @@ energy
 
 over the other nodes. `minimize_discrete` runs the damped Newton driver of
 `pdirichlet.solver` for every p > 1, whose conjugate gradients solve each
-step's weighted-Laplacian Hessian system under a two-level preconditioner:
-Jacobi plus a coarse solve on aggregates, one per epsilon-wide cell of free
-nodes. The graph energy tends to a continuum energy at scale epsilon
-(Garcia Trillos & Slepcev, ARMA 220, 2016), so the Hessian's smooth error
-modes, which Jacobi cannot damp, are continuum modes that such cells
+step's Hessian system under a two-level preconditioner: Jacobi plus a coarse
+solve on aggregates, one per epsilon-wide cell of free nodes. The Hessian is
+a weighted graph Laplacian, so it is applied on the weights' own CSR
+pattern, with each edge's curvature in place of its weight, and no pattern
+of its own is built. The graph energy tends to a continuum energy at scale
+epsilon (Garcia Trillos & Slepcev, ARMA 220, 2016), so the Hessian's smooth
+error modes, which Jacobi cannot damp, are continuum modes that such cells
 resolve. On small graphs (fewer than _COARSE_MIN_CELLS cells) the coarse
 term costs more than it saves and the preconditioner is Jacobi alone. For
 1 < p < 2 the Hessian blows up where neighbouring values meet, so Newton
@@ -53,8 +55,10 @@ class WeightedGraph:
     """Symmetric weighted graph over a point cloud.
 
     ``weights`` is CSR with zero diagonal and each undirected edge stored in
-    both directions. ``epsilon`` is the length scale entering the energy
-    normalization (for kNN graphs, the mean distance to the k-th neighbor).
+    both directions with one weight; the solvers raise `ValidationError` on
+    weights that are not symmetric. ``epsilon`` is the length scale entering
+    the energy normalization (for kNN graphs, the mean distance to the k-th
+    neighbor).
     """
 
     points: np.ndarray
@@ -79,7 +83,10 @@ class ConstraintSet:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices)
+        # a cast would truncate fractions and turn a boolean mask into 0/1
+        if idx.dtype.kind not in "iuf" or not np.all(np.isfinite(idx) & (idx == np.floor(idx))):
+            raise ConstraintError("constraint indices must be integers, not fractions or a mask")
         vals = np.asarray(self.values, dtype=float)
         if idx.ndim != 1 or idx.shape != vals.shape:
             raise ConstraintError("constraint indices and values must be 1D of equal length")
@@ -89,7 +96,7 @@ class ConstraintSet:
             raise ConstraintError("constraint indices contain duplicates")
         if not np.all(np.isfinite(vals)):
             raise ConstraintError("constraint values must be finite")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", idx.astype(int))
         object.__setattr__(self, "values", vals)
 
     def check_against(self, n: int) -> None:
@@ -177,7 +184,7 @@ def build_epsilon_graph(points: np.ndarray, epsilon: float, eta: str = "indicato
     ----------
     points : ndarray, shape (n, 2)
     epsilon : float
-        Length scale, > 0.
+        Length scale, finite and > 0.
     eta : str, optional
         Radial profile: indicator (default) connects within epsilon with
         constant weight; gaussian decays as exp(-r^2 / (2 eps^2)) and is
@@ -188,8 +195,8 @@ def build_epsilon_graph(points: np.ndarray, epsilon: float, eta: str = "indicato
     WeightedGraph
     """
     pts = _points_array(points)
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
     if eta not in ("indicator", "gaussian"):
         raise ValidationError(f"unknown profile {eta!r}; choose indicator or gaussian")
     n = pts.shape[0]
@@ -247,6 +254,9 @@ def build_knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     sym.eliminate_zeros()
     scale = float(dists[:, -1].mean())
     return WeightedGraph(points=pts, weights=sym, epsilon=scale, kind="knn")
+
+
+_ASYMMETRIC = "graph weights must be symmetric, each edge stored in both directions with one weight"
 
 
 def _energy_scale(graph: WeightedGraph, p: float) -> float:
@@ -392,12 +402,13 @@ class _PinnedEdges:
     value. The edges (i < j) of the solved components are held as
     ``edges``, their places in the CSR arrays of the graph's weights, from
     which each sum over them reads j and w a block of rows at a time (see
-    `_gaps`). The sparsity pattern of the free-node Hessian is built once
-    here, with the places in its data of each edge's two entries and of the
-    diagonal, so each Newton step only writes the Hessian data. So is the
+    `_gaps`), and ``_lower`` holds the place of each edge's transpose (j, i)
+    there, so `hessian` writes its curvatures on the weights' own pattern.
+    Set up here too, when there are at least _COARSE_MIN_CELLS cells: the
     aggregation of the free nodes into their cells of side
-    ``graph.epsilon``, with the slots of the coarse matrix, when there are
-    at least _COARSE_MIN_CELLS cells.
+    ``graph.epsilon``, with each edge's slot in the coarse matrix. The
+    weights must be symmetric (`ValidationError` otherwise), which the
+    places of the transposes check.
 
     With smoothing ``s`` > 0 each edge term |t|^p, t = f_i - f_j, becomes
     (t^2 + s^2)^(p/2). For p <= 2 that term exceeds |t|^p by at most s^p,
@@ -416,13 +427,14 @@ class _PinnedEdges:
         idx = w.indices.dtype
         rows = np.repeat(np.arange(graph.n, dtype=idx), np.diff(w.indptr))
         # the edges of the solved components, in the CSR order of the
-        # weights' upper triangle
+        # weights' upper triangle, and the count of their rows' entries
+        # below the diagonal
         self.edges = np.flatnonzero((w.indices > rows) & solved[rows]).astype(idx)
-        i = rows[self.edges]
+        below = np.count_nonzero((w.indices < rows) & solved[rows])
         del rows
         # blocks of consecutive rows: the rows, their edges (node r's edges,
         # i = r, lie between offsets[r] and offsets[r + 1]) and edge counts
-        offsets = np.searchsorted(self.edges, w.indptr)
+        offsets = np.searchsorted(self.edges, w.indptr).astype(idx)
         self._blocks = [(slice(r0, r1), slice(offsets[r0], offsets[r1]),
                          np.diff(offsets[r0:r1 + 1]))
                         for r0, r1 in _row_blocks(offsets, _EDGE_CHUNK)]
@@ -434,66 +446,44 @@ class _PinnedEdges:
         self.scale = 2.0 * _energy_scale(graph, p)
         self.smooth(s)
         nf, edges = self.free.size, self.edges.size
-        local = np.full(graph.n, -1, dtype=idx)
-        local[self.free] = np.arange(nf, dtype=idx)
-        a, b = local[i], local[w.indices[self.edges]]
-        del i, local
-        # the free-free edges (a, b), a < b, and their places among the edges
-        inner = np.flatnonzero((a >= 0) & (b >= 0)).astype(idx)
-        a, b = a[inner], b[inner]
         self._coarse = None
         # every cell holds a free node, so there are no more cells than nodes
         if nf >= _COARSE_MIN_CELLS:
             agg, cells = _cells(graph.points[self.free], graph.epsilon)
             if cells >= _COARSE_MIN_CELLS:
+                local = np.full(graph.n, -1, dtype=idx)
+                local[self.free] = np.arange(nf, dtype=idx)
+                a = local[np.repeat(np.arange(graph.n, dtype=idx), np.diff(offsets))]
+                b = local[w.indices[self.edges]]
+                del local
+                # the free-free edges (a, b), a < b, and their places among the edges
+                inner = np.flatnonzero((a >= 0) & (b >= 0)).astype(idx)
+                a, b = a[inner], b[inner]
                 inner_slot, swap, *pattern = _coarse_pattern(agg, cells, a, b)
                 # an edge with a pinned end adds to one more slot, dropped
                 slot = np.full(edges, swap.size, dtype=idx)
                 slot[inner] = inner_slot
                 self._coarse = (agg, slot, swap, *pattern)
-                del inner_slot, slot
-        # the Hessian's entries: the free-free edges (a, b), their
-        # transposes (b, a), then the diagonal. A CSR row holds its
-        # transposes, its diagonal entry and its edges, each part in column
-        # order. ``_edge_place`` and ``_transpose_place`` give each edge's
-        # two places in the CSR data, and ``_diagonal_place`` each diagonal
-        # entry's, so `hessian` writes every curvature where it goes; an
-        # edge with a pinned end has no entry and writes one place past the
-        # end
-        upper = np.zeros(nf + 1, dtype=idx)
-        np.cumsum(np.bincount(a, minlength=nf), out=upper[1:])
-        del a
-        # the transposes by row, without a sort: the CSC arrays of the
-        # upper triangle are the CSR arrays of the lower one, and its data
-        # each transpose's edge
-        lower = sp.csr_matrix((inner, b, upper), shape=(nf, nf)).tocsc()
-        below = lower.indptr.astype(idx)
-        self._indptr = below + upper + np.arange(nf + 1, dtype=idx)
-        size = 2 * inner.size + nf
-        self._indices = np.empty(size, dtype=idx)
-        # an entry's CSR place counts the entries before it. Free-free edge
-        # k, of row a: k edges, the transposes of rows <= a and a + 1
-        # diagonal entries
-        place = np.repeat(below[1:] + np.arange(1, nf + 1, dtype=idx), np.diff(upper))
-        place += np.arange(place.size, dtype=idx)
-        self._indices[place] = b
-        del b
-        self._edge_place = np.full(edges, size, dtype=idx)
-        self._edge_place[inner] = place
-        del inner, place
-        # transpose k, of row r: k transposes, the edges of rows < r and r
-        # diagonal entries
-        place = np.repeat(upper[:-1] + np.arange(nf, dtype=idx), np.diff(below))
-        place += np.arange(place.size, dtype=idx)
-        self._indices[place] = lower.indices
-        self._transpose_place = np.full(edges, size, dtype=idx)
-        self._transpose_place[lower.data] = place
-        del lower, place
-        # diagonal entry r: the transposes of rows <= r, the edges of rows < r
-        # and r diagonal entries
-        r = np.arange(nf, dtype=idx)
-        self._diagonal_place = below[1:] + upper[:-1] + r
-        self._indices[self._diagonal_place] = r
+                del a, b, inner, inner_slot, slot
+        # ``_lower``: the place of each edge's transpose in the weights' CSR.
+        # Row j's entries left of the diagonal are the transposes of column
+        # j's edges, in the same order, so a counting sort of the edges by
+        # column (the CSC arrays of the upper triangle, holding each edge's
+        # number and row) puts the k-th edge of column j at indptr[j] + k
+        by_col = sp.csr_matrix((np.arange(edges, dtype=idx), w.indices[self.edges], offsets),
+                               shape=w.shape).tocsc()
+        counts = np.diff(by_col.indptr)
+        place = np.repeat(w.indptr[:-1] - by_col.indptr[:-1], counts)
+        place += np.arange(edges, dtype=idx)
+        # each edge's transpose is where it is placed, and no other entry
+        # lies below the diagonal of a solved row
+        symmetric = (below == edges and np.all(counts <= np.diff(w.indptr))
+                     and np.array_equal(w.indices[place], by_col.indices))
+        self._lower = np.empty(edges, dtype=idx)
+        self._lower[by_col.data] = place
+        del by_col, place
+        if not (symmetric and np.array_equal(w.data[self._lower], w.data[self.edges])):
+            raise ValidationError(_ASYMMETRIC)
 
     def smooth(self, s: float) -> None:
         """Set the smoothing ``s`` and its energy bias bound."""
@@ -554,46 +544,47 @@ class _PinnedEdges:
         preconditioner. The Hessian H is a weighted Laplacian with edge
         weights scale p (p - 1 - (p - 2) s^2 / u^2) w u^(p - 2). A positive
         s keeps u >= s; without it, u is floored at ``delta``, since the
-        curvature vanishes with u for p > 2.
+        curvature vanishes with u for p > 2. These curvatures fill a matrix
+        C on the weights' own CSR pattern, each at its edge's two places
+        (``edges`` and ``_lower``) and 0 elsewhere, so H is the free block
+        of diag(C 1) - C and is applied as x -> d x - (C x^)[free], with d
+        = (C 1)[free] and x^ holding x at the free nodes and 0 elsewhere.
 
-        The preconditioner is additive two-level: r / diag(H) + P A_c^-1
-        P^T r, with P the 0/1 aggregation of the free nodes into their
+        The preconditioner is additive two-level: r / d + P A_c^-1 P^T r,
+        with P the 0/1 aggregation of the free nodes into their
         epsilon-cells and A_c = P^T H P, filled through the fixed slot map
         and factored by sparse LU here. Both terms are SPD (A_c is, since P
         has full column rank), so their sum is; it costs one coarse solve
         per PCG iteration and has no weight to tune. Without an
         aggregation (fewer than _COARSE_MIN_CELLS cells) it is Jacobi."""
-        nf = self.free.size
-        data = np.empty(self._indices.size + 1)
-        forward, back = np.zeros(self.n), np.zeros(self.n)
+        w = self._weights
+        data = np.zeros(w.data.size)
         if self._coarse is not None:
             agg, slot, swap, diagonal, indices, indptr = self._coarse
             cells = diagonal.size
             # the last slot gathers the edges with a pinned end
             sums = np.zeros(swap.size + 1)
-        for span, _, u, i, j, w in self._gaps(f, ends=True):
+        for span, _, u in self._gaps(f):
+            edges = self.edges[span]
             if self.s:
                 factor = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale
             else:
                 # the same products, with the factor that is constant at s = 0
                 u = np.maximum(u, delta)
                 factor = p * (p - 1.0) * self.scale
-            curv = factor * w * u ** (p - 2.0)
-            np.add.at(forward, i, curv)
-            np.add.at(back, j, curv)
-            off = np.negative(curv, out=curv)
-            data[self._edge_place[span]] = off
-            data[self._transpose_place[span]] = off
+            curv = factor * w.data[edges] * u ** (p - 2.0)
+            data[edges] = curv
+            data[self._lower[span]] = curv
             if self._coarse is not None:
-                np.add.at(sums, slot[span], off)
-        diag = (forward + back)[self.free]
-        data[self._diagonal_place] = diag
-        inv_diag = 1.0 / diag
+                # H holds -curv at each free-free edge
+                np.subtract.at(sums, slot[span], curv)
+        hess = _FreeLaplacian(sp.csr_matrix((data, w.indices, w.indptr), shape=w.shape), self.free)
+        inv_diag = 1.0 / hess.diagonal
         coarse = None
         if self._coarse is not None:
             sums = sums[:-1]
             sums += sums[swap]
-            sums[diagonal] += np.bincount(agg, diag, cells)
+            sums[diagonal] += np.bincount(agg, hess.diagonal, cells)
             # symmetric, so its CSR arrays are also its CSC arrays
             coarse = spla.splu(sp.csc_matrix((sums, indices, indptr), shape=(cells, cells)),
                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -605,8 +596,21 @@ class _PinnedEdges:
                 z += coarse.solve(np.bincount(agg, r, cells))[agg]
             return z
 
-        return (sp.csr_matrix((data[:-1], self._indices, self._indptr), shape=(nf, nf)),
-                precondition)
+        return hess, precondition
+
+
+class _FreeLaplacian:
+    """The free block of the Laplacian diag(C 1) - C of a symmetric matrix
+    C, applied as x -> d x - (C x^)[free]: ``diagonal`` d = (C 1)[free],
+    and x^ holds x at the nodes ``free`` and 0 elsewhere."""
+
+    def __init__(self, c: sp.csr_matrix, free: np.ndarray):
+        self._c, self._free, self._full = c, free, np.zeros(c.shape[0])
+        self.diagonal = (c @ np.ones(c.shape[0]))[free]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        self._full[self._free] = x
+        return self.diagonal * x - (self._c @ self._full)[self._free]
 
 
 def minimize_discrete(
@@ -705,6 +709,8 @@ def solve_p2_direct(graph: WeightedGraph, constraints: ConstraintSet) -> Minimiz
     """
     constraints.check_against(graph.n)
     w = graph.weights
+    if (w != w.T).nnz:
+        raise ValidationError(_ASYMMETRIC)
     lap = sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w
     f, solved = _start_values(graph, constraints)
     solved[constraints.indices] = False

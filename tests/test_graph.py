@@ -16,6 +16,7 @@ from pdirichlet.experiments import constraint_labels
 from pdirichlet.graph import (
     _COARSE_MIN_CELLS,
     ConstraintSet,
+    WeightedGraph,
     _cells,
     _PinnedEdges,
     _start_values,
@@ -278,47 +279,8 @@ def test_pinned_edges_hessian_matches_gradient_differences(s):
     np.testing.assert_allclose(problem.hessian(f, p, 1e-12)[0] @ v, fd, rtol=1e-5, atol=1e-8)
 
 
-def _reference_pattern(problem, graph, solved):
-    """The free-node Hessian's CSR pattern and order map through a COO -> CSR
-    conversion of its entry list (the edges, their transposes, the diagonal),
-    and the solved components' edges from the weights' upper triangle."""
-    upper = sp.triu(graph.weights, k=1).tocoo()
-    keep = solved[upper.row]
-    local = np.full(graph.n, -1)
-    local[problem.free] = np.arange(problem.free.size)
-    li, lj = local[upper.row[keep]], local[upper.col[keep]]
-    both = (li >= 0) & (lj >= 0)
-    a, b, d = li[both], lj[both], np.arange(problem.free.size)
-    pattern = sp.csr_matrix(
-        (np.arange(1, 2 * a.size + d.size + 1, dtype=np.int32),
-         (np.concatenate([a, b, d]), np.concatenate([b, a, d]))),
-        shape=(d.size, d.size),
-    )
-    return {"i": upper.row[keep], "j": upper.col[keep], "w": upper.data[keep], "both": both,
-            "order": pattern.data - 1, "_indices": pattern.indices, "_indptr": pattern.indptr}
-
-
-def _problem_pattern(problem, graph):
-    """The same arrays read off a problem: its edges through their places in
-    the weights, and each Hessian entry's place in the entry list (edges,
-    transposes, diagonal) from the places the problem writes them to."""
-    w = graph.weights
-    rows = np.repeat(np.arange(graph.n, dtype=w.indices.dtype), np.diff(w.indptr))
-    size = problem._indices.size
-    both = problem._edge_place < size
-    np.testing.assert_array_equal(both, problem._transpose_place < size)
-    m, nf = int(both.sum()), problem.free.size
-    order = np.full(size, -1, dtype=np.int32)
-    order[problem._edge_place[both]] = np.arange(m)
-    order[problem._transpose_place[both]] = np.arange(m, 2 * m)
-    order[problem._diagonal_place] = np.arange(2 * m, 2 * m + nf)
-    return {"i": rows[problem.edges], "j": w.indices[problem.edges], "w": w.data[problem.edges],
-            "both": both, "order": order, "_indices": problem._indices,
-            "_indptr": problem._indptr}
-
-
 @pytest.mark.parametrize("kind", ["epsilon", "knn", "components", "sample"])
-def test_pinned_edges_pattern_matches_a_coo_build(kind):
+def test_pinned_edges_lower_places_hold_the_transposes(kind):
     if kind == "sample":
         labels = constraint_labels()
         cloud = sample_density(reference_density("rho2"), 1024, seed=5)
@@ -329,11 +291,30 @@ def test_pinned_edges_pattern_matches_a_coo_build(kind):
         graph, cons = _two_level_cases()[kind]
     f, solved = _start_values(graph, cons)
     problem = _PinnedEdges(graph, cons, 2.0, solved, 0.0)
-    assert problem.edges.dtype == graph.weights.indices.dtype
-    got = _problem_pattern(problem, graph)
-    for name, expect in _reference_pattern(problem, graph, solved).items():
-        assert got[name].dtype == expect.dtype, name
-        np.testing.assert_array_equal(got[name], expect, err_msg=name)
+    w = graph.weights
+    rows = np.repeat(np.arange(graph.n, dtype=w.indices.dtype), np.diff(w.indptr))
+    # the edges are the solved components' upper triangle, in CSR order
+    upper = sp.triu(w, k=1).tocoo()
+    keep = solved[upper.row]
+    i, j = rows[problem.edges], w.indices[problem.edges]
+    np.testing.assert_array_equal(i, upper.row[keep])
+    np.testing.assert_array_equal(j, upper.col[keep])
+    assert problem.edges.dtype == problem._lower.dtype == w.indices.dtype
+    # each edge's lower place holds its transpose (j, i) and the same weight,
+    # and the places cover the solved rows' lower triangle once each
+    lower = problem._lower
+    np.testing.assert_array_equal(rows[lower], j)
+    np.testing.assert_array_equal(w.indices[lower], i)
+    np.testing.assert_array_equal(w.data[lower], w.data[problem.edges])
+    np.testing.assert_array_equal(np.sort(lower),
+                                  np.flatnonzero((w.indices < rows) & solved[rows]))
+    # so the p = 2 Hessian is the free block of the weights' Laplacian, with
+    # curvature p (p - 1) scale w
+    hess = problem.hessian(f, 2.0, 1e-12)[0]
+    free = problem.free
+    laplacian = (sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w).tocsr()[free][:, free]
+    np.testing.assert_allclose(np.column_stack([hess @ e for e in np.eye(free.size)]),
+                               2.0 * problem.scale * laplacian.toarray(), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["epsilon", "knn", "components"])
@@ -348,9 +329,8 @@ def test_exponent_2_system_does_not_depend_on_the_iterate(monkeypatch, kind):
     g = f.copy()
     g[problem.free] = 10.0 * rng.standard_normal(problem.free.size)
     (h1, m1), (h2, m2) = problem.hessian(f, 2.0, 1e-12), problem.hessian(g, 2.0, 1e-3)
-    for name in ("data", "indices", "indptr"):
-        np.testing.assert_array_equal(getattr(h1, name), getattr(h2, name))
     r = rng.standard_normal(problem.free.size)
+    np.testing.assert_array_equal(h1 @ r, h2 @ r)
     np.testing.assert_array_equal(m1(r), m2(r))
 
 
@@ -464,19 +444,63 @@ def test_agreed_pins_everywhere_give_zero_energy():
 def test_validation_and_constraint_errors():
     pts = _path_points(3)
     g = build_epsilon_graph(pts, epsilon=0.5)
-    with pytest.raises(ValidationError):
-        build_epsilon_graph(pts, epsilon=-1.0)
+    # a NaN scale would connect nothing, an infinite one every pair
+    for epsilon in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            build_epsilon_graph(pts, epsilon=epsilon)
     with pytest.raises(ValidationError):
         build_knn_graph(pts, k=5)
     with pytest.raises(ConstraintError):
         ConstraintSet(indices=[0, 0], values=[1.0, 2.0])
     with pytest.raises(ConstraintError):
         ConstraintSet(indices=[], values=[])
+    # fractions are not node numbers, and a mask is not a list of them
+    for indices in ([1.7, 2.2], [0.9, 3.5], [True, False]):
+        with pytest.raises(ConstraintError):
+            ConstraintSet(indices=indices, values=[0.0, 1.0])
+    np.testing.assert_array_equal(ConstraintSet(indices=[1.0, 2.0], values=[0.0, 1.0]).indices,
+                                  [1, 2])
     cons = ConstraintSet(indices=[7], values=[1.0])
     with pytest.raises(ConstraintError):
         minimize_discrete(g, cons, p=2.0)
     with pytest.raises(ValidationError):
         minimize_discrete(g, ConstraintSet(indices=[0], values=[1.0]), p=1.0)
+
+
+def _three_nodes(entries, weights=None):
+    rows, cols = zip(*entries)
+    weights = sp.csr_matrix((weights or np.ones(len(rows)), (rows, cols)), shape=(3, 3))
+    return WeightedGraph(points=_path_points(3), weights=weights, epsilon=0.5, kind="epsilon")
+
+
+def _one_sided():
+    # each edge stored once, in the upper triangle
+    g = build_epsilon_graph(np.random.default_rng(0).random((60, 2)), epsilon=0.35)
+    return replace(g, weights=sp.triu(g.weights, k=1, format="csr"))
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(_one_sided, id="one-sided"),
+    # node 2 holds a lower entry (2, 1) whose transpose is missing
+    pytest.param(lambda: _three_nodes([(0, 2), (2, 0), (2, 1)]), id="extra-lower"),
+    # column 2 holds two edges, row 2 one entry
+    pytest.param(lambda: _three_nodes([(0, 2), (1, 2), (2, 0), (1, 0)]), id="short-row"),
+    pytest.param(lambda: _three_nodes([(0, 2), (2, 0), (1, 2), (2, 1)], [1.0, 2.0, 1.0, 1.0]),
+                 id="weights-differ"),
+])
+def test_solvers_reject_weights_that_are_not_symmetric(graph):
+    # the direct solve reads both triangles and the Newton route one, so on
+    # such weights neither solves the problem the graph stands for
+    graph = graph()
+    cons = ConstraintSet(indices=[0, 1], values=[0.0, 1.0])
+    with pytest.raises(ValidationError, match="symmetric"):
+        solve_p2_direct(graph, cons)
+    for p in (1.5, 2.0, 3.0):
+        with pytest.raises(ValidationError, match="symmetric"):
+            minimize_discrete(graph, cons, p=p)
+    symmetric = replace(graph, weights=(graph.weights + graph.weights.T).tocsr())
+    assert minimize_discrete(symmetric, cons, p=3.0).converged
+    assert solve_p2_direct(symmetric, cons).converged
 
 
 def test_disconnected_component_detected():
@@ -534,7 +558,7 @@ def test_two_level_preconditioner_is_spd(monkeypatch):
     agg, cells = _cells(graph.points[problem.free], graph.epsilon)
     assert 1 < cells < problem.free.size
     agg_matrix = np.eye(cells)[agg]
-    h = hess.toarray()
+    h = np.column_stack([hess @ e for e in np.eye(problem.free.size)])
     reference = np.diag(1.0 / np.diag(h)) + agg_matrix @ np.linalg.solve(
         agg_matrix.T @ h @ agg_matrix, agg_matrix.T)
     np.testing.assert_allclose(inverse, reference, rtol=1e-8, atol=1e-12 * np.abs(reference).max())
@@ -596,17 +620,19 @@ def test_coarse_term_only_from_the_cell_count_rule_up(epsilon, coarse):
 def test_discrete_route_phases_stay_within_their_bytes_per_edge():
     # about 0.5M edges; each phase's traced peak above its entry, in bytes
     # per edge: the build (which keeps its 24 B/edge CSR), the set-up of the
-    # pinned problem (which keeps about 24 B/edge) and a Newton solve
+    # pinned problem (which keeps about 12 B/edge: the edges, their
+    # transposes' places and the coarse slots) and a Newton solve
     rng = np.random.default_rng(3)
     pts = rng.random((16384, 2))
     cons = ConstraintSet(indices=np.arange(8), values=np.linspace(0.0, 1.0, 8))
-    peaks = {}
+    peaks, held = {}, {}
 
     def traced(name, fn):
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = fn()
-        peaks[name] = tracemalloc.get_traced_memory()[1] - entry
+        now, peak = tracemalloc.get_traced_memory()
+        peaks[name], held[name] = peak - entry, now - entry
         return result
 
     tracemalloc.start()
@@ -624,3 +650,4 @@ def test_discrete_route_phases_stay_within_their_bytes_per_edge():
     assert per_edge["build"] < 40.0, per_edge
     assert per_edge["setup"] < 50.0, per_edge
     assert per_edge["newton"] < 36.0, per_edge
+    assert held["setup"] / edges < 16.0, held
