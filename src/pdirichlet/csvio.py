@@ -10,8 +10,9 @@ so the dialect supports no quoting: cells must not contain separators or
 line breaks.
 
 Tables are stored column-major. `write_csv` formats numpy number columns
-in bulk and other columns cell by cell, `_CHUNK_ROWS` rows at a time, and
-writes each chunk before formatting the next: it never holds the whole
+in bulk and other columns cell by cell, `_CHUNK_ROWS` rows at a time,
+interleaves each chunk's cells with their separators in one list, joined
+once, and writes it before formatting the next: it never holds the whole
 file, a list of all its lines, or row tuples. An integer column whose
 value range is no longer than the column (node indices, edge endpoints)
 is formatted once per value of that range, and its chunks gather their
@@ -189,10 +190,17 @@ def write_csv(table: Table, path) -> None:
     with _fresh_file(path) as fh:
         fh.write(",".join(map(_format_cell, table.header)) + "\n")
         formatters = [_column_formatter(c) for c in table.columns]
+        # a row's cells at the even places of 2 * width texts, each followed
+        # by a comma, or a line break after the last
+        stride = 2 * len(table.columns)
         for start in range(0, len(table.columns[0]), _CHUNK_ROWS):
             texts = [fmt(c[start:start + _CHUNK_ROWS])
                      for fmt, c in zip(formatters, table.columns)]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            parts = [","] * (stride * len(texts[0]))
+            parts[stride - 1::stride] = ["\n"] * len(texts[0])
+            for k, cells in enumerate(texts):
+                parts[2 * k::stride] = cells
+            fh.write("".join(parts))
 
 
 def read_csv(path) -> Table:

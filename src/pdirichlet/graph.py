@@ -21,8 +21,13 @@ term costs more than it saves and the preconditioner is Jacobi alone. For
 runs on the smoothed energy with |t|^p replaced by (t^2 + s^2)^(p/2), along
 a ladder of shrinking s; the smoothing adds at most sum_ij W_ij s^p
 (scaled) to the gap, and the certificate counts it, so ``tol`` means the
-same for every p. For p = 2 the minimizer is also available as a direct
-sparse linear solve, which serves as an exact cross-check.
+same for every p. At p = 2, the start system of every solve, the edge
+curvature is the scaled weight and the gradient one product with the
+weights, d f - W f with d = W 1, at every smoothing: each edge of a free
+node lies in that node's own solved component, so the weights' full rows
+of the free nodes are the right sums, and neither reads the gaps. For
+p = 2 the minimizer is also available as a direct sparse linear solve,
+which serves as an exact cross-check.
 """
 
 from __future__ import annotations
@@ -403,12 +408,13 @@ class _PinnedEdges:
     ``edges``, their places in the CSR arrays of the graph's weights, from
     which each sum over them reads j and w a block of rows at a time (see
     `_gaps`), and ``_lower`` holds the place of each edge's transpose (j, i)
-    there, so `hessian` writes its curvatures on the weights' own pattern.
-    Set up here too, when there are at least _COARSE_MIN_CELLS cells: the
-    aggregation of the free nodes into their cells of side
-    ``graph.epsilon``, with each edge's slot in the coarse matrix. The
-    weights must be symmetric (`ValidationError` otherwise), which the
-    places of the transposes check.
+    there, so `hessian` writes its curvatures on the weights' own pattern;
+    the p = 2 gradient reads the weights and the free nodes' weighted
+    degrees ``_degree`` alone. Set up here too, when there are at least
+    _COARSE_MIN_CELLS cells: the aggregation of the free nodes into their
+    cells of side ``graph.epsilon``, with each edge's slot in the coarse
+    matrix. The weights must be symmetric (`ValidationError` otherwise),
+    which the places of the transposes check.
 
     With smoothing ``s`` > 0 each edge term |t|^p, t = f_i - f_j, becomes
     (t^2 + s^2)^(p/2). For p <= 2 that term exceeds |t|^p by at most s^p,
@@ -432,15 +438,23 @@ class _PinnedEdges:
         self.edges = np.flatnonzero((w.indices > rows) & solved[rows]).astype(idx)
         below = np.count_nonzero((w.indices < rows) & solved[rows])
         del rows
-        # blocks of consecutive rows: the rows, their edges (node r's edges,
-        # i = r, lie between offsets[r] and offsets[r + 1]) and edge counts
+        # blocks of consecutive rows that hold edges: the rows, their edges
+        # (node r's edges, i = r, lie between offsets[r] and offsets[r + 1])
+        # and edge counts, and for `np.add.reduceat` the rows that hold any
+        # and where their edges start in the block
         offsets = np.searchsorted(self.edges, w.indptr).astype(idx)
-        self._blocks = [(slice(r0, r1), slice(offsets[r0], offsets[r1]),
-                         np.diff(offsets[r0:r1 + 1]))
-                        for r0, r1 in _row_blocks(offsets, _EDGE_CHUNK)]
+        self._blocks = []
+        for r0, r1 in _row_blocks(offsets, _EDGE_CHUNK):
+            counts = np.diff(offsets[r0:r1 + 1])
+            busy = np.flatnonzero(counts).astype(idx)
+            if busy.size:
+                self._blocks.append((slice(r0, r1), slice(offsets[r0], offsets[r1]), counts,
+                                     r0 + busy, offsets[r0 + busy] - offsets[r0]))
         solved = solved.copy()
         solved[constraints.indices] = False
         self.free = np.flatnonzero(solved)
+        # the weighted degrees of the free nodes, for the p = 2 gradient
+        self._degree = (w @ np.ones(graph.n))[self.free]
         self.n, self.p = graph.n, p
         # sum_ij counts every edge twice
         self.scale = 2.0 * _energy_scale(graph, p)
@@ -500,44 +514,52 @@ class _PinnedEdges:
             self.smooth(self.s / _SMOOTHING_RATIO)
         return done
 
-    def _gaps(self, f: np.ndarray, ends: bool = False):
-        """Per block of rows holding at most _EDGE_CHUNK edges: the block's
-        edges as a slice of ``edges``, t = f_i - f_j and its smoothed size u
-        = sqrt(t^2 + s^2), which is |t| exactly when s = 0, and with
-        ``ends`` also the edges' i, j and w. Sums over the edges accumulate
-        block by block in edge order, so they equal the sums over all edges
-        at once."""
+    def _gaps(self, f: np.ndarray):
+        """Per block of rows holding at most _EDGE_CHUNK edges: the block
+        (see `__init__`), its edges' places in the weights, their ends j, t
+        = f_i - f_j and its smoothed size u = sqrt(t^2 + s^2), which is |t|
+        when s = 0. Sums over the edges accumulate block by block in edge
+        order, so they equal the sums over all edges at once."""
         w = self._weights
-        for rows, span, counts in self._blocks:
+        for block in self._blocks:
+            rows, span, counts = block[:3]
             edges = self.edges[span]
             j = w.indices[edges]
             t = np.repeat(f[rows], counts) - f[j]
-            # t^2 + 0 is t^2, bit for bit
-            u = np.sqrt(t * t + self.s**2 if self.s else t * t)
-            if ends:
-                i = np.repeat(np.arange(rows.start, rows.stop), counts)
-                yield span, t, u, i, j, w.data[edges]
-            else:
-                yield span, t, u
+            u = np.sqrt(t * t + self.s**2) if self.s else np.abs(t)
+            yield block, edges, j, t, u
 
     def energy(self, f: np.ndarray) -> float:
-        terms = np.empty(self.edges.size)
-        for span, _, u in self._gaps(f):
-            np.power(u, self.p, out=terms[span])
-        return self.scale * float(np.dot(self._weights.data[self.edges], terms))
+        p, total = self.p, 0.0
+        for _, edges, _, _, u in self._gaps(f):
+            # u^p as u^(p - 2) u^2, whose power is cheap at p = 2, 3 and 4,
+            # except where u^(p - 2) is infinite: at tied values when p < 2
+            terms = np.power(u, p) if p < 2.0 and not self.s else u ** (p - 2.0) * (u * u)
+            total += float(np.dot(self._weights.data[edges], terms))
+        return self.scale * total
 
     def gradient(self, f: np.ndarray, p: float) -> np.ndarray:
         """Free-node gradient of the (smoothed) energy with exponent ``p``,
         under this problem's normalization (a common factor, which Newton
-        steps cancel)."""
-        forward, back = np.zeros(self.n), np.zeros(self.n)
-        for _, t, u, i, j, w in self._gaps(f, ends=True):
-            # t / u is the smoothed sign, sign(t) when s = 0
-            sign = np.divide(t, u, out=np.zeros_like(t), where=u > 0.0)
-            contrib = w * u ** (p - 1.0) * sign
-            np.add.at(forward, i, contrib)
-            np.add.at(back, j, contrib)
-        return p * self.scale * (forward - back)[self.free]
+        steps cancel): scale p sum_j w t u^(p - 2) at each free node, with
+        w t u^(p - 2) = w u^(p - 1) sign(t) when s = 0. For p < 2 it needs
+        s > 0 (every Newton system of `minimize_discrete` has it), since
+        u^(p - 2) is infinite at tied values.
+
+        At p = 2 the edge term is w t at every s, so the gradient is 2 scale
+        (d f - W f)[free], with W the weights and d = W 1 held per problem:
+        the full rows of W are the right sums, since every edge of a free
+        node lies in that node's own solved component."""
+        free = self.free
+        if p == 2.0:
+            return p * self.scale * (self._degree * f[free] - (self._weights @ f)[free])
+        grad = np.zeros(self.n)
+        for (*_, busy, starts), edges, j, t, u in self._gaps(f):
+            contrib = self._weights.data[edges] * t * u ** (p - 2.0)
+            # each row's edges are contiguous; the back ends are scattered
+            grad[busy] += np.add.reduceat(contrib, starts)
+            np.subtract.at(grad, j, contrib)
+        return p * self.scale * grad[free]
 
     def hessian(self, f: np.ndarray, p: float, delta: float):
         """Free-node Hessian of the (smoothed) exponent-``p`` energy and its
@@ -549,6 +571,9 @@ class _PinnedEdges:
         (``edges`` and ``_lower``) and 0 elsewhere, so H is the free block
         of diag(C 1) - C and is applied as x -> d x - (C x^)[free], with d
         = (C 1)[free] and x^ holding x at the free nodes and 0 elsewhere.
+        At p = 2 the curvature is 2 scale w at every s, so C is 2 scale W,
+        read from the weights without the gaps: H reads only the free
+        nodes' rows of C, and each of their entries is a solved edge.
 
         The preconditioner is additive two-level: r / d + P A_c^-1 P^T r,
         with P the 0/1 aggregation of the free nodes into their
@@ -558,30 +583,31 @@ class _PinnedEdges:
         per PCG iteration and has no weight to tune. Without an
         aggregation (fewer than _COARSE_MIN_CELLS cells) it is Jacobi."""
         w = self._weights
-        data = np.zeros(w.data.size)
-        if self._coarse is not None:
-            agg, slot, swap, diagonal, indices, indptr = self._coarse
-            cells = diagonal.size
-            # the last slot gathers the edges with a pinned end
-            sums = np.zeros(swap.size + 1)
-        for span, _, u in self._gaps(f):
-            edges = self.edges[span]
-            if self.s:
-                factor = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale
-            else:
-                # the same products, with the factor that is constant at s = 0
-                u = np.maximum(u, delta)
-                factor = p * (p - 1.0) * self.scale
-            curv = factor * w.data[edges] * u ** (p - 2.0)
-            data[edges] = curv
-            data[self._lower[span]] = curv
-            if self._coarse is not None:
-                # H holds -curv at each free-free edge
-                np.subtract.at(sums, slot[span], curv)
+        if p == 2.0:
+            data = p * (p - 1.0) * self.scale * w.data
+        else:
+            data = np.zeros(w.data.size)
+            for (_, span, *_), edges, _, _, u in self._gaps(f):
+                if self.s:
+                    factor = p * (p - 1.0 - (p - 2.0) * self.s**2 / u**2) * self.scale
+                else:
+                    # the same products, with the factor that is constant at s = 0
+                    u = np.maximum(u, delta)
+                    factor = p * (p - 1.0) * self.scale
+                curv = factor * w.data[edges] * u ** (p - 2.0)
+                data[edges] = curv
+                data[self._lower[span]] = curv
         hess = _FreeLaplacian(sp.csr_matrix((data, w.indices, w.indptr), shape=w.shape), self.free)
         inv_diag = 1.0 / hess.diagonal
         coarse = None
         if self._coarse is not None:
+            agg, slot, swap, diagonal, indices, indptr = self._coarse
+            cells = diagonal.size
+            # H holds -curv at each free-free edge; the last slot gathers the
+            # edges with a pinned end
+            sums = np.zeros(swap.size + 1)
+            for _, span, *_ in self._blocks:
+                np.subtract.at(sums, slot[span], data[self.edges[span]])
             sums = sums[:-1]
             sums += sums[swap]
             sums[diagonal] += np.bincount(agg, hess.diagonal, cells)

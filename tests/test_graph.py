@@ -334,6 +334,82 @@ def test_exponent_2_system_does_not_depend_on_the_iterate(monkeypatch, kind):
     np.testing.assert_array_equal(m1(r), m2(r))
 
 
+def _smoothed_edge_sums(graph, solved, f, p, s):
+    """Edge by edge over the upper triangle of the ``solved`` nodes, under
+    `_PinnedEdges`' normalization: the energy with |t|^p smoothed to (t^2 + s^2)^(p/2), its
+    gradient at every node, and the matrix C of its Hessian's edge
+    curvatures (the Hessian is diag(C 1) - C). A tie (t = 0 at s = 0)
+    adds 0 to the gradient; the curvatures need none."""
+    upper = sp.triu(graph.weights, k=1).tocoo()
+    keep = solved[upper.row]
+    i, j, w = upper.row[keep], upper.col[keep], upper.data[keep]
+    t = f[i] - f[j]
+    u2 = t * t + s * s
+    scale = 2.0 / (graph.epsilon**p * graph.n**2)
+    energy = scale * np.dot(w, u2 ** (p / 2.0))
+    slope = p * scale * w * t * np.power(u2, (p - 2.0) / 2.0, out=np.zeros_like(u2), where=u2 > 0)
+    grad = np.bincount(i, slope, graph.n) - np.bincount(j, slope, graph.n)
+    if np.any(u2 == 0):
+        return energy, grad, None
+    curv = p * scale * w * (p - 1.0 - (p - 2.0) * s * s / u2) * u2 ** ((p - 2.0) / 2.0)
+    c = sp.coo_matrix((np.r_[curv, curv], (np.r_[i, j], np.r_[j, i])), shape=graph.weights.shape)
+    return energy, grad, c.tocsr()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_pinned_edges_gradient_and_hessian_match_edge_by_edge_sums(p):
+    # a solved component, one whose pins agree, a pin-free one and an
+    # isolated node. At p = 2 the gradient is d f - W f over the weights'
+    # full rows and the curvature the scaled weight, at every smoothing
+    graph, cons = _two_level_cases()["components"]
+    _, solved = _start_values(graph, cons)
+    rng = np.random.default_rng(21)
+    f = rng.standard_normal(graph.n)
+    for s in (0.0, 0.3):
+        problem = _PinnedEdges(graph, cons, p, solved, s)
+        free = problem.free
+        _, grad, curv = _smoothed_edge_sums(graph, solved, f, p, s)
+        if not s:
+            grad = discrete_energy_gradient(graph, f, p)
+        np.testing.assert_allclose(problem.gradient(f, p), grad[free], rtol=1e-12,
+                                   atol=1e-12 * np.abs(grad[free]).max())
+        laplacian = (sp.diags(np.asarray(curv.sum(axis=1)).ravel()) - curv).tocsr()[free][:, free]
+        v = rng.standard_normal(free.size)
+        expected = laplacian @ v
+        np.testing.assert_allclose(problem.hessian(f, p, 1e-12)[0] @ v, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_pinned_edges_at_tied_values(p):
+    # many edges with equal values at both ends: there 0^(p - 2) is
+    # infinite for p < 2 and the sign of t is 0, and no RuntimeWarning may
+    # be raised. For p < 2 the gradient is taken with smoothing, as every
+    # Newton system has it, and the energy also without, as reported
+    graph, cons = _two_level_cases()["components"]
+    f, solved = _start_values(graph, cons)
+    problem = _PinnedEdges(graph, cons, p, solved, 0.3 if p < 2.0 else 0.0)
+    free = problem.free
+    f[free] = np.random.default_rng(22).integers(0, 3, free.size) / 2.0
+    w = graph.weights
+    rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
+    assert np.sum(f[rows[problem.edges]] == f[w.indices[problem.edges]]) > 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if p < 2.0:
+            energy, grad, _ = _smoothed_edge_sums(graph, solved, f, p, problem.s)
+            assert problem.energy(f) == pytest.approx(energy, rel=1e-12)
+            np.testing.assert_allclose(problem.gradient(f, p), grad[free], rtol=1e-12,
+                                       atol=1e-12 * np.abs(grad[free]).max())
+            problem.smooth(0.0)
+        else:
+            grad = discrete_energy_gradient(graph, f, p)[free]
+            np.testing.assert_allclose(problem.gradient(f, p), grad, rtol=1e-12,
+                                       atol=1e-12 * np.abs(grad).max())
+        # the unsolved components hold constants, so they add no energy
+        assert problem.energy(f) == pytest.approx(discrete_energy(graph, f, p), rel=1e-12)
+
+
 def test_minimizer_deterministic():
     rng = np.random.default_rng(9)
     pts = rng.random((80, 2))
