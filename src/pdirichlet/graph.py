@@ -438,18 +438,17 @@ class _PinnedEdges:
         self.edges = np.flatnonzero((w.indices > rows) & solved[rows]).astype(idx)
         below = np.count_nonzero((w.indices < rows) & solved[rows])
         del rows
-        # blocks of consecutive rows that hold edges: the rows, their edges
-        # (node r's edges, i = r, lie between offsets[r] and offsets[r + 1])
-        # and edge counts, and for `np.add.reduceat` the rows that hold any
-        # and where their edges start in the block
+        # blocks of consecutive rows: the rows, their edges (node r's edges,
+        # i = r, lie between offsets[r] and offsets[r + 1]) and edge counts,
+        # and for `np.add.reduceat` the rows that hold any and where their
+        # edges start in the block
         offsets = np.searchsorted(self.edges, w.indptr).astype(idx)
         self._blocks = []
         for r0, r1 in _row_blocks(offsets, _EDGE_CHUNK):
             counts = np.diff(offsets[r0:r1 + 1])
-            busy = np.flatnonzero(counts).astype(idx)
-            if busy.size:
-                self._blocks.append((slice(r0, r1), slice(offsets[r0], offsets[r1]), counts,
-                                     r0 + busy, offsets[r0 + busy] - offsets[r0]))
+            busy = r0 + np.flatnonzero(counts).astype(idx)
+            self._blocks.append((slice(r0, r1), slice(offsets[r0], offsets[r1]), counts,
+                                 busy, offsets[busy] - offsets[r0]))
         solved = solved.copy()
         solved[constraints.indices] = False
         self.free = np.flatnonzero(solved)
