@@ -10,7 +10,8 @@ fastest, a continuum domain's geometric nodes y fastest) the Gaussian is
 summed in 1D factors, elsewhere in dense distance blocks of about 64k
 pairs. The spline-smoothed variant fits a penalized tensor-product cubic
 B-spline to KDE values on a square knot lattice and evaluates it, values
-and gradients, with SciPy's `NdBSpline`;
+and gradients, with one vectorized Cox-de Boor kernel (`_bspline_basis`),
+in 1D factors on a tensor lattice in either axis order;
 `SplineFit` factors the fit's normal matrix once, so a study fitting many
 value vectors at one (T, lam) pays for it once. Every
 estimator is exposed as a `DensityField` with consistent value/gradient
@@ -23,10 +24,11 @@ bandwidths.
 The eta-moment constant sigma (the weight appearing in front of local
 continuum energies) is computed here as well, in closed form.
 
-`scipy.interpolate` (which loads `scipy.optimize`) and `scipy.fft` are
-imported where they are used, on first use: a process that never fits a
-spline or convolves on a mesh, such as a graph solve, does not load them,
-which takes about 0.07 s off its start (2-core VM).
+`scipy.fft` is imported where it is used, on first use: only the KDE's
+binned mesh convolution, which the density study runs, needs it, so no
+other run loads it. The B-splines are evaluated here rather than by SciPy's
+interpolation package, whose import (it loads the optimizers too) would
+add about 0.05 s and 10 MB to a process's first spline fit (2-core VM).
 """
 
 from __future__ import annotations
@@ -614,11 +616,55 @@ def _open_knot_vector(sites: np.ndarray, degree: int = 3) -> np.ndarray:
     return np.concatenate([np.full(degree, sites[0]), sites, np.full(degree, sites[-1])])
 
 
+def _bspline_basis(t: np.ndarray, x: np.ndarray, nu: int = 0, degree: int = 3):
+    """Knot spans and the nonzero B-spline values, or nu-th derivatives, at x.
+
+    Returns ``(first, b)``: on the span of x[m] only basis functions
+    first[m] .. first[m] + degree can be nonzero, and b[r, m] is the nu-th
+    derivative of function first[m] + r there, b of shape (degree + 1,
+    len(x)). The span is the last knot interval [t[s], t[s+1]) that holds
+    x, clamped to the basis' support: the last span is closed at its right
+    end, and points beyond the ends take the end polynomials. Cox-de Boor
+    recurrence, vectorized over the points: the values of degree - nu, then
+    nu differentiation steps up to degree (de Boor, A Practical Guide to
+    Splines, 1978; Piegl and Tiller, The NURBS Book, A2.2-A2.3). Every
+    divisor t[i + j] - t[i] covers the point's nonempty span, so none is
+    zero.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(t) - degree - 1
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, degree, n - 1)
+    b = np.ones((1, x.size))
+    for j in range(1, degree + 1):
+        # w[r] = B_{i,j-1} / (t[i + j] - t[i]) for i = s - j + 1 + r; the
+        # degree j function i (row r + 1 of b) takes (x - t[i]) w[r] and
+        # function i - 1 (row r) takes (t[i + j] - x) w[r], or +j w[r] and
+        # -j w[r] in a differentiation step
+        lo = t[span + np.arange(1 - j, 1)[:, None]]
+        hi = t[span + np.arange(1, j + 1)[:, None]]
+        prev, b = b, np.zeros((j + 1, x.size))
+        if j <= degree - nu:
+            w = prev / (hi - lo)
+            b[:-1] += w * (hi - x)
+            b[1:] += w * (x - lo)
+        else:
+            w = j * prev / (hi - lo)
+            b[:-1] -= w
+            b[1:] += w
+    return span - degree, b
+
+
+def _bspline_design(t: np.ndarray, x: np.ndarray, nu: int = 0, degree: int = 3) -> np.ndarray:
+    """Dense matrix of the nu-th basis derivatives at x, shape (len(x), len(t) - degree - 1)."""
+    first, b = _bspline_basis(t, x, nu, degree)
+    out = np.zeros((b.shape[1], len(t) - degree - 1))
+    np.put_along_axis(out, first[:, None] + np.arange(degree + 1), b.T, axis=1)
+    return out
+
+
 def _bspline_gram(t: np.ndarray, degree: int, deriv: int) -> np.ndarray:
     # Exact Gram matrix of deriv-th basis derivatives via per-span Gauss
     # quadrature (degree+1 points: exact up to degree 2*degree products).
-    from scipy.interpolate import BSpline
-
     xg, wg = np.polynomial.legendre.leggauss(degree + 1)
     breaks = np.unique(t)
     xq, wq = [], []
@@ -627,71 +673,112 @@ def _bspline_gram(t: np.ndarray, degree: int, deriv: int) -> np.ndarray:
         wq.append(0.5 * (b - a) * wg)
     xq = np.concatenate(xq)
     wq = np.concatenate(wq)
-    basis = BSpline(t, np.eye(len(t) - degree - 1), degree)(xq, nu=deriv)
+    basis = _bspline_design(t, xq, deriv, degree)
     return basis.T @ (wq[:, None] * basis)
 
 
 class SplineDensityField(DensityField):
-    """Penalized tensor-product cubic B-spline fit of gridded density values."""
+    """Penalized tensor-product cubic B-spline fit of gridded density values.
+
+    The field is sum_ij coefs[j, i] B_i(x) B_j(y) over the cubic B-splines
+    of the open knot vector t, in both axes; coefs must have shape
+    (len(t) - 4, len(t) - 4). Points are clipped to the unit square. On a
+    tensor lattice in either axis order (see `_lattice_axes`: the knots and
+    mesh dumps are x fastest, a continuum domain's geometric nodes y
+    fastest) the values are the product By coefs Bx^T of the 1D basis
+    factors, each taken over its 4 nonzero terms a row, and the gradients
+    the same with one factor differentiated. Any other point set gathers
+    each point's 4 x 4 coefficient block; both paths add the same products
+    in the same order, so they agree bit for bit.
+    """
 
     def __init__(self, knot_vector: np.ndarray, coefs: np.ndarray, config: SplineConfig):
-        from scipy.interpolate import NdBSpline
-
-        self.t = knot_vector
+        t = np.asarray(knot_vector, dtype=float)
+        coefs = np.asarray(coefs, dtype=float)
+        nb = len(t) - 4
+        if coefs.shape != (nb, nb):
+            raise ValidationError(
+                f"expected ({nb}, {nb}) spline coefficients for {len(t)} knots, got {coefs.shape}"
+            )
+        self.t = t
         self.coefs = coefs  # (n_basis_y, n_basis_x)
         self.config = config
-        self._spline = NdBSpline((knot_vector, knot_vector), coefs.T, 3)
         lattice_vals = self._values(spline_knots(config))
         self.floor = _FLOOR_RATIO * float(lattice_vals.max())
 
     def _values(self, pts):
-        return self._spline(np.clip(pts, 0.0, 1.0))
+        return self._tensor(pts, ((0, 0),))[:, 0]
 
     def _gradients(self, pts):
+        return self._tensor(pts, ((1, 0), (0, 1)))
+
+    def _tensor(self, pts, derivs) -> np.ndarray:
+        """Columns sum_ij coefs[j, i] B_i^(a)(x) B_j^(b)(y), one per (a, b) in derivs."""
         pts = np.clip(pts, 0.0, 1.0)
-        return np.column_stack([self._spline(pts, nu=(1, 0)), self._spline(pts, nu=(0, 1))])
+        t, c = self.t, self.coefs
+        out = np.empty((pts.shape[0], len(derivs)))
+        # a y-fastest lattice is the row-major lattice of (y, x); its grid
+        # comes back transposed
+        for flip in (False, True):
+            axes = _lattice_axes(pts[:, ::-1] if flip else pts)
+            if axes is not None:
+                xs, ys = axes[::-1] if flip else axes
+                for col, (a, b) in enumerate(derivs):
+                    (fx, bx), (fy, by) = _bspline_basis(t, xs, a), _bspline_basis(t, ys, b)
+                    # coefs Bx^T, then By times it, 4 terms a row each
+                    cx = sum(c[:, fx + k] * bx[k] for k in range(4))
+                    grid = sum(cx[fy + i] * by[i][:, None] for i in range(4))
+                    out[:, col] = (grid.T if flip else grid).ravel()
+                return out
+        for col, (a, b) in enumerate(derivs):
+            (fx, bx), (fy, by) = _bspline_basis(t, pts[:, 0], a), _bspline_basis(t, pts[:, 1], b)
+            out[:, col] = sum(
+                sum(c[fy + i, fx + k] * bx[k] for k in range(4)) * by[i] for i in range(4)
+            )
+        return out
 
 
 class SplineFit:
     """The spline fit's operator for one `SplineConfig`, factored once.
 
-    Holds the open knot vector, the tensor design matrix on the knot lattice
-    and the sparse LU factorization of the (SPD) normal matrix, all of which
-    depend only on (T, lam). `fit` then costs one right-hand side and one
-    pair of triangular solves per value vector. Build one per study; it is
-    read-only after construction, so threads may share it.
+    Holds the open knot vector, the 1D design matrix B1 of the basis at the
+    lattice sites (the tensor design is B1 kron B1, never formed) and the
+    sparse LU factorization of the (SPD) normal matrix, all of which depend
+    only on (T, lam). `fit` then costs one right-hand side, vec(B1^T F B1),
+    and one pair of triangular solves per value vector. Build one per study;
+    it is read-only after construction, so threads may share it.
     """
 
     def __init__(self, config: SplineConfig):
-        from scipy.interpolate import BSpline
-
         g = config.grid_size
         sites = np.linspace(0.0, 1.0, g)
         t = _open_knot_vector(sites)
-        b1 = BSpline.design_matrix(sites, t, 3)
-        design = sp.kron(b1, b1, format="csr")  # rows: y outer, x inner
+        b1 = _bspline_design(t, sites)
+        data = sp.csr_matrix(b1.T @ b1)
         g0 = sp.csr_matrix(_bspline_gram(t, 3, 0))
         g1 = sp.csr_matrix(_bspline_gram(t, 3, 1))
         g2 = sp.csr_matrix(_bspline_gram(t, 3, 2))
         penalty = sp.kron(g0, g2) + 2.0 * sp.kron(g1, g1) + sp.kron(g2, g0)
-        normal = (design.T @ design) / (g * g) + config.lam * penalty
+        normal = sp.kron(data, data) / (g * g) + config.lam * penalty
         try:
             self._lu = spla.splu(sp.csc_matrix(normal), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SingularSystemError(f"spline normal equations are singular: {exc}") from exc
         self.config = config
         self.knot_vector = t
-        self.design = design
+        self._b1 = b1
 
     def fit(self, values: np.ndarray) -> SplineDensityField:
         """Spline field fitted to values on the knot lattice (see `skde_fit`)."""
         g = self.config.grid_size
         f = np.asarray(values, dtype=float)
-        if f.shape == (g, g):
-            f = f.ravel()
-        if f.shape != (g * g,):
+        if f.shape == (g * g,):
+            f = f.reshape(g, g)
+        if f.shape != (g, g):
             raise ValidationError(f"expected {g * g} values (or a {g}x{g} array), got {f.shape}")
-        coefs = self._lu.solve(self.design.T @ f / (g * g))
+        # the tensor design's transpose applied to f, rows y outer, x inner
+        rhs = (self._b1.T @ f @ self._b1).ravel()
+        coefs = self._lu.solve(rhs / (g * g))
         if not np.all(np.isfinite(coefs)):
             raise SingularSystemError("spline fit produced non-finite coefficients")
         nb = len(self.knot_vector) - 4

@@ -263,14 +263,16 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_graph_route_leaves_spline_and_fft_modules_unloaded(tmp_path):
-    # only the density estimate loads scipy.interpolate (and with it
-    # scipy.optimize) and scipy.fft: about 0.07 s of a start that needs neither
+def test_cli_runs_leave_interpolate_optimize_and_fft_unloaded(tmp_path):
+    # the spline density is evaluated by the package's own B-spline kernel,
+    # so no run below loads scipy.interpolate (with scipy.optimize, about
+    # 0.05 s and 10 MB of a first spline fit); only the KDE mesh
+    # convolution of study-density loads scipy.fft
     code = f"""
 import sys
 from pdirichlet.cli import run
 
-lazy = ("scipy.interpolate", "scipy.fft")
+lazy = ("scipy.interpolate", "scipy.optimize", "scipy.fft")
 def loaded():
     return [name for name in lazy if name in sys.modules]
 
@@ -279,13 +281,18 @@ assert run(["solve-discrete", "--n", "64", "--p", "2", "--out", {str(tmp_path / 
 assert loaded() == [], loaded()
 assert run(["density", "--n", "64", "--T", "64", "--mesh", "16", "--h", "0.2",
             "--out", {str(tmp_path / "e")!r}]) == 0
+assert loaded() == [], loaded()
+assert run(["solve-continuum", "--n", "64", "--T", "64", "--h", "0.2",
+            "--points-per-patch", "4", "--out", {str(tmp_path / "c")!r}]) == 0
+assert loaded() == [], loaded()
 assert run(["study-minimizers", "--n", "8", "--T", "64", "--mesh", "16",
             "--points-per-patch", "4", "--tol", "0.01", "--out", {str(tmp_path / "s")!r}]) == 0
-assert loaded() == list(lazy), loaded()
+assert loaded() == [], loaded()
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    for name in ("discrete_labels.csv", "density.csv", "study_minimizers.csv"):
+    for name in ("discrete_labels.csv", "density.csv", "continuum_field.csv",
+                 "study_minimizers.csv"):
         assert next(tmp_path.rglob(name)).stat().st_size > 0
 
 

@@ -7,12 +7,14 @@ import pytest
 import scipy.sparse as sp
 from scipy import integrate
 from scipy.interpolate import BSpline
+from scipy.sparse.linalg import spsolve
 from scipy.signal import fftconvolve
 
 import pdirichlet.density as density_module
 from pdirichlet.density import (
     KdeDensityField,
     SplineConfig,
+    SplineDensityField,
     SplineFit,
     kde_evaluate,
     reference_density,
@@ -22,6 +24,7 @@ from pdirichlet.density import (
     spline_knots,
 )
 from pdirichlet.errors import ValidationError
+from pdirichlet.experiments import _lattice_domain
 
 
 # ---------------------------------------------------------------- references
@@ -474,6 +477,96 @@ def test_bspline_gram_matches_derivative_chain(deriv):
     expected = basis.T @ (wq[:, None] * basis)
     got = density_module._bspline_gram(t, 3, deriv)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+def _kernel_sites(t):
+    """Knot sites, breakpoints, Gauss points of every span, random points
+    and exactly 0 and 1."""
+    breaks = np.unique(t)
+    xg, _ = np.polynomial.legendre.leggauss(4)
+    mid, half = (breaks[:-1] + breaks[1:]) / 2.0, np.diff(breaks) / 2.0
+    gauss = (mid[:, None] + half[:, None] * xg).ravel()
+    rand = np.random.default_rng(43).random(400)
+    return np.concatenate([t, breaks, gauss, rand, [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+@pytest.mark.parametrize(
+    "t",
+    [
+        density_module._open_knot_vector(np.linspace(0.0, 1.0, 9)),
+        # uneven interior knots, one of them double
+        density_module._open_knot_vector(np.array([0.0, 0.1, 0.35, 0.35, 0.4, 0.8, 1.0])),
+    ],
+    ids=["uniform", "uneven"],
+)
+def test_bspline_kernel_matches_scipy_bspline(t, nu):
+    x = _kernel_sites(t)
+    nb = len(t) - 4
+    expected = BSpline(t, np.eye(nb), 3)(x, nu=nu)
+    first, b = density_module._bspline_basis(t, x, nu)
+    assert b.shape == (4, x.size)
+    assert first.min() >= 0 and first.max() <= nb - 4
+    got = np.zeros((x.size, nb))
+    np.put_along_axis(got, first[:, None] + np.arange(4), b.T, axis=1)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
+    np.testing.assert_array_equal(density_module._bspline_design(t, x, nu), got)
+
+
+def _per_point(field, pts):
+    """Values and gradients at pts, evaluated in a shuffled order that no
+    lattice check accepts, back in the order of pts."""
+    order = np.random.default_rng(47).permutation(pts.shape[0])
+    assert density_module._lattice_axes(pts[order]) is None
+    assert density_module._lattice_axes(pts[order][:, ::-1]) is None
+    back = np.argsort(order)
+    return (field.value_at(pts[order], clip=False)[back],
+            field.gradient_at(pts[order], clip=False)[back])
+
+
+def test_spline_lattice_path_matches_per_point_path():
+    cfg = SplineConfig(num_knots=12 * 12, lam=1e-5)
+    rng = np.random.default_rng(53)
+    field = skde_fit(1.0 + rng.random(cfg.num_knots), cfg)
+    mesh = density_module._mesh_points(41)  # x fastest
+    nodes = _lattice_domain(6).node_points  # y fastest
+    assert density_module._lattice_axes(mesh) is not None
+    assert density_module._lattice_axes(nodes) is None
+    assert density_module._lattice_axes(nodes[:, ::-1]) is not None
+    # both paths add the same products in the same order
+    for pts in (mesh, nodes):
+        values, grads = _per_point(field, pts)
+        np.testing.assert_array_equal(field.value_at(pts, clip=False), values)
+        np.testing.assert_array_equal(field.gradient_at(pts, clip=False), grads)
+
+
+@pytest.mark.parametrize("shape", [(9, 10), (10, 9), (100,)])
+def test_spline_field_rejects_misshapen_coefficients(shape):
+    cfg = SplineConfig(num_knots=8 * 8, lam=1e-5)
+    t = density_module._open_knot_vector(np.linspace(0.0, 1.0, 8))
+    assert len(t) == 14
+    with pytest.raises(ValidationError, match=r"\(10, 10\)"):
+        SplineDensityField(t, np.ones(shape), cfg)
+    SplineDensityField(t, np.ones((10, 10)), cfg)
+
+
+@pytest.mark.parametrize("g", [16, 32])
+def test_spline_fit_matches_tensor_design_normal_equations(g):
+    # reference: the T x nb^2 tensor design B1 kron B1, formed explicitly
+    cfg = SplineConfig(num_knots=g * g, lam=1e-5)
+    sites = np.linspace(0.0, 1.0, g)
+    t = density_module._open_knot_vector(sites)
+    b1 = BSpline.design_matrix(sites, t, 3)
+    design = sp.kron(b1, b1, format="csr")
+    grams = [sp.csr_matrix(density_module._bspline_gram(t, 3, k)) for k in range(3)]
+    penalty = sp.kron(grams[0], grams[2]) + 2.0 * sp.kron(grams[1], grams[1])
+    penalty = penalty + sp.kron(grams[2], grams[0])
+    normal = (design.T @ design) / (g * g) + cfg.lam * penalty
+    f = reference_density("rho3").value_at(spline_knots(cfg))
+    f += 0.1 * np.random.default_rng(59).random(f.size)
+    expected = spsolve(sp.csc_matrix(normal), design.T @ f / (g * g))
+    got = skde_fit(f, cfg).coefs.ravel()
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_one_operator_serves_several_fits():
