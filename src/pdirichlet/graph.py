@@ -32,12 +32,12 @@ which serves as an exact cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .errors import ConstraintError, ValidationError
 from .solver import MinimizerResult, _newton
@@ -131,6 +131,8 @@ def _points_array(points: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected points of shape (n, 2), got {pts.shape}")
     if pts.shape[0] < 2:
         raise ValidationError("need at least 2 points to build a graph")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("point coordinates must be finite")
     return pts
 
 
@@ -179,15 +181,88 @@ def _pairs_by_row(pairs: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return grouped
 
 
+def _pairs_within(pts: np.ndarray, reach: float, idx) -> np.ndarray:
+    """Every pair of points at most ``reach`` apart, once, as the rows (i, j)
+    of an array of dtype ``idx``, in no particular order.
+
+    A fixed-radius search on strips (Bentley, Stanat & Williams, Inf.
+    Process. Lett. 6, 1977). The points are sorted by their strip along x,
+    of width h a hair above ``reach``, and then by y, so a pair within reach
+    lies in one strip or in two adjacent ones. In that order each point's
+    candidates form two runs, found by binary search: the points after it
+    in its own strip up to y + h, and those of the next strip within y -/+
+    h. Both searches run on one key, strip * span + y with y measured from
+    its minimum, which orders the points by strip exactly and by y
+    monotonically: span is a power of two above every y + 2 h, so every
+    window of a strip lies inside that strip's keys. The padding of h
+    covers the rounding of the strips, the keys and the window ends, and
+    the runs are clipped apart, so they hold every pair of the exact test,
+    dx^2 + dy^2 <= reach^2, once. That test is the one
+    `scipy.spatial.cKDTree.query_pairs` makes, so the pairs are the tree's.
+    Candidates are tested at most _EDGE_CHUNK at a time, blocks small
+    enough to stay in cache.
+    """
+    n = pts.shape[0]
+    # relative to the reach, and above the rounding error of coordinates
+    # this large
+    pad = reach * 2.0**-20 + 2.0**-40 * float(np.abs(pts).max())
+    h = reach + pad
+    y = pts[:, 1] - pts[:, 1].min()
+    base = np.floor((pts[:, 0] - pts[:, 0].min()) / h)
+    span = 2.0 ** math.ceil(math.log2(float(y.max()) + 2.0 * h))
+    base *= span
+    key = base + y
+    order = np.argsort(key)
+    key, base, y = key[order], base[order], y[order]
+    # where the run in the point's own strip ends, and where the run in the
+    # next strip starts and ends
+    end = np.searchsorted(key, base + (y + h), side="right")
+    base += span
+    next_lo = np.maximum(np.searchsorted(key, base + (y - h), side="left"), end)
+    next_hi = np.maximum(np.searchsorted(key, base + (y + h), side="right"), next_lo)
+    # rows k and n + k hold point k's two runs; each point is one complex
+    # item x + iy, so that one gather reads both coordinates
+    lo = np.concatenate([np.arange(1, n + 1), next_lo])
+    counts = np.concatenate([end, next_hi]) - lo
+    offsets = np.zeros(2 * n + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    z = np.ascontiguousarray(pts[order]).view(np.complex128).ravel()
+    z, owner = np.concatenate([z, z]), np.concatenate([order, order])
+    pieces = []
+    for r0, r1 in _row_blocks(offsets, _EDGE_CHUNK):
+        c = counts[r0:r1]
+        cand = np.repeat(lo[r0:r1] - (offsets[r0:r1] - offsets[r0]), c)
+        cand += np.arange(cand.size)
+        d = z[cand]
+        d -= np.repeat(z[r0:r1], c)
+        # (dx, dy) interleaved, squared and summed
+        sq = d.view(np.float64)
+        sq *= sq
+        dist = sq[0::2]
+        dist += sq[1::2]
+        keep = np.flatnonzero(dist <= reach * reach)
+        piece = np.empty((keep.size, 2), dtype=idx)
+        piece[:, 0] = np.repeat(owner[r0:r1], c)[keep]
+        piece[:, 1] = order[cand[keep]]
+        pieces.append(piece)
+    return np.concatenate(pieces)
+
+
 def build_epsilon_graph(points: np.ndarray, epsilon: float, eta: str = "indicator") -> WeightedGraph:
     """Proximity graph with kernel weights W_ij = eps^-2 eta(|x_i - x_j| / eps).
 
     Pairs farther apart than the profile's truncation radius (times epsilon)
-    are not connected; the diagonal is empty.
+    are not connected; the diagonal is empty. The pairs come from a
+    strip-sorted fixed-radius search (`_pairs_within`), which finds the
+    pairs of `scipy.spatial.cKDTree.query_pairs` without building a tree,
+    so that only `build_knn_graph` loads `scipy.spatial`. The pairs are
+    expanded in the CSR's index type a bounded block at a time, and
+    counting sorts turn them into the CSR arrays.
 
     Parameters
     ----------
     points : ndarray, shape (n, 2)
+        At least 2 points with finite coordinates.
     epsilon : float
         Length scale, finite and > 0.
     eta : str, optional
@@ -205,15 +280,13 @@ def build_epsilon_graph(points: np.ndarray, epsilon: float, eta: str = "indicato
     if eta not in ("indicator", "gaussian"):
         raise ValidationError(f"unknown profile {eta!r}; choose indicator or gaussian")
     n = pts.shape[0]
-    found = cKDTree(pts).query_pairs(epsilon if eta == "indicator" else 5.0 * epsilon,
-                                     output_type="ndarray")
-    m = found.shape[0]
+    pairs = _pairs_within(pts, epsilon if eta == "indicator" else 5.0 * epsilon,
+                          np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    m = pairs.shape[0]
     idx = np.int32 if max(2 * m, n) <= np.iinfo(np.int32).max else np.int64
+    pairs = pairs.astype(idx, copy=False)
     indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(found.ravel(), minlength=n), out=indptr[1:])
-    # the tree's int64 pairs (i < j), freed once in the CSR's index type
-    pairs = found.astype(idx)
-    del found
+    np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=indptr[1:])
     grouped = _pairs_by_row(pairs, indptr)
     del pairs
     # sorted by a transpose: the matrix whose rows hold these groups is the
@@ -248,8 +321,11 @@ def build_knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     n = pts.shape[0]
     if not 1 <= k < n:
         raise ValidationError(f"k must be in [1, n-1], got {k}")
-    tree = cKDTree(pts)
-    dists, idx = tree.query(pts, k=k + 1)
+    # only k-nearest queries need a tree; importing it here keeps
+    # scipy.spatial (and scipy.special, which it loads) out of other runs
+    from scipy.spatial import cKDTree
+
+    dists, idx = cKDTree(pts).query(pts, k=k + 1)
     rows = np.repeat(np.arange(n), k)
     cols = idx[:, 1:].ravel()
     ones = np.ones(rows.size)

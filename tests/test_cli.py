@@ -193,7 +193,7 @@ def test_no_pipeline_reads_the_kde_at_scattered_points(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the KDE was read at scattered points")
 
-    monkeypatch.setattr("pdirichlet.density.cdist", fail)
+    monkeypatch.setattr("pdirichlet.density._sq_distances", fail)
     monkeypatch.setattr("pdirichlet.density._kde_gradient", fail)
     small = ["--density", "rho2", "--n", "32", "--T", "256", "--mesh", "32",
              "--points-per-patch", "4", "--tol", "0.001"]
@@ -263,16 +263,19 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_runs_leave_interpolate_optimize_and_fft_unloaded(tmp_path):
-    # the spline density is evaluated by the package's own B-spline kernel,
-    # so no run below loads scipy.interpolate (with scipy.optimize, about
-    # 0.05 s and 10 MB of a first spline fit); only the KDE mesh
-    # convolution of study-density loads scipy.fft
+def test_cli_runs_leave_spatial_special_interpolate_optimize_and_fft_unloaded(tmp_path):
+    # the epsilon graph's pairs come from the package's strip search and the
+    # KDE's dense blocks from numpy, so only a kNN graph (--k) loads
+    # scipy.spatial, and with it scipy.special; the spline density is
+    # evaluated by the package's own B-spline kernel, so no run below loads
+    # scipy.interpolate (with scipy.optimize, about 0.05 s and 10 MB of a
+    # first spline fit); only the KDE mesh convolution of study-density
+    # loads scipy.fft
     code = f"""
 import sys
 from pdirichlet.cli import run
 
-lazy = ("scipy.interpolate", "scipy.optimize", "scipy.fft")
+lazy = ("scipy.spatial", "scipy.special", "scipy.interpolate", "scipy.optimize", "scipy.fft")
 def loaded():
     return [name for name in lazy if name in sys.modules]
 
@@ -288,6 +291,8 @@ assert loaded() == [], loaded()
 assert run(["study-minimizers", "--n", "8", "--T", "64", "--mesh", "16",
             "--points-per-patch", "4", "--tol", "0.01", "--out", {str(tmp_path / "s")!r}]) == 0
 assert loaded() == [], loaded()
+assert run(["solve-discrete", "--n", "64", "--p", "2", "--k", "8",
+            "--out", {str(tmp_path / "k")!r}]) == 0
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr

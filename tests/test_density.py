@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.interpolate import BSpline
 from scipy.sparse.linalg import spsolve
 from scipy.signal import fftconvolve
+from scipy.spatial.distance import cdist
 
 import pdirichlet.density as density_module
 from pdirichlet.density import (
@@ -205,7 +206,17 @@ def _dense_path_fails(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a lattice took the dense path")
 
-    monkeypatch.setattr(density_module, "cdist", fail)
+    monkeypatch.setattr(density_module, "_sq_distances", fail)
+
+
+def test_dense_blocks_match_cdist():
+    rng = np.random.default_rng(41)
+    a, b = rng.random((300, 2)), rng.random((700, 2))
+    for pts, data in ((a, b), (a - 0.5, 3.0 * b + 7.0), (a[:1], b), (b[:0], a)):
+        got = density_module._sq_distances(pts, data)
+        want = cdist(pts, data, "sqeuclidean")
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) == 0.0
 
 
 _LATTICES = {
@@ -567,6 +578,30 @@ def test_spline_fit_matches_tensor_design_normal_equations(g):
     expected = spsolve(sp.csc_matrix(normal), design.T @ f / (g * g))
     got = skde_fit(f, cfg).coefs.ravel()
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("g, lam", [(8, 1e-2), (30, 1e-5), (32, 0.3), (50, 1e-4)])
+def test_spline_normal_matrix_matches_its_kronecker_sums(g, lam):
+    # the one-pass fill equals the sparse Kronecker sums it replaced, array
+    # for array, and so do the coefficients; g = 30 and 50 are not powers of
+    # two, so 1 / g^2 is rounded
+    cfg = SplineConfig(num_knots=g * g, lam=lam)
+    sites = np.linspace(0.0, 1.0, g)
+    t = density_module._open_knot_vector(sites)
+    b1 = density_module._bspline_design(t, sites)
+    grams = [sp.csr_matrix(density_module._bspline_gram(t, 3, k)) for k in range(3)]
+    data = sp.csr_matrix(b1.T @ b1)
+    penalty = sp.kron(grams[0], grams[2]) + 2.0 * sp.kron(grams[1], grams[1])
+    penalty = penalty + sp.kron(grams[2], grams[0])
+    expected = sp.csc_matrix(sp.kron(data, data) / (g * g) + lam * penalty)
+    got = density_module._spline_normal(t, b1, lam)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    f = reference_density("rho3").value_at(spline_knots(cfg))
+    lu = sp.linalg.splu(expected, permc_spec="MMD_AT_PLUS_A")
+    coefs = lu.solve((b1.T @ f.reshape(g, g) @ b1).ravel() / (g * g))
+    assert skde_fit(f, cfg).coefs.ravel().tobytes() == coefs.tobytes()
 
 
 def test_one_operator_serves_several_fits():

@@ -86,14 +86,45 @@ def test_epsilon_graph_matches_brute_force_pairs(eta, reach):
         assert np.all(g.weights.data == 1.0 / epsilon**2)
 
 
-@pytest.mark.parametrize(
-    "eta, n, epsilon",
-    [("indicator", 600, 0.08), ("gaussian", 300, 0.02), ("indicator", 40, 1e-6)],
-)
-def test_epsilon_graph_weights_match_a_coo_build(eta, n, epsilon):
+def _uniform(n):
+    return np.random.default_rng(8).random((n, 2))
+
+
+def _lattice(k, spacing):
+    xx, yy = np.meshgrid(spacing * np.arange(k), spacing * np.arange(k))
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+# name -> (eta, epsilon, points)
+_COO_CASES = {
+    "indicator-600-0.08": ("indicator", 0.08, lambda: _uniform(600)),
+    "gaussian-300-0.02": ("gaussian", 0.02, lambda: _uniform(300)),
+    # no pairs
+    "indicator-40-1e-06": ("indicator", 1e-6, lambda: _uniform(40)),
+    # neighbours at distance epsilon, give or take rounding
+    "lattice-at-epsilon": ("indicator", 0.025, lambda: _lattice(41, 0.025)),
+    "duplicated": ("indicator", 0.1, lambda: np.tile(_uniform(100), (3, 1))),
+    # a single strip
+    "one-x": ("indicator", 0.05, lambda: np.column_stack([np.full(300, 0.3), _uniform(300)[:, 1]])),
+    "strip-boundaries": ("indicator", 0.05, lambda: np.column_stack(
+        [0.05 * np.random.default_rng(9).integers(0, 20, 300), _uniform(300)[:, 1]])),
+    # coordinates in [-3.7, 46]
+    "shifted-scaled": ("gaussian", 0.5, lambda: -3.7 + 49.7 * _uniform(800)),
+    "n-2": ("indicator", 0.1, lambda: np.array([[0.2, 0.7], [0.3, 0.7]])),
+    # a pair within reach whose rounded strip numbers, for strips exactly
+    # a reach wide, would differ by two
+    "rounded-strips": ("indicator", 0.07679938000910123, lambda: np.array(
+        [[-3.782137498489271, 5.0], [6.816176942766699, 0.0], [6.8929763227758, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("case", list(_COO_CASES))
+def test_epsilon_graph_weights_match_a_coo_build(case):
     # the weights' arrays and dtypes equal a COO -> CSR build (sorted by
-    # `sum_duplicates`) of the same pairs, bit for bit; the last case has no pairs
-    pts = np.random.default_rng(8).random((n, 2))
+    # `sum_duplicates`) of the k-d tree's pairs, bit for bit
+    eta, epsilon, cloud = _COO_CASES[case]
+    pts = cloud()
+    n = pts.shape[0]
     g = build_epsilon_graph(pts, epsilon, eta=eta)
     reach = epsilon if eta == "indicator" else 5.0 * epsilon
     pairs = cKDTree(pts).query_pairs(reach, output_type="ndarray")
@@ -105,12 +136,25 @@ def test_epsilon_graph_weights_match_a_coo_build(eta, n, epsilon):
         shape=(n, n),
     )
     assert (expect.nnz == 0) == (epsilon < 1e-3)
+    if case == "lattice-at-epsilon":
+        # the tree's test keeps some neighbour pairs and drops others
+        assert 0 < g.num_edges < 2 * 40 * 41
     assert g.weights.has_canonical_format
     for name in ("data", "indices", "indptr"):
         got, want = getattr(g.weights, name), getattr(expect, name)
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("build", [lambda pts: build_epsilon_graph(pts, 0.3),
+                                   lambda pts: build_knn_graph(pts, 2)], ids=["epsilon", "knn"])
+def test_graph_builders_reject_non_finite_points(build, bad):
+    pts = np.random.default_rng(2).random((20, 2))
+    pts[7, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        build(pts)
 
 
 def _chunk_cases():
