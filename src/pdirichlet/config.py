@@ -32,8 +32,8 @@ _CONTINUUM = ("solve-continuum", "study-minimizers")
 # subcommands whose pipeline builds a graph on the cloud
 _GRAPH = ("solve-discrete", "study-minimizers")
 # memory bounds, from measured peaks (2-core VM, Python 3.11, numpy 2.4,
-# scipy 1.17): a cloud costs up to about 600 bytes per point (`density`
-# at n = 2^20 peaks at 0.64 GB); the spline fit's normal-matrix LU peaks at
+# scipy 1.17): a cloud costs up to about 240 bytes per point (`density`
+# at n = 2^20 peaks at 0.25 GB); the spline fit's normal-matrix LU peaks at
 # 0.22 / 0.71 GB for T = 16384 / 65536 and grows about 3.2x per 4x in T; a
 # graph solve peaks at up to 80 bytes per edge over a 100 MB base, so 12M
 # edges fit in about 1.06 GB (`solve-discrete --density rho2 --p 3` at

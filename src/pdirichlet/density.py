@@ -1,7 +1,8 @@
 """Densities on the unit square: references, sampling, KDE and spline-KDE.
 
 Three strictly positive reference densities drive the studies. Point clouds
-are drawn from them by inverse-transform sampling on a fine lattice. Kernel
+are drawn from them by inverse-transform sampling on a fine lattice, whose
+conditional CDFs are stored at every 8th row and rebuilt in between. Kernel
 density estimates can be evaluated exactly (truncated sums) at arbitrary
 points or on a full uniform mesh via binned FFT convolution. The exact sums
 take one of two paths, each in bounded memory whatever n and h are: on a
@@ -30,10 +31,10 @@ other run loads it. The B-splines are evaluated here rather than by SciPy's
 interpolation package, whose import (it loads the optimizers too) would
 add about 0.05 s and 10 MB to a process's first spline fit (2-core VM).
 The dense distance blocks are numpy sums and the moments' Gamma function
-is `math.gamma`, so the module needs neither `scipy.spatial` nor
-`scipy.special`: with the graph builder's own pair search, that keeps
-about 0.06 s and 7 MB of imports (2-core VM) out of every run but a
-kNN graph's.
+is `math.gamma` (`math.lgamma` where it overflows), so the module needs
+neither `scipy.spatial` nor `scipy.special`: with the graph builder's own
+pair search, that keeps about 0.06 s and 7 MB of imports (2-core VM) out
+of every run but a kNN graph's.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ _FLOOR_RATIO = 1.0e-3
 _GAUSS_TRUNC = 5.0
 # resolution of the lattice on which `sample_density` tabulates its CDFs
 _SAMPLER_GRID = 1024
+# the sampler keeps every this-many-th row of the conditional CDFs in y
+_SAMPLER_STRIDE = 8
 # x factors, one per (lattice x site, sample), that one sample chunk of a
 # lattice KDE sum may hold
 _PAIR_BUDGET = 8_000_000
@@ -175,35 +178,29 @@ class ReferenceDensity(DensityField):
         cached = self._sampler_cache.get(grid_size)
         if cached is not None:
             return cached
-        # one grid_size^2 table, filled by row blocks and then turned into
-        # the conditional CDFs row by row in place, is the peak memory of a
-        # small study or a graph solve
+        # per column, the unnormalized conditional CDF in y at every
+        # _SAMPLER_STRIDE-th row and, last, the column total: a 1 MB table at
+        # the default grid, filled by blocks of 16 columns whose transients
+        # stay under 1 MB; `sample_density` rebuilds the rows in between
+        # from the density itself
         s = np.linspace(0.0, 1.0, grid_size)
-        v = np.empty((grid_size, grid_size))
-        for j in range(0, grid_size, 64):
-            xx, yy = np.meshgrid(s, s[j : j + 64])
-            v[j : j + 64] = self._value_fn(xx, yy)
         dx = s[1] - s[0]
-        # trapezoid increments between rows, (v_j + v_{j+1}) / 2 * dx, in
-        # rows 0 .. grid_size - 2
-        for j in range(grid_size - 1):
-            v[j] += v[j + 1]
-        steps = v[:-1]
-        steps /= 2.0
-        steps *= dx
-        marg_x = steps.sum(axis=0)
+        rows = np.append(np.arange(0, grid_size - 1, _SAMPLER_STRIDE), grid_size - 1)
+        coarse = np.empty((grid_size, rows.size))
+        for c in range(0, grid_size, 16):
+            v = self._value_fn(*np.broadcast_arrays(s[c : c + 16], s[:, None]))
+            # trapezoid increments between rows, (v_j + v_{j+1}) / 2 * dx,
+            # summed row after row
+            steps = v[:-1] + v[1:]
+            steps /= 2.0
+            steps *= dx
+            cum = np.zeros(v.shape)
+            np.cumsum(steps, axis=0, out=cum[1:])
+            coarse[c : c + 16] = cum[rows].T
+        marg_x = coarse[:, -1]
         cdf_x = np.concatenate([[0.0], np.cumsum((marg_x[:-1] + marg_x[1:]) / 2.0 * dx)])
         cdf_x /= cdf_x[-1]
-        # row j becomes the sum of the increments below it, added in the
-        # order of a cumulative sum
-        total = np.zeros(grid_size)
-        for j in range(grid_size):
-            total, v[j] = total + v[j], total
-        cdf_y = v
-        # dividing by a view of the last row would make NumPy buffer a copy of
-        # the whole table; the row alone is copied instead
-        cdf_y /= cdf_y[-1, :].copy()
-        self._sampler_cache[grid_size] = (s, cdf_x, cdf_y)
+        self._sampler_cache[grid_size] = (s, cdf_x, coarse)
         return self._sampler_cache[grid_size]
 
 
@@ -253,7 +250,7 @@ def reference_density(name: str) -> ReferenceDensity:
     All three are strictly positive and integrate to one over the unit
     square; rho2 is the tilted bilinear density, rho3 the oscillatory one.
     Every call with one name returns the same instance, which keeps the
-    sampler tables `sample_density` has built for it.
+    two-level sampler tables `sample_density` has built for it (1 MB).
     """
     if name not in _DENSITIES:
         raise ValidationError(f"unknown density {name!r}; choose from {sorted(_DENSITIES)}")
@@ -276,10 +273,14 @@ class SampleSet:
 def sample_density(density: ReferenceDensity, n: int, seed: int) -> SampleSet:
     """Draw n points by inverse-transform sampling on a uniform lattice.
 
-    The marginal CDF in x and per-column conditional CDFs in y are tabulated
-    on a 1024 x 1024 lattice; draws invert them with binary search and
-    linear interpolation. Identical (density, n, seed) inputs reproduce the
-    identical cloud.
+    The marginal CDF in x and per-column conditional CDFs in y are those of
+    the trapezoid rule on a 1024 x 1024 lattice, inverted by binary search
+    and linear interpolation. Only every 8th row of the conditional CDFs is
+    stored, with each column's total (1 MB in all): a draw finds the two
+    stored rows that bracket it and rebuilds the rows between them from
+    the density with the same arithmetic, so the clouds are those of the
+    whole table bit for bit. Identical (density, n, seed) inputs reproduce
+    the identical cloud.
 
     Parameters
     ----------
@@ -297,23 +298,55 @@ def sample_density(density: ReferenceDensity, n: int, seed: int) -> SampleSet:
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
-    sites, cdf_x, cdf_y = density._sampler(_SAMPLER_GRID)
+    sites, cdf_x, coarse = density._sampler(_SAMPLER_GRID)
     rng = np.random.default_rng(seed)
     u = rng.random((n, 2))
     x = np.interp(u[:, 0], cdf_x, sites)
     col = np.clip(np.rint(x * (_SAMPLER_GRID - 1)).astype(int), 0, _SAMPLER_GRID - 1)
-    u2 = u[:, 1]
-    lo = np.zeros(n, dtype=int)
-    hi = np.full(n, _SAMPLER_GRID - 1, dtype=int)
-    while int((hi - lo).max()) > 1:
-        mid = (lo + hi) // 2
-        below = cdf_y[mid, col] <= u2
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    f_lo = cdf_y[lo, col]
-    f_hi = cdf_y[lo + 1, col]
-    frac = (u2 - f_lo) / np.maximum(f_hi - f_lo, 1e-300)
-    y = sites[lo] + frac * (sites[1] - sites[0])
+    dx = sites[1] - sites[0]
+    # column c's stored rows sit at flat offsets c * width + 0 .. width - 1,
+    # the last its total; the lattice rows b * stride + j of block b have
+    # y sites y_rows[j, b], the last block's overhang clamped to the top row
+    width = coarse.shape[1]
+    stored = coarse.ravel()
+    lifts = [1 << e for e in reversed(range((width - 2).bit_length()))]
+    y_rows = sites[np.minimum(np.arange(0, width * _SAMPLER_STRIDE, _SAMPLER_STRIDE)
+                              + np.arange(_SAMPLER_STRIDE + 1)[:, None], _SAMPLER_GRID - 1)]
+    y = np.empty(n)
+    # chunks this small keep a draw's transients under 1 MB
+    chunk = 2048
+    for a in range(0, n, chunk):
+        c = col[a : a + chunk]
+        u2 = u[a : a + chunk, 1]
+        m = c.size
+        first = c * width
+        last = first + (width - 1)
+        total = stored[last]
+        # the last stored row with prefix / total <= u2, by binary lifting
+        at = first.copy()
+        for step in lifts:
+            cand = np.minimum(at + step, last)
+            np.copyto(at, cand, where=stored[cand] / total <= u2)
+        block = at - first
+        # the block's rows, rebuilt in place of their y sites with the
+        # build's arithmetic; the CDF is monotone, so the last of them
+        # <= u2 is the row a bisection of the whole column finds
+        cdf = np.take(y_rows, block, axis=1)
+        # (a constant density comes back in the shape of x)
+        v = np.broadcast_to(density._value_fn(sites[c], cdf), cdf.shape)
+        cdf[0] = stored[at]
+        np.add(v[:-1], v[1:], out=cdf[1:])
+        cdf[1:] /= 2.0
+        cdf[1:] *= dx
+        for j in range(_SAMPLER_STRIDE):
+            cdf[j + 1] += cdf[j]
+        cdf /= total
+        k = np.add.reduce(cdf[1:-1] <= u2, axis=0, dtype=np.intp)
+        pick = k * m + np.arange(m)
+        f_lo = cdf.ravel()[pick]
+        f_hi = cdf.ravel()[pick + m]
+        frac = (u2 - f_lo) / np.maximum(f_hi - f_lo, 1e-300)
+        y[a : a + chunk] = sites[block * _SAMPLER_STRIDE + k] + frac * dx
     pts = np.column_stack([x, np.clip(y, 0.0, 1.0)])
     return SampleSet(points=pts, density=density.name, seed=seed)
 
@@ -869,7 +902,10 @@ def sigma_eta(p: float, eta: str = "indicator", d: int = 2) -> float:
     2 pi^((d-1)/2) Gamma((p+1)/2) / Gamma((p+d)/2) times the radial
     integral of eta(r) r^(q-1), q = p + d, both in closed form: the radial
     integral is 1/q for the indicator and 2^(q/2-1) Gamma(q/2) for the
-    Gaussian.
+    Gaussian. From (p+d)/2 = 171 on, next to where the Gamma function
+    overflows (p = 342 in the plane), the angular ratio is taken in logs, so
+    the indicator's moment is finite at every p whose Gamma values lgamma
+    can take (p < 1e305).
 
     Parameters
     ----------
@@ -884,17 +920,31 @@ def sigma_eta(p: float, eta: str = "indicator", d: int = 2) -> float:
     Returns
     -------
     float
+
+    Raises
+    ------
+    ValidationError
+        If p < 1, d < 1, the profile is unknown, or the moment is out of
+        floating-point range (the Gaussian's from p = 301 in the plane).
     """
     if p < 1:
         raise ValidationError(f"exponent p must be >= 1, got {p}")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    angular = 2.0 * np.pi ** ((d - 1) / 2.0) * math.gamma((p + 1) / 2.0) / math.gamma((p + d) / 2.0)
-    q = p + d
-    if eta == "indicator":
-        radial = 1.0 / q
-    elif eta == "gaussian":
-        radial = 2.0 ** (q / 2.0 - 1.0) * math.gamma(q / 2.0)
-    else:
+    if eta not in ("indicator", "gaussian"):
         raise ValidationError(f"unknown profile {eta!r}; choose indicator or gaussian")
-    return float(angular * radial)
+    q = p + d
+    a, b = (p + 1) / 2.0, q / 2.0
+    sphere = 2.0 * np.pi ** ((d - 1) / 2.0)
+    try:
+        if b < 171.0:
+            angular = sphere * math.gamma(a) / math.gamma(b)
+        else:
+            angular = sphere * math.exp(math.lgamma(a) - math.lgamma(b))
+        radial = 1.0 / q if eta == "indicator" else 2.0 ** (b - 1.0) * math.gamma(b)
+        moment = angular * radial
+    except OverflowError:
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise ValidationError(f"the {eta} moment of order p = {p} is out of floating-point range")
+    return float(moment)

@@ -52,6 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["MinimizerResult"]
 
 # Armijo sufficient-decrease fraction and the step length at which the
@@ -167,7 +169,8 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int) -> MinimizerResul
     decrement, and the p = 2 start, which is then the minimizer, solve
     every system tight.
 
-    Returns the `MinimizerResult` over ``f``: the energies after every
+    Raises `ValidationError` if the start's energy overflows, as it does at
+    large p. Returns the `MinimizerResult` over ``f``: the energies after every
     accepted step, the max free-node gradient as the residual, the last
     gap bound as the decrement, and the PCG iterations of every system
     solved.
@@ -183,6 +186,9 @@ def _newton(problem, f: np.ndarray, tol: float, max_iter: int) -> MinimizerResul
     fixed = system if problem.p == 2.0 else None
     del system
     energy = problem.energy(f)
+    # past this, every gradient and Hessian at p is inf or nan
+    if not np.isfinite(energy):
+        raise ValidationError(f"the p = {problem.p:g} energy of the start overflows floating point")
     energies = [energy]
     iterations = 0
     while True:

@@ -212,6 +212,15 @@ def test_exit_codes_by_category(tmp_path):
     assert run(["sample", "--n", "-2", "--out", str(tmp_path)]) == 2
 
 
+def test_large_p_continuum_ends_with_a_validation_error(tmp_path, capsys):
+    # at p = 400 sigma_eta takes its Gamma ratio in logs, but the energy of
+    # the p = 2 start overflows: a validation error, not a traceback
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["solve-continuum", *TINY, "--p", "400", "--out", str(tmp_path)])
+    assert code == 3
+    assert "p = 400 energy of the start overflows" in capsys.readouterr().err
+
+
 def test_config_file_flags_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n=64\nseed=9\n")

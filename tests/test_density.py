@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +15,7 @@ from scipy.spatial.distance import cdist
 import pdirichlet.density as density_module
 from pdirichlet.density import (
     KdeDensityField,
+    ReferenceDensity,
     SplineConfig,
     SplineDensityField,
     SplineFit,
@@ -101,21 +103,108 @@ def test_sampling_is_deterministic_and_inside_domain():
     assert a.points.min() >= 0.0 and a.points.max() <= 1.0
 
 
-@pytest.mark.parametrize("name", ["rho1", "rho3"])
-def test_sampler_tables_equal_the_trapezoid_formulas(name):
-    # the tables are built in place; the plain expressions are the reference
-    grid = 200
-    s, cdf_x, cdf_y = reference_density(name)._sampler(grid)
+def _trapezoid_cdfs(rho, grid):
+    """The sampler's CDFs by the plain expressions over the whole lattice:
+    the lattice sites, the density on it (rows y), the normalized marginal
+    CDF in x and the unnormalized conditional CDFs in y, one per column."""
+    s = np.linspace(0.0, 1.0, grid)
     xx, yy = np.meshgrid(s, s)
-    v = reference_density(name).value_at(np.column_stack([xx.ravel(), yy.ravel()]))
-    v = v.reshape(grid, grid)
+    v = rho.value_at(np.column_stack([xx.ravel(), yy.ravel()])).reshape(grid, grid)
     dx = s[1] - s[0]
     marg_x = np.trapezoid(v, dx=dx, axis=0)
     ref_x = np.concatenate([[0.0], np.cumsum((marg_x[:-1] + marg_x[1:]) / 2.0 * dx)])
     ref_y = np.zeros_like(v)
     ref_y[1:, :] = np.cumsum((v[:-1, :] + v[1:, :]) / 2.0 * dx, axis=0)
-    np.testing.assert_array_equal(cdf_x, ref_x / ref_x[-1])
-    np.testing.assert_array_equal(cdf_y, ref_y / ref_y[-1, :])
+    return s, v, ref_x / ref_x[-1], ref_y
+
+
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3"])
+def test_sampler_tables_equal_the_trapezoid_formulas(name):
+    # the tables are built by column blocks and keep every stride-th row of
+    # the conditional CDFs; the plain expressions are the reference, and
+    # every row between two stored ones, rebuilt from the lower one as
+    # `sample_density` rebuilds it, is the reference row bit for bit
+    stride = density_module._SAMPLER_STRIDE
+    base = reference_density(name)
+    for grid in (200, 1024):
+        rho = ReferenceDensity(name, base._value_fn, base._grad_fn)
+        s, cdf_x, coarse = rho._sampler(grid)
+        ref_s, v, ref_x, ref_y = _trapezoid_cdfs(rho, grid)
+        np.testing.assert_array_equal(s, ref_s)
+        np.testing.assert_array_equal(cdf_x, ref_x)
+        rows = np.append(np.arange(0, grid - 1, stride), grid - 1)
+        assert coarse.shape == (grid, rows.size)
+        np.testing.assert_array_equal(coarse, ref_y[rows].T)
+        dx = s[1] - s[0]
+        cdf_y = ref_y / ref_y[-1, :]
+        for b in range(rows.size - 1):
+            rebuilt = [coarse[:, b]]
+            for j in range(rows[b], rows[b + 1]):
+                rebuilt.append(rebuilt[-1] + (v[j] + v[j + 1]) / 2.0 * dx)
+            np.testing.assert_array_equal(np.array(rebuilt) / coarse[:, -1],
+                                          cdf_y[rows[b] : rows[b + 1] + 1])
+
+
+def _full_table_cloud(tables, n, seed):
+    """The sampler with every conditional CDF row stored, inverted by
+    bisection of the whole column: the reference the two-level tables
+    must reproduce bit for bit."""
+    s, cdf_x, cdf_y = tables
+    grid = s.size
+    u = np.random.default_rng(seed).random((n, 2))
+    x = np.interp(u[:, 0], cdf_x, s)
+    col = np.clip(np.rint(x * (grid - 1)).astype(int), 0, grid - 1)
+    u2 = u[:, 1]
+    lo = np.zeros(n, dtype=int)
+    hi = np.full(n, grid - 1, dtype=int)
+    while int((hi - lo).max()) > 1:
+        mid = (lo + hi) // 2
+        below = cdf_y[mid, col] <= u2
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    f_lo = cdf_y[lo, col]
+    f_hi = cdf_y[lo + 1, col]
+    frac = (u2 - f_lo) / np.maximum(f_hi - f_lo, 1e-300)
+    y = s[lo] + frac * (s[1] - s[0])
+    return np.column_stack([x, np.clip(y, 0.0, 1.0)])
+
+
+@pytest.mark.parametrize("name", ["rho1", "rho2", "rho3"])
+def test_sampling_matches_a_full_table_bisection(name, monkeypatch):
+    # at grid 200 the stored rows' count, 26, is not a power of two plus one
+    base = reference_density(name)
+    for grid in (200, 1024):
+        monkeypatch.setattr(density_module, "_SAMPLER_GRID", grid)
+        rho = ReferenceDensity(name, base._value_fn, base._grad_fn)
+        s, _, cdf_x, ref_y = _trapezoid_cdfs(rho, grid)
+        tables = (s, cdf_x, ref_y / ref_y[-1, :])
+        for n in (1, 2, 4095, 4096, 4097, 65536):
+            for seed in (0, 1, 7):
+                np.testing.assert_array_equal(sample_density(rho, n, seed).points,
+                                              _full_table_cloud(tables, n, seed))
+
+
+def test_sampler_tables_and_draws_stay_within_their_bytes():
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for name in ("rho1", "rho2", "rho3"):
+        base = reference_density(name)
+        rho = ReferenceDensity(name, base._value_fn, base._grad_fn)
+        # the first draw builds the tables; 4096 points fill two draw chunks
+        peak = traced_peak(lambda: sample_density(rho, 4096, 0))
+        assert peak < 2.5e6, (name, peak)
+        tables = rho._sampler_cache[density_module._SAMPLER_GRID]
+        assert sum(a.nbytes for a in tables) <= 1.1e6
+    rho = reference_density("rho2")
+    sample_density(rho, 1, 0)
+    peak = traced_peak(lambda: sample_density(rho, 200_000, 0))
+    assert peak <= 80 * 200_000, peak / 200_000
 
 
 def test_sampling_matches_rho2_mean():
@@ -688,3 +777,16 @@ def test_sigma_eta_validation():
         sigma_eta(0.5)
     with pytest.raises(ValidationError):
         sigma_eta(2.0, eta="box-car")
+
+
+def test_sigma_eta_past_the_gamma_overflow():
+    # Gamma((p+2)/2) overflows from p = 342; the indicator moment does not
+    for p in (342.0, 400.0):
+        brute, _ = integrate.quad(lambda x: 4.0 * x**p * np.sqrt(1.0 - x * x), 0, 1,
+                                  epsabs=0.0, epsrel=1e-12, limit=200)
+        assert sigma_eta(p) == pytest.approx(brute, rel=1e-12)
+    # the Gaussian moment itself exceeds the float range from p = 301
+    assert np.isfinite(sigma_eta(300.0, eta="gaussian"))
+    for p in (301.0, 341.0, 400.0, 1e306):
+        with pytest.raises(ValidationError, match=re.escape(f"p = {p}")):
+            sigma_eta(p, eta="gaussian")
