@@ -170,8 +170,8 @@ def validate(config: RunConfig) -> RunConfig:
         raise _fail("tol", c.tol)
     if c.seed < 0:
         raise _fail("seed", c.seed)
-    # a mesh dump holds several D x D fields at once; study-density peaks at
-    # 0.63 GB for D = 1536 (n = 4096) and 1.0 GB for D = 2048
+    # a mesh dump holds several D x D fields at once; study-density --n 4096
+    # peaks at 0.42 GB for D = 1536 and 0.67 GB for D = 2048 (max RSS)
     if not 4 <= c.mesh <= 1536:
         raise _fail("mesh", c.mesh)
     # the LU fill of the Newton preconditioner grows like 9 x

@@ -2,39 +2,38 @@
 
 Three strictly positive reference densities drive the studies. Point clouds
 are drawn from them by inverse-transform sampling on a fine lattice, whose
-conditional CDFs are stored at every 8th row and rebuilt in between. Kernel
-density estimates can be evaluated exactly (truncated sums) at arbitrary
-points or on a full uniform mesh via binned FFT convolution. The exact sums
-take one of two paths, each in bounded memory whatever n and h are: on a
-tensor lattice in either axis order (the spline knots are laid out x
-fastest, a continuum domain's geometric nodes y fastest) the Gaussian is
-summed in 1D factors, elsewhere in dense distance blocks of about 64k
-pairs. The spline-smoothed variant fits a penalized tensor-product cubic
-B-spline to KDE values on a square knot lattice and evaluates it, values
-and gradients, with one vectorized Cox-de Boor kernel (`_bspline_basis`),
-in 1D factors on a tensor lattice in either axis order;
-`SplineFit` factors the fit's normal matrix once, so a study fitting many
-value vectors at one (T, lam) pays for it once. Every
+conditional CDFs are stored at every 8th row and rebuilt in between. The
+smoothing kernel is the untruncated unit-mass Gaussian, and it factors,
+exp(-(u^2 + v^2) / 2) = exp(-u^2 / 2) exp(-v^2 / 2), so kernel density
+estimates are products of 1D factor matrices wherever the points allow: on
+a full uniform mesh G M G^T, for the linearly binned sample mass M and the
+mesh's 1D factor G; on a tensor lattice in either axis order (the spline
+knots are laid out x fastest, a continuum domain's geometric nodes y
+fastest) exactly, as Ey Ex^T summed over sample chunks. Elsewhere the exact
+sums run in dense distance blocks of about 64k pairs. Every path holds
+bounded memory whatever n and h are. The spline-smoothed variant fits a
+penalized tensor-product cubic B-spline to KDE values on a square knot
+lattice and evaluates it, values and gradients, with one vectorized Cox-de
+Boor kernel (`_bspline_basis`), in 1D factors on a tensor lattice in either
+axis order; `SplineFit` factors the fit's normal matrix once, so a study
+fitting many value vectors at one (T, lam) pays for it once. Every
 estimator is exposed as a `DensityField` with consistent value/gradient
 evaluation and a positivity floor, which is what the continuum solver
 consumes: 1e-3 for a KDE (1e-3 times the uniform density, the mean of any
 density on the unit square) and 1e-3 times the largest knot value for a
-spline. The smoothing kernel is the unit-mass Gaussian, truncated at 5
-bandwidths.
+spline.
 
 The eta-moment constant sigma (the weight appearing in front of local
 continuum energies) is computed here as well, in closed form.
 
-`scipy.fft` is imported where it is used, on first use: only the KDE's
-binned mesh convolution, which the density study runs, needs it, so no
-other run loads it. The B-splines are evaluated here rather than by SciPy's
-interpolation package, whose import (it loads the optimizers too) would
-add about 0.05 s and 10 MB to a process's first spline fit (2-core VM).
-The dense distance blocks are numpy sums and the moments' Gamma function
-is `math.gamma` (`math.lgamma` where it overflows), so the module needs
-neither `scipy.spatial` nor `scipy.special`: with the graph builder's own
-pair search, that keeps about 0.06 s and 7 MB of imports (2-core VM) out
-of every run but a kNN graph's.
+The B-splines are evaluated here rather than by SciPy's interpolation
+package, whose import (it loads the optimizers too) would add about 0.05 s
+and 10 MB to a process's first spline fit (2-core VM). The dense distance
+blocks are numpy sums and the moments' Gamma function is `math.gamma`
+(`math.lgamma` where it overflows), so the module needs neither
+`scipy.spatial` nor `scipy.special`: with the graph builder's own pair
+search, that keeps about 0.06 s and 7 MB of imports (2-core VM) out of
+every run but a kNN graph's.
 """
 
 from __future__ import annotations
@@ -72,16 +71,17 @@ _RHO3_NORM = 0.5031765765112621
 # positivity floor of the estimators, relative to the uniform density (KDE)
 # or to the largest knot value (spline)
 _FLOOR_RATIO = 1.0e-3
-# the Gaussian kernel is cut off at this many bandwidths, which discards
-# less than 1e-5 of its mass
-_GAUSS_TRUNC = 5.0
+# the 1D Gaussian factors' exponents are clipped here: exp(-300) = 5e-131,
+# so no factor, product of two factors or product of those with a bin mass
+# is subnormal
+_MIN_EXPONENT = -300.0
 # resolution of the lattice on which `sample_density` tabulates its CDFs
 _SAMPLER_GRID = 1024
 # the sampler keeps every this-many-th row of the conditional CDFs in y
 _SAMPLER_STRIDE = 8
-# x factors, one per (lattice x site, sample), that one sample chunk of a
+# 1D factors, one per (lattice line, sample), that one sample chunk of a
 # lattice KDE sum may hold
-_PAIR_BUDGET = 8_000_000
+_FACTOR_BUDGET = 1 << 17
 # pairs per dense distance block; blocks this small stay in cache, which
 # halves the time of a 1M-pair sum and leaves every row sum unchanged
 _DENSE_BLOCK = 1 << 16
@@ -352,21 +352,28 @@ def sample_density(density: ReferenceDensity, n: int, seed: int) -> SampleSet:
 
 
 def _gaussian(sq: np.ndarray) -> np.ndarray:
-    """Unit-mass 2D Gaussian at squared radius ``sq`` (bandwidth units),
-    zero beyond _GAUSS_TRUNC. It is also its own gradient factor:
-    grad K(v) = -v K(|v|^2). The exponent is clipped at the truncation,
-    beyond which every value is masked out, so that no exponential
-    underflows onto NumPy's slow path (see `_gauss_factors`)."""
-    out = np.minimum(sq, _GAUSS_TRUNC**2)
-    out /= -2.0
+    """Unit-mass 2D Gaussian at squared radius ``sq`` (bandwidth units). It
+    is also its own gradient factor: grad K(v) = -v K(|v|^2). The exponent
+    is clipped at twice _MIN_EXPONENT, as in `_gauss_factors`."""
+    out = sq * -0.5
+    np.maximum(out, 2.0 * _MIN_EXPONENT, out=out)
     np.exp(out, out=out)
     out /= 2.0 * np.pi
-    return np.where(sq <= _GAUSS_TRUNC**2, out, 0.0)
+    return out
+
+
+def _finite_bandwidth(h: float) -> float:
+    if not (math.isfinite(h) and h > 0):
+        raise ValidationError(f"bandwidth must be positive and finite, got {h}")
+    return float(h)
 
 
 def _sample_array(samples) -> np.ndarray:
     pts = samples.points if isinstance(samples, SampleSet) else np.asarray(samples, float)
-    return _as_points(pts)
+    pts = _as_points(pts)
+    if not np.isfinite(pts).all():
+        raise ValidationError("sample coordinates must be finite")
+    return pts
 
 
 def _lattice_axes(pts: np.ndarray):
@@ -390,76 +397,42 @@ def _lattice_axes(pts: np.ndarray):
     return None
 
 
-def _gauss_factors(sites: np.ndarray, coords: np.ndarray, h: float):
-    """1D Gaussian factors of the lattice sites against the sample coordinates.
+def _gauss_factors(sites: np.ndarray, coords: np.ndarray, h: float, derivative: bool = False):
+    """1D Gaussian factor of the sites against the coordinates.
 
-    Returns ``(q, e)``, shape (len(sites), len(coords)): the squared offsets
-    q = ((sites[a] - coords[i]) / h)^2 and e = exp(-q / 2). Beyond the
-    truncation, where every pair is masked out, e holds exp(-25 / 2) instead:
-    exponentials that underflow take NumPy's slow path, about 5x the time
-    per element on x86-64.
+    Returns g, shape (len(sites), len(coords)), with g[a, i] the unit-mass
+    1D Gaussian exp(-t^2 / 2h^2) / (sqrt(2 pi) h) at t = sites[a] -
+    coords[i]; with ``derivative``, the pair (g, g'), g' = -t g / h^2. The
+    exponent is clipped at _MIN_EXPONENT, so that no exponential, and no
+    product of two factors with a bin mass, leaves the normal range:
+    subnormal values take a slow path in NumPy and BLAS, several times the
+    time per element on x86-64.
     """
-    q = np.subtract.outer(sites, coords)
-    q /= h
-    q *= q
-    e = np.minimum(q, _GAUSS_TRUNC**2)
-    e *= -0.5
-    np.exp(e, out=e)
-    return q, e
+    t = np.subtract.outer(sites, coords)
+    g = t / h
+    g *= g
+    g *= -0.5
+    np.maximum(g, _MIN_EXPONENT, out=g)
+    np.exp(g, out=g)
+    g *= 1.0 / (math.sqrt(2.0 * math.pi) * h)
+    if not derivative:
+        return g
+    t *= g
+    t *= -1.0 / (h * h)
+    return g, t
 
 
 def _kde_lattice(data: np.ndarray, h: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Truncated Gaussian sums on the lattice xs times ys, in 1D factors.
-
-    exp(-(u^2 + v^2) / 2) = exp(-u^2 / 2) exp(-v^2 / 2), so the exponentials
-    cost (len(xs) + len(ys)) per sample instead of one per pair; per pair
-    only the disk mask u^2 <= 25 - v^2 and a multiply-add remain. The
-    samples are sorted by y and cut into chunks of at most
-    _PAIR_BUDGET // len(xs), whose x factors are computed once. Knot rows,
-    in increasing y, are taken in blocks of at most _DENSE_BLOCK pair slots,
-    each over the samples of the chunk within 5 h of it in y. Returns the
-    unnormalized sums, row-major.
-    """
-    mx, my = xs.size, ys.size
-    by_y = np.argsort(data[:, 1], kind="stable")
-    sx, sy = data[by_y, 0], data[by_y, 1]
-    rows = np.argsort(ys, kind="stable")
-    yr = ys[rows]
-    # the y window only has to hold every pair the mask keeps; widening it
-    # by a relative 1e-9 leaves the truncation decision to the mask alone
-    reach = _GAUSS_TRUNC * h * (1.0 + 1e-9)
-    sums = np.zeros((my, mx))
-    # scratch for one block's mask and masked x factors
-    mask_buf = np.empty(max(_DENSE_BLOCK, mx), dtype=bool)
-    term_buf = np.empty(mask_buf.size)
-    chunk = max(1, _PAIR_BUDGET // mx)
-    for c0 in range(0, sx.size, chunk):
-        cx, cy = sx[c0 : c0 + chunk], sy[c0 : c0 + chunk]
-        qx, ex = _gauss_factors(xs, cx, h)
-        lo = np.searchsorted(cy, yr - reach, side="left")
-        hi = np.searchsorted(cy, yr + reach, side="right")
-        r0 = 0
-        while r0 < my:
-            # the most rows from r0 whose joint window fits one block
-            r1 = r0 + 1
-            while r1 < my and (r1 + 1 - r0) * mx * (hi[r1] - lo[r0]) <= _DENSE_BLOCK:
-                r1 += 1
-            # a single row whose window does not fit takes it in slices
-            width = max(1, _DENSE_BLOCK // ((r1 - r0) * mx))
-            for w0 in range(lo[r0], hi[r1 - 1], width):
-                w = slice(w0, min(w0 + width, hi[r1 - 1]))
-                qy, ey = _gauss_factors(yr[r0:r1], cy[w], h)
-                shape = (r1 - r0, mx, qy.shape[1])
-                size = shape[0] * shape[1] * shape[2]
-                mask = np.less_equal(
-                    qx[None, :, w], (_GAUSS_TRUNC**2 - qy)[:, None, :],
-                    out=mask_buf[:size].reshape(shape),
-                )
-                masked = np.multiply(mask, ex[None, :, w], out=term_buf[:size].reshape(shape))
-                sums[rows[r0:r1]] += np.matmul(masked, ey[:, :, None])[:, :, 0]
-            r0 = r1
-        # free this chunk's factors before the next chunk's are built
-        del qx, ex
+    """Gaussian sums (1/n) sum_i g(x - x_i) g(y - y_i) on the lattice xs
+    times ys, row-major: Ey Ex^T for the 1D factors Ex and Ey of the
+    lattice lines against the samples (`_gauss_factors`), summed over
+    sample chunks of at most _FACTOR_BUDGET factors."""
+    sums = np.zeros((ys.size, xs.size))
+    chunk = max(1, _FACTOR_BUDGET // (xs.size + ys.size))
+    for c0 in range(0, data.shape[0], chunk):
+        c = data[c0 : c0 + chunk]
+        sums += _gauss_factors(ys, c[:, 1], h) @ _gauss_factors(xs, c[:, 0], h).T
+    sums /= data.shape[0]
     return sums.ravel()
 
 
@@ -478,33 +451,35 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kde_evaluate(samples, h: float, points: np.ndarray) -> np.ndarray:
     """Exact Gaussian kernel density estimate at arbitrary points.
 
-    Computes (1/n) sum_i K_h(x - x_i) with K_h(u) = h^-2 K(u/h), truncating
-    each kernel at 5 h (squared distance <= 25 h^2). Two paths give the
-    same sums, to rounding:
+    Computes (1/n) sum_i K_h(x - x_i) with K_h(u) = h^-2 K(u/h), K the
+    untruncated unit-mass Gaussian. Two paths give the same sums, to
+    rounding:
 
     - lattice, when the points are a tensor lattice in either axis order:
       x fastest, as `spline_knots` and the mesh dumps lay them out, or y
       fastest, as a continuum domain's geometric nodes are (see
       `_lattice_axes`; a y-fastest lattice is summed with x and y swapped,
-      which leaves the Gaussian unchanged). It factors into 1D exponentials
-      per lattice line and sample, so per pair only the truncation mask and
-      a multiply-add remain. Samples are taken in chunks of at most 8M x
-      factors and lattice rows in blocks of about 64k pair slots, over the
-      samples within 5 h of them in y;
+      which leaves the Gaussian unchanged). The Gaussian factors,
+      exp(-(u^2 + v^2) / 2) = exp(-u^2 / 2) exp(-v^2 / 2), so the sums are
+      the product Ey Ex^T of the 1D factors of the lattice lines against
+      the samples, over chunks of samples of at most 128k factors;
     - dense, for every other point set: squared distances dx^2 + dy^2 of a
       block of points to all samples (`_sq_distances`), about 64k pairs per
       block (a single point to all samples when n is larger).
       `KdeDensityField` takes its gradients in the same blocks.
 
     Memory is thus bounded, whatever n and h are: by blocks of max(64k, n)
-    pairs, and on a lattice also by one sample chunk's 8M x factors.
+    pairs, and on a lattice by one chunk's 128k factors and the m sums.
+    Exponents are clipped at -300 per 1D factor (-600 in the dense
+    blocks), which keeps every term in the normal range and moves no value
+    above 1e-100 h^-2 beyond rounding.
 
     Parameters
     ----------
     samples : SampleSet or ndarray
-        Sample cloud, shape (n, 2).
+        Sample cloud, shape (n, 2), finite.
     h : float
-        Bandwidth, > 0.
+        Bandwidth, finite and > 0.
     points : ndarray
         Evaluation points, shape (m, 2).
 
@@ -512,20 +487,19 @@ def kde_evaluate(samples, h: float, points: np.ndarray) -> np.ndarray:
     -------
     ndarray, shape (m,)
     """
-    if h <= 0:
-        raise ValidationError(f"bandwidth must be positive, got {h}")
+    h = _finite_bandwidth(h)
     pts = _as_points(points)
     data = _sample_array(samples)
     n = data.shape[0]
     m = pts.shape[0]
-    scale = 1.0 / (n * h * h)
     # a y-fastest lattice, such as a continuum domain's geometric nodes, is
     # the row-major lattice of (y, x), and the Gaussian is symmetric in x and
     # y, so the swapped sums come back in the caller's order
     for swap in (slice(None), slice(None, None, -1)):
         axes = _lattice_axes(pts[:, swap])
         if axes is not None:
-            return _kde_lattice(data[:, swap], h, *axes) * (scale / (2.0 * np.pi))
+            return _kde_lattice(data[:, swap], h, *axes)
+    scale = 1.0 / (n * h * h)
     out = np.empty(m)
     step = max(1, _DENSE_BLOCK // max(n, 1))
     for start in range(0, m, step):
@@ -551,24 +525,26 @@ def _kde_gradient(data: np.ndarray, h: float, pts: np.ndarray) -> np.ndarray:
 class KdeDensityField(DensityField):
     """Gaussian kernel density estimate as an evaluable field.
 
-    Values at points are the exact truncated sums of `kde_evaluate`: summed
-    in 1D Gaussian factors when the points are a tensor lattice in either
-    axis order, as the spline knots and a continuum domain's geometric
-    nodes are, and in dense distance blocks otherwise. Gradients are summed
-    in the same dense blocks. `on_mesh` switches to a binned FFT
-    convolution with the same truncated kernel, which is what the large
-    error studies rely on (the two paths are cross-checked in tests).
-    The positivity floor is 1e-3, that is 1e-3 times the uniform density,
-    the mean of any density on the unit square; it costs no evaluation.
+    Values at points are the exact sums of `kde_evaluate` with the
+    untruncated Gaussian: summed in 1D Gaussian factors when the points are
+    a tensor lattice in either axis order, as the spline knots and a
+    continuum domain's geometric nodes are, and in dense distance blocks
+    otherwise. Gradients are summed in the same dense blocks. `on_mesh`
+    bins the samples linearly onto the uniform D x D mesh, mass M (rows y),
+    and returns G M G^T, with G the mesh's D x D 1D Gaussian factor;
+    `gradient_on_mesh` puts the derivative factor G' in place of one G
+    (G M G'^T in x, G' M G^T in y). The large error studies rely on these
+    (the mesh and exact paths are cross-checked in tests). The positivity
+    floor is 1e-3, that is 1e-3 times the uniform density, the mean of any
+    density on the unit square; it costs no evaluation. The samples must be
+    finite and h finite and positive (`ValidationError` otherwise).
     """
 
     floor = _FLOOR_RATIO
 
     def __init__(self, samples, h: float):
-        if h <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {h}")
+        self.h = _finite_bandwidth(h)
         self.samples = _sample_array(samples)
-        self.h = float(h)
 
     def _values(self, pts):
         return kde_evaluate(self.samples, self.h, pts)
@@ -592,41 +568,19 @@ class KdeDensityField(DensityField):
         np.add.at(mass, (j0 + 1, i0 + 1), w * fx * fy)
         return mass
 
-    def _kernel_stencil(self, mesh_size: int, gradient: bool = False):
-        delta = 1.0 / (mesh_size - 1)
-        radius = _GAUSS_TRUNC * self.h
-        span = int(np.ceil(radius / delta))
-        offs = np.arange(-span, span + 1) * delta
-        ox, oy = np.meshgrid(offs, offs)
-        sq = (ox**2 + oy**2) / self.h**2
-        if not gradient:
-            return _gaussian(sq) / self.h**2
-        phi = _gaussian(sq) / self.h**4
-        return -ox * phi, -oy * phi
-
     def on_mesh(self, mesh_size: int) -> np.ndarray:
-        return _convolve_same(self._binned_mass(mesh_size), self._kernel_stencil(mesh_size))
+        sites = uniform_mesh(mesh_size)
+        g = _gauss_factors(sites, sites, self.h)
+        return g @ (self._binned_mass(mesh_size) @ g.T)
 
     def gradient_on_mesh(self, mesh_size: int) -> np.ndarray:
+        sites = uniform_mesh(mesh_size)
+        g, dg = _gauss_factors(sites, sites, self.h, derivative=True)
         mass = self._binned_mass(mesh_size)
-        sx, sy = self._kernel_stencil(mesh_size, gradient=True)
-        return np.stack([_convolve_same(mass, sx), _convolve_same(mass, sy)], axis=-1)
-
-
-def _convolve_same(mass: np.ndarray, stencil: np.ndarray) -> np.ndarray:
-    """`scipy.signal.fftconvolve(mass, stencil, mode="same")` on `scipy.fft`.
-
-    The same padded real FFTs in the same order, so the result is
-    bit-identical; importing `scipy.signal`, which loads `scipy.stats`, would
-    add about 0.25 s to the package import and so to every CLI start.
-    """
-    import scipy.fft as sp_fft
-
-    full = [m + s - 1 for m, s in zip(mass.shape, stencil.shape)]
-    fshape = [sp_fft.next_fast_len(k, True) for k in full]
-    conv = sp_fft.irfftn(sp_fft.rfftn(mass, fshape) * sp_fft.rfftn(stencil, fshape), fshape)
-    r0, c0 = ((k - m) // 2 for k, m in zip(full, mass.shape))
-    return conv[r0:r0 + mass.shape[0], c0:c0 + mass.shape[1]].copy()
+        out = np.empty((mesh_size, mesh_size, 2))
+        out[..., 0] = (g @ mass) @ dg.T
+        out[..., 1] = dg @ (mass @ g.T)
+        return out
 
 
 @dataclass(frozen=True)

@@ -403,16 +403,28 @@ _STAGE_TOL = 1e-2
 _SMOOTHING_RATIO = 10.0
 
 
+def _between_pins(weights: sp.csr_matrix, pins: np.ndarray) -> sp.coo_matrix:
+    """The weights' entries between two of the nodes ``pins``, each edge in
+    both directions, numbered by place in ``pins``."""
+    return weights[pins][:, pins].tocoo()
+
+
 def _start_values(graph: WeightedGraph, constraints: ConstraintSet):
     """Start field and the mask of the nodes whose components are solved.
 
-    A connected component is solved when its pins carry at least two
-    values. Every node of a component whose pins all agree takes that
-    value, its exact minimizer; every node of a pin-free component
-    (isolated nodes included) takes the constraint mean.
+    The components are those of the graph without its edges between two
+    pins, whose terms no value can change. A component is solved when its
+    pins carry at least two values, so its minimum energy is positive.
+    Every node of a component whose pins all agree takes that value, its
+    exact minimizer; every node of a pin-free component (isolated nodes
+    included) takes the constraint mean.
     """
     pins, vals = constraints.indices, constraints.values
-    ncomp, comp = sp.csgraph.connected_components(graph.weights, directed=False)
+    w = graph.weights
+    between = _between_pins(w, pins)
+    if between.nnz:
+        w = w - sp.csr_matrix((between.data, (pins[between.row], pins[between.col])), w.shape)
+    ncomp, comp = sp.csgraph.connected_components(w, directed=False)
     lo = np.full(ncomp, np.inf)
     hi = np.full(ncomp, -np.inf)
     np.minimum.at(lo, comp[pins], vals)
@@ -480,7 +492,10 @@ class _PinnedEdges:
 
     Only the nodes marked ``solved`` (see `_start_values`) are solved:
     ``free`` lists the unpinned ones, and every other node keeps its start
-    value. The edges (i < j) of the solved components are held as
+    value. An edge between two pinned nodes adds a constant, which is held
+    once as ``pinned_energy`` and left out of ``energy``, so that a
+    relative stop tol * E weighs only what a step can change. The other
+    edges (i < j) of the solved components are held as
     ``edges``, their places in the CSR arrays of the graph's weights, from
     which each sum over them reads j and w a block of rows at a time (see
     `_gaps`), and ``_lower`` holds the place of each edge's transpose (j, i)
@@ -508,12 +523,22 @@ class _PinnedEdges:
         self._weights = w
         idx = w.indices.dtype
         rows = np.repeat(np.arange(graph.n, dtype=idx), np.diff(w.indptr))
-        # the edges of the solved components, in the CSR order of the
-        # weights' upper triangle, and the count of their rows' entries
-        # below the diagonal
-        self.edges = np.flatnonzero((w.indices > rows) & solved[rows]).astype(idx)
-        below = np.count_nonzero((w.indices < rows) & solved[rows])
-        del rows
+        # sum_ij counts every edge twice
+        self.scale = 2.0 * _energy_scale(graph, p)
+        # an edge between two pins adds a constant no step can change: its
+        # energy is held once, as ``pinned_energy``
+        between = _between_pins(w, constraints.indices)
+        gaps = np.abs(constraints.values[between.row] - constraints.values[between.col])
+        self.pinned_energy = 0.5 * self.scale * float(np.dot(between.data, gaps**p))
+        pinned = np.zeros(graph.n, dtype=np.bool_)
+        pinned[constraints.indices] = True
+        # the other edges of the solved components, in the CSR order of the
+        # weights' upper triangle, and the places of the same rows' other
+        # entries below the diagonal, in CSR order
+        kept = solved[rows] & ~(pinned[rows] & pinned[w.indices])
+        self.edges = np.flatnonzero(kept & (w.indices > rows)).astype(idx)
+        lower = np.flatnonzero(kept & (w.indices < rows)).astype(idx)
+        del rows, kept
         # blocks of consecutive rows: the rows, their edges (node r's edges,
         # i = r, lie between offsets[r] and offsets[r + 1]) and edge counts,
         # and for `np.add.reduceat` the rows that hold any and where their
@@ -531,8 +556,6 @@ class _PinnedEdges:
         # the weighted degrees of the free nodes, for the p = 2 gradient
         self._degree = (w @ np.ones(graph.n))[self.free]
         self.n, self.p = graph.n, p
-        # sum_ij counts every edge twice
-        self.scale = 2.0 * _energy_scale(graph, p)
         self.smooth(s)
         nf, edges = self.free.size, self.edges.size
         self._coarse = None
@@ -555,22 +578,22 @@ class _PinnedEdges:
                 self._coarse = (agg, slot, swap, *pattern)
                 del a, b, inner, inner_slot, slot
         # ``_lower``: the place of each edge's transpose in the weights' CSR.
-        # Row j's entries left of the diagonal are the transposes of column
-        # j's edges, in the same order, so a counting sort of the edges by
-        # column (the CSC arrays of the upper triangle, holding each edge's
-        # number and row) puts the k-th edge of column j at indptr[j] + k
+        # The kept entries left of the diagonal, row j's in order, are the
+        # transposes of column j's edges in the same order, so a counting
+        # sort of the edges by column (the CSC arrays of the upper triangle,
+        # holding each edge's number and row) lines them up with ``lower``
         by_col = sp.csr_matrix((np.arange(edges, dtype=idx), w.indices[self.edges], offsets),
                                shape=w.shape).tocsc()
-        counts = np.diff(by_col.indptr)
-        place = np.repeat(w.indptr[:-1] - by_col.indptr[:-1], counts)
-        place += np.arange(edges, dtype=idx)
-        # each edge's transpose is where it is placed, and no other entry
-        # lies below the diagonal of a solved row
-        symmetric = (below == edges and np.all(counts <= np.diff(w.indptr))
-                     and np.array_equal(w.indices[place], by_col.indices))
-        self._lower = np.empty(edges, dtype=idx)
-        self._lower[by_col.data] = place
-        del by_col, place
+        # each edge's transpose is where it is placed, and no other kept
+        # entry lies below the diagonal
+        symmetric = (lower.size == edges
+                     and np.array_equal(np.diff(np.searchsorted(lower, w.indptr)),
+                                        np.diff(by_col.indptr))
+                     and np.array_equal(w.indices[lower], by_col.indices))
+        if symmetric:
+            self._lower = np.empty(edges, dtype=idx)
+            self._lower[by_col.data] = lower
+        del by_col, lower
         if not (symmetric and np.array_equal(w.data[self._lower], w.data[self.edges])):
             raise ValidationError(_ASYMMETRIC)
 
@@ -724,9 +747,10 @@ def minimize_discrete(
     """Minimize the graph energy with the constrained nodes held fixed.
 
     Only the connected components whose pins carry two or more values are
-    solved. Every node of a component whose pins agree takes their value,
-    and every other node (pin-free components, isolated nodes) keeps the
-    constraint mean.
+    solved, components of the graph without its edges between two pins
+    (see `_start_values`). Every node of a component whose pins agree takes
+    their value, and every other node (pin-free components, isolated
+    nodes) keeps the constraint mean.
 
     The solver is the damped Newton driver of `pdirichlet.solver`, for
     every p > 1. It starts from the p = 2 minimizer (one Newton step of the
@@ -761,6 +785,12 @@ def minimize_discrete(
     the bound is at most ``tol * (E_s - B)``, which is at most ``tol * E``.
     So for every p, ``tol`` is a relative energy-gap certificate.
 
+    In these stops E, E_s and B leave out the edges between two pins,
+    whose terms no step can change: the gap is weighed against the energy
+    the solve can lower. That constant is added back to the reported
+    ``energy`` and ``energies``, so ``energy`` is `discrete_energy` of the
+    result.
+
     Parameters
     ----------
     graph : WeightedGraph
@@ -778,9 +808,10 @@ def minimize_discrete(
         Never raised on: a run that ends on its budget or stalls returns its
         last iterate with ``converged`` False. ``energies`` holds the energy
         after every accepted step; for p < 2 these are the smoothed
-        energies, which never increase across stages either, followed by
-        the true energy. ``stop_reason`` is "converged", "budget" or
-        "stalled" (only the first is converged), and ``decrement`` the last
+        energies (the edges between two pins unsmoothed), which never
+        increase across stages either, followed by the true energy.
+        ``stop_reason`` is "converged", "budget" or "stalled" (only the
+        first is converged), and ``decrement`` the last
         gap bound: the decrement of the last Newton system solved, plus B
         for p < 2 (exact when converged; after a budget or stalled stop at
         p >= 2 possibly a lower bound from a loose solve).
@@ -791,11 +822,16 @@ def minimize_discrete(
     f, solved = _start_values(graph, constraints)
     s = float(np.ptp(constraints.values)) if p < 2.0 else 0.0
     problem = _PinnedEdges(graph, constraints, p, solved, s)
+    if not np.isfinite(problem.pinned_energy):
+        raise ValidationError(f"the p = {p:g} energy of the edges between pins overflows "
+                              "floating point")
     result = _newton(problem, f, tol, max_iter)
     if s:
         problem.smooth(0.0)
         result.energy = problem.energy(result.values)
         result.energies = np.append(result.energies, result.energy)
+    result.energy += problem.pinned_energy
+    result.energies += problem.pinned_energy
     return result
 
 

@@ -278,8 +278,8 @@ def test_cli_runs_leave_spatial_special_interpolate_optimize_and_fft_unloaded(tm
     # scipy.spatial, and with it scipy.special; the spline density is
     # evaluated by the package's own B-spline kernel, so no run below loads
     # scipy.interpolate (with scipy.optimize, about 0.05 s and 10 MB of a
-    # first spline fit); only the KDE mesh convolution of study-density
-    # loads scipy.fft
+    # first spline fit); the KDE's mesh values are products of 1D Gaussian
+    # factors, so study-density does not load scipy.fft either
     code = f"""
 import sys
 from pdirichlet.cli import run
@@ -300,13 +300,16 @@ assert loaded() == [], loaded()
 assert run(["study-minimizers", "--n", "8", "--T", "64", "--mesh", "16",
             "--points-per-patch", "4", "--tol", "0.01", "--out", {str(tmp_path / "s")!r}]) == 0
 assert loaded() == [], loaded()
+assert run(["study-density", "--n", "8", "--T", "64", "--mesh", "16",
+            "--out", {str(tmp_path / "sd")!r}]) == 0
+assert loaded() == [], loaded()
 assert run(["solve-discrete", "--n", "64", "--p", "2", "--k", "8",
             "--out", {str(tmp_path / "k")!r}]) == 0
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     for name in ("discrete_labels.csv", "density.csv", "continuum_field.csv",
-                 "study_minimizers.csv"):
+                 "study_minimizers.csv", "study_density.csv"):
         assert next(tmp_path.rglob(name)).stat().st_size > 0
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy import integrate
 from scipy.optimize import minimize
 from scipy.sparse.linalg import splu
 
@@ -30,6 +29,7 @@ from pdirichlet.density import (
 from pdirichlet.errors import ValidationError
 from pdirichlet.patches import build_patches
 from pdirichlet.solver import _pcg
+from point_pin import point_pin_minimizer
 from tensor_grid import quadrature_2d, tensor_diff_ops
 
 
@@ -473,26 +473,6 @@ def test_density_is_evaluated_once_per_geometric_node():
             assert at_nodes.tobytes() == per_copy.tobytes()
 
 
-def _point_pin_minimizer(p):
-    """The exact minimizer around a pin at (0.5, 0.5) with value 0, for p > 2.
-
-    On the uniform density u*(x) = r^a, a = (p - 2) / (p - 1), r = |x - c|,
-    is p-harmonic away from c, and a point has positive p-capacity for
-    p > 2, so u* is the minimizer on the square with boundary values u* and
-    that pin. Returns ``(u*, E*)``, E* = sigma int |grad u*|^p by polar
-    quadrature: the radial integral is a^(p-1) R(theta)^a, with R the
-    distance to the square's edge, and eight wedges of pi/4 fill the square.
-    """
-    a = (p - 2.0) / (p - 1.0)
-
-    def u(x, y):
-        return np.hypot(x - 0.5, y - 0.5) ** a
-
-    wedge, _ = integrate.quad(lambda t: (0.5 / np.cos(t)) ** a, 0.0, np.pi / 4.0,
-                              epsabs=1e-13, epsrel=1e-13)
-    return u, sigma_eta(p, "indicator") * a ** (p - 1.0) * 8.0 * wedge
-
-
 # sup error at the node copies and (E_h - E*) / E* at N = 16: 1.25 x the
 # readings of today's solver, rounded up
 _PIN_BOUNDS = {
@@ -506,7 +486,7 @@ _PIN_BOUNDS = {
 @pytest.mark.parametrize("p, tiles", sorted(_PIN_BOUNDS),
                          ids=[f"p{p:g}-{t[0]}x{t[1]}" for p, t in sorted(_PIN_BOUNDS)])
 def test_point_pin_solve_converges_to_the_exact_minimizer(p, tiles):
-    u, exact = _point_pin_minimizer(p)
+    u, exact = point_pin_minimizer(p)
     assert exact == pytest.approx({3.0: 0.626701, 5.0: 0.392401}[p], abs=1e-6)
     sup, rel = [], []
     for n in (8, 12, 16):

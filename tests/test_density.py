@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from scipy import integrate
 from scipy.interpolate import BSpline
 from scipy.sparse.linalg import spsolve
-from scipy.signal import fftconvolve
 from scipy.spatial.distance import cdist
 
 import pdirichlet.density as density_module
@@ -230,30 +229,36 @@ def test_sampling_uniform_cell_counts():
 
 
 def test_kernel_unit_mass():
-    # the gaussian is truncated at 5 bandwidths, so its mass budget is 1e-5
+    # the gaussian is untruncated: its mass beyond radius 40 is exp(-800)
     kernel = density_module._gaussian
-    mass, _ = integrate.quad(
-        lambda r: 2 * np.pi * r * kernel(np.array([r * r]))[0], 0, density_module._GAUSS_TRUNC
-    )
-    assert mass == pytest.approx(1.0, abs=1e-5)
-
-
-def test_gaussian_tail_mass_below_truncation_budget():
-    # 2D gaussian mass beyond 5 bandwidths
-    tail = np.exp(-(5.0**2) / 2.0)
-    assert tail < 1e-5
+    mass, _ = integrate.quad(lambda r: 2 * np.pi * r * kernel(np.array([r * r]))[0], 0, 40.0,
+                             epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_clipped_exponent_keeps_every_value():
-    # squared radii straddling the 5h truncation, down to where exp(-sq / 2)
-    # underflows to 0
-    edge = density_module._GAUSS_TRUNC**2
-    sq = np.concatenate([[0.0, 1.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 99.0)],
-                         np.linspace(edge - 3.0, edge + 3.0, 601), [1e3, 1e6, np.inf]])
-    reference = np.where(sq <= edge, np.exp(-sq / 2.0) / (2.0 * np.pi), 0.0)
+    # squared radii from 0 to past the clip at 1200 (exponent -600), where
+    # exp(-sq / 2) would leave the normal range
+    clip = -4.0 * density_module._MIN_EXPONENT
+    sq = np.concatenate([[0.0, 1.0, 25.0, np.nextafter(clip, 0.0), clip, np.nextafter(clip, 1e4)],
+                         np.linspace(clip - 30.0, clip + 30.0, 601), [1e4, 1e6, np.inf]])
+    reference = np.exp(-np.minimum(sq, clip) / 2.0) / (2.0 * np.pi)
     np.testing.assert_array_equal(density_module._gaussian(sq), reference)
-    np.testing.assert_array_equal(density_module._gaussian(sq.reshape(-1, 7)),
-                                  reference.reshape(-1, 7))
+    np.testing.assert_array_equal(density_module._gaussian(sq.reshape(-1, 10)),
+                                  reference.reshape(-1, 10))
+    np.testing.assert_array_equal(reference[sq < clip], np.exp(-sq[sq < clip] / 2.0) / (2.0 * np.pi))
+    # the 1D factors at the CLI's default bandwidth, across the square: no
+    # factor, and no product of two factors with the least bin mass of a
+    # 1536 mesh at n = 2^20, is subnormal
+    tiny = np.finfo(float).tiny
+    sites = np.linspace(0.0, 1.0, 1536)
+    g, dg = density_module._gauss_factors(sites, sites, 0.01, derivative=True)
+    least = g.min() ** 2 * 2.0**-20 * np.finfo(float).eps
+    assert least >= tiny and np.abs(dg[dg != 0.0]).min() >= tiny
+    t = np.subtract.outer(sites, sites)
+    exact = np.exp(-(t / 0.01) ** 2 / 2.0) / (np.sqrt(2.0 * np.pi) * 0.01)
+    kept = -(t / 0.01) ** 2 / 2.0 >= density_module._MIN_EXPONENT
+    np.testing.assert_allclose(g[kept], exact[kept], rtol=1e-13)
 
 
 def test_kde_peak_value_single_sample():
@@ -266,9 +271,9 @@ def test_kde_dense_blocks_match_brute_pair_sum(monkeypatch):
     rng = np.random.default_rng(8)
     data = rng.random((4000, 2))
     h = 0.05
-    # the first point sits on a sample (zero distance) and the last has no
-    # sample within the truncation radius
-    pts = np.vstack([data[:1], rng.random((51, 2)), [[2.0, 2.0]]])
+    # the first point sits on a sample (zero distance) and the last lies
+    # more than 14 bandwidths from every sample, far past a 5 h cut
+    pts = np.vstack([data[:1], rng.random((51, 2)), [[1.5, 1.5]]])
     # blocks of one point, of two points for three samples, and the default
     # blocks (16 points for 4000 samples), the last two with a remainder
     for block in (1, 7, density_module._DENSE_BLOCK):
@@ -279,11 +284,10 @@ def test_kde_dense_blocks_match_brute_pair_sum(monkeypatch):
 
 
 def _brute_kde(data, h, pts):
-    """The truncated pair sum, written out: every (point, sample) pair with
-    squared distance <= 25 h^2 contributes exp(-d^2 / 2h^2) / (2 pi n h^2)."""
+    """The untruncated pair sum, written out: every (point, sample) pair
+    contributes exp(-d^2 / 2h^2) / (2 pi n h^2)."""
     d2 = ((pts[:, None, :] - data[None, :, :]) ** 2).sum(axis=2)
-    terms = np.where(d2 <= 25.0 * h * h, np.exp(-d2 / (2.0 * h * h)), 0.0)
-    return terms.sum(axis=1) / (2.0 * np.pi * data.shape[0] * h * h)
+    return np.exp(-d2 / (2.0 * h * h)).sum(axis=1) / (2.0 * np.pi * data.shape[0] * h * h)
 
 
 def _row_major(xs, ys):
@@ -330,9 +334,9 @@ def test_kde_lattice_path_matches_brute_pair_sum(name, monkeypatch):
 @pytest.mark.parametrize(
     "budget, block",
     [
-        (8_000_000, 1 << 16),  # one chunk, row blocks of several rows
-        (11 * 37, 11 * 12),  # chunks of 37 samples, slices of 12 within a row
-        (1, 1),  # one sample per chunk and per slice
+        (8_000_000, 1 << 16),  # one chunk
+        (11 * 37, 11 * 12),  # chunks of 20 samples
+        (1, 1),  # one sample per chunk
     ],
 )
 def test_kde_lattice_chunks_and_row_blocks_match_brute_pair_sum(budget, block, monkeypatch):
@@ -343,23 +347,32 @@ def test_kde_lattice_chunks_and_row_blocks_match_brute_pair_sum(budget, block, m
     pts = _row_major(xs, ys)
     h = 0.05
     brute = _brute_kde(data, h, pts)
-    monkeypatch.setattr(density_module, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(density_module, "_FACTOR_BUDGET", budget)
+    # the dense blocks' size does not reach the lattice path
     monkeypatch.setattr(density_module, "_DENSE_BLOCK", block)
     _dense_path_fails(monkeypatch)
-    # within the pair budget (99 x 505 pairs) for the first case, above it otherwise
+    # within the factor budget (20 x 505 factors) for the first case, above it otherwise
     np.testing.assert_allclose(kde_evaluate(data, h, pts), brute, rtol=1e-12)
 
 
 @pytest.mark.parametrize("sample", [[0.5625, 0.25], [0.25, 0.5625]])
 def test_kde_lattice_keeps_a_sample_exactly_5h_away(sample):
-    # h and the offsets are binary fractions, so the distance is exactly 5 h
-    # along one axis and the pair sits on the truncation boundary
+    # h and the offsets are binary fractions, so the distance to the first
+    # lattice point is exactly 5 h along one axis, where a kernel cut at 5 h
+    # would end; the untruncated kernel counts every pair in full
     h = 0.0625
     pts = _row_major([0.25, 0.375], [0.25, 0.375])
     vals = kde_evaluate(np.array([sample]), h, pts)
     on_edge = np.exp(-12.5) / (2.0 * np.pi * h * h)
     assert vals[0] == pytest.approx(on_edge, rel=1e-12)
+    assert vals.min() > 0.0
     np.testing.assert_allclose(vals, _brute_kde(np.array([sample]), h, pts), rtol=1e-12)
+    # the dense path agrees: in this order the points are no lattice
+    order = [0, 3, 1, 2]
+    assert density_module._lattice_axes(pts[order]) is None
+    assert density_module._lattice_axes(pts[order][:, ::-1]) is None
+    dense = kde_evaluate(np.array([sample]), h, pts[order])
+    np.testing.assert_allclose(vals[order], dense, rtol=1e-12)
 
 
 def test_kde_y_fastest_lattice_takes_the_lattice_path(monkeypatch):
@@ -404,13 +417,31 @@ def test_kde_mesh_path_matches_exact_evaluation():
     np.testing.assert_allclose(approx, exact, rtol=2e-4, atol=2e-4)
 
 
-@pytest.mark.parametrize("mesh, width", [(2, 3), (33, 8), (257, 63), (300, 301)])
-def test_mesh_convolution_equals_scipy_signal(mesh, width):
+@pytest.mark.parametrize("mesh, n", [(2, 3), (33, 8), (257, 63), (300, 301)])
+def test_kde_mesh_products_match_a_brute_binned_pair_sum(mesh, n):
+    # every bin of the linearly binned mass is a point mass at its mesh
+    # site, and every (site, bin) pair adds mass times the 2D Gaussian
     rng = np.random.default_rng(mesh)
-    mass = rng.random((mesh, mesh))
-    stencil = rng.standard_normal((width, width))
-    same = fftconvolve(mass, stencil, mode="same")
-    assert np.array_equal(density_module._convolve_same(mass, stencil), same)
+    data = rng.random((n, 2))
+    data[0] = [1.0, 0.0]  # on the last column and the first row
+    field = KdeDensityField(data, h=0.08)
+    mass = field._binned_mass(mesh)
+    np.testing.assert_allclose(mass.sum(), 1.0, rtol=1e-14)
+    sites = np.linspace(0.0, 1.0, mesh)
+    value = np.zeros((mesh, mesh))
+    grad = np.zeros((mesh, mesh, 2))
+    for j, k in zip(*np.nonzero(mass)):
+        ty, tx = (sites - sites[j])[:, None], (sites - sites[k])[None, :]
+        term = mass[j, k] * np.exp(-(tx * tx + ty * ty) / (2.0 * 0.08**2)) / (2.0 * np.pi * 0.08**2)
+        value += term
+        grad[..., 0] -= tx / 0.08**2 * term
+        grad[..., 1] -= ty / 0.08**2 * term
+    got = field.on_mesh(mesh)
+    assert got.shape == (mesh, mesh)
+    np.testing.assert_allclose(got, value, rtol=0, atol=1e-13 * value.max())
+    got = field.gradient_on_mesh(mesh)
+    assert got.shape == (mesh, mesh, 2)
+    np.testing.assert_allclose(got, grad, rtol=0, atol=1e-13 * np.abs(grad).max())
 
 
 def test_kde_mass_on_fine_mesh():
@@ -454,7 +485,7 @@ def test_kde_gradient_blocks_match_brute_loop_in_bounded_memory():
     for k, x in enumerate(pts):
         diff = x - data
         sq = (diff**2).sum(axis=1) / (h * h)
-        phi = np.where(sq <= 25.0, np.exp(-sq / 2.0) / (2.0 * np.pi), 0.0)
+        phi = np.exp(-sq / 2.0) / (2.0 * np.pi)
         brute[k] = -(diff * phi[:, None]).sum(axis=0) / (data.shape[0] * h**4)
     np.testing.assert_allclose(grad, brute, rtol=1e-14, atol=1e-14 * np.abs(brute).max())
 
@@ -466,6 +497,19 @@ def test_kde_floor_active_far_from_samples():
     assert field.value_at(far)[0] == pytest.approx(field.floor)
     np.testing.assert_array_equal(field.gradient_at(far), [[0.0, 0.0]])
     assert field.value_at(far, clip=False)[0] < field.floor
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kde_rejects_non_finite_bandwidths_and_samples(bad):
+    # a NaN sample would poison every value of the untruncated sums
+    data = np.random.default_rng(3).random((20, 2))
+    corrupt = data.copy()
+    corrupt[7, 1] = bad
+    for h, cloud in ((bad, data), (0.1, corrupt)):
+        with pytest.raises(ValidationError):
+            kde_evaluate(cloud, h, [[0.5, 0.5]])
+        with pytest.raises(ValidationError):
+            KdeDensityField(cloud, h)
 
 
 # --------------------------------------------------------------------- spline

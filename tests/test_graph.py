@@ -28,6 +28,7 @@ from pdirichlet.graph import (
     minimize_discrete,
     solve_p2_direct,
 )
+from point_pin import point_pin_minimizer
 
 
 def _path_points(n, spacing=0.3):
@@ -305,6 +306,84 @@ def test_smoothed_solve_reports_the_true_energy():
     assert res.decrement <= 1e-3 * res.energy
 
 
+def test_discrete_stop_leaves_out_the_edges_between_pins():
+    # twelve pins within epsilon of each other, labelled 0 and 1 in turn:
+    # their edges hold 98-99.7 % of E, and a stop at tol * E would let the
+    # gap to the minimum exceed tol times the energy any step can change
+    rng = np.random.default_rng(2)
+    cluster = 0.5 + 0.01 * rng.standard_normal((12, 2))
+    pts = np.vstack([cluster, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+                     rng.random((200, 2))])
+    cons = ConstraintSet(indices=np.arange(16),
+                         values=np.r_[np.tile([0.0, 1.0], 6), [0.2, 0.8, 0.4, 0.6]])
+    graph = build_epsilon_graph(pts, 0.1)
+    w = sp.triu(graph.weights, k=1).tocoo()
+    both = (w.row < 16) & (w.col < 16)
+    labels = np.zeros(graph.n)
+    labels[cons.indices] = cons.values
+    for p in (5.0, 8.0):
+        gaps = np.abs(labels[w.row[both]] - labels[w.col[both]])
+        pinned = 2.0 * float(w.data[both] @ gaps**p) / (graph.epsilon**p * graph.n**2)
+        f, solved = _start_values(graph, cons)
+        problem = _PinnedEdges(graph, cons, p, solved, 0.0)
+        assert problem.pinned_energy == pytest.approx(pinned, rel=1e-12)
+        exact = minimize_discrete(graph, cons, p, tol=1e-12).energy
+        assert pinned / exact > 0.97
+        for tol in (1e-3, 1e-4):
+            res = minimize_discrete(graph, cons, p, tol=tol)
+            assert res.converged
+            assert res.energy - exact <= tol * (exact - pinned), (p, tol)
+            assert res.energy == pytest.approx(discrete_energy(graph, res.values, p), rel=1e-12)
+            assert np.all(np.diff(res.energies) <= 0.0)
+    # past floating point, their energy is an error, as a start's is
+    small = build_epsilon_graph(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]), 0.15)
+    with pytest.raises(ValidationError, match="between pins"):
+        minimize_discrete(small, ConstraintSet(indices=[0, 1, 3], values=[0.0, 1.0, 0.9]), 376.0)
+
+
+# l2 error over the unpinned nodes and sup error over those with r > 2
+# epsilon at n = 16384, per (p, seed): 1.25 x the readings of today's
+# solver, rounded up at the third digit
+_DISCRETE_PIN_BOUNDS = {
+    (3.0, 1): (4.44e-3, 2.63e-2),
+    (3.0, 2): (5.49e-3, 2.06e-2),
+    (5.0, 1): (2.55e-3, 1.04e-2),
+    (5.0, 2): (3.39e-3, 1.38e-2),
+}
+
+
+@pytest.mark.parametrize("p", [3.0, 5.0])
+def test_point_pin_solve_approaches_the_exact_minimizer(p):
+    # a uniform cloud plus the centre, default epsilon, every node within
+    # epsilon of the edge or of the centre pinned to u*: the errors fall
+    # about like epsilon. Pinning the centre alone lets the minimizer lift
+    # its neighbourhood and undercut u* at every n
+    u, _ = point_pin_minimizer(p)
+    l2, sup = {}, {}
+    for n in (4096, 16384):
+        eps = default_epsilon(n, p)
+        for seed in (1, 2):
+            cloud = sample_density(reference_density("rho1"), n - 1, seed).points
+            pts = np.vstack([cloud, [[0.5, 0.5]]])
+            r = np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5)
+            pinned = (np.minimum(pts, 1.0 - pts).min(axis=1) < eps) | (r < eps)
+            target = u(pts[:, 0], pts[:, 1])
+            pins = np.flatnonzero(pinned)
+            res = minimize_discrete(build_epsilon_graph(pts, eps),
+                                    ConstraintSet(pins, target[pins]), p, tol=1e-8)
+            assert res.converged
+            err = np.abs(res.values - target)
+            l2[n, seed] = np.sqrt(np.mean(err[~pinned] ** 2))
+            sup[n, seed] = err[~pinned & (r > 2.0 * eps)].max()
+    for seed in (1, 2):
+        assert l2[4096, seed] > l2[16384, seed]
+        l2_bound, sup_bound = _DISCRETE_PIN_BOUNDS[p, seed]
+        assert l2[16384, seed] <= l2_bound and sup[16384, seed] <= sup_bound
+    # at p = 3 seed 1's sup error stays at 0.021 over this range, so the
+    # larger of the two seeds' is the one required to fall
+    assert max(sup[4096, s] for s in (1, 2)) > max(sup[16384, s] for s in (1, 2))
+
+
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_pinned_edges_hessian_matches_gradient_differences(s):
     rng = np.random.default_rng(13)
@@ -337,9 +416,12 @@ def test_pinned_edges_lower_places_hold_the_transposes(kind):
     problem = _PinnedEdges(graph, cons, 2.0, solved, 0.0)
     w = graph.weights
     rows = np.repeat(np.arange(graph.n, dtype=w.indices.dtype), np.diff(w.indptr))
-    # the edges are the solved components' upper triangle, in CSR order
+    # the edges are the solved components' upper triangle less the edges
+    # between two pins, in CSR order
+    pinned = np.zeros(graph.n, dtype=bool)
+    pinned[cons.indices] = True
     upper = sp.triu(w, k=1).tocoo()
-    keep = solved[upper.row]
+    keep = solved[upper.row] & ~(pinned[upper.row] & pinned[upper.col])
     i, j = rows[problem.edges], w.indices[problem.edges]
     np.testing.assert_array_equal(i, upper.row[keep])
     np.testing.assert_array_equal(j, upper.col[keep])
@@ -350,8 +432,9 @@ def test_pinned_edges_lower_places_hold_the_transposes(kind):
     np.testing.assert_array_equal(rows[lower], j)
     np.testing.assert_array_equal(w.indices[lower], i)
     np.testing.assert_array_equal(w.data[lower], w.data[problem.edges])
-    np.testing.assert_array_equal(np.sort(lower),
-                                  np.flatnonzero((w.indices < rows) & solved[rows]))
+    np.testing.assert_array_equal(
+        np.sort(lower),
+        np.flatnonzero((w.indices < rows) & solved[rows] & ~(pinned[rows] & pinned[w.indices])))
     # so the p = 2 Hessian is the free block of the weights' Laplacian, with
     # curvature p (p - 1) scale w
     hess = problem.hessian(f, 2.0, 1e-12)[0]
@@ -378,14 +461,15 @@ def test_exponent_2_system_does_not_depend_on_the_iterate(monkeypatch, kind):
     np.testing.assert_array_equal(m1(r), m2(r))
 
 
-def _smoothed_edge_sums(graph, solved, f, p, s):
-    """Edge by edge over the upper triangle of the ``solved`` nodes, under
-    `_PinnedEdges`' normalization: the energy with |t|^p smoothed to (t^2 + s^2)^(p/2), its
+def _smoothed_edge_sums(graph, solved, f, p, s, pins):
+    """Edge by edge over the upper triangle of the ``solved`` nodes, less
+    the edges between two of the nodes ``pins``, under `_PinnedEdges`'
+    normalization: the energy with |t|^p smoothed to (t^2 + s^2)^(p/2), its
     gradient at every node, and the matrix C of its Hessian's edge
     curvatures (the Hessian is diag(C 1) - C). A tie (t = 0 at s = 0)
     adds 0 to the gradient; the curvatures need none."""
     upper = sp.triu(graph.weights, k=1).tocoo()
-    keep = solved[upper.row]
+    keep = solved[upper.row] & ~(np.isin(upper.row, pins) & np.isin(upper.col, pins))
     i, j, w = upper.row[keep], upper.col[keep], upper.data[keep]
     t = f[i] - f[j]
     u2 = t * t + s * s
@@ -412,7 +496,7 @@ def test_pinned_edges_gradient_and_hessian_match_edge_by_edge_sums(p):
     for s in (0.0, 0.3):
         problem = _PinnedEdges(graph, cons, p, solved, s)
         free = problem.free
-        _, grad, curv = _smoothed_edge_sums(graph, solved, f, p, s)
+        _, grad, curv = _smoothed_edge_sums(graph, solved, f, p, s, cons.indices)
         if not s:
             grad = discrete_energy_gradient(graph, f, p)
         np.testing.assert_allclose(problem.gradient(f, p), grad[free], rtol=1e-12,
@@ -441,7 +525,7 @@ def test_pinned_edges_at_tied_values(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if p < 2.0:
-            energy, grad, _ = _smoothed_edge_sums(graph, solved, f, p, problem.s)
+            energy, grad, _ = _smoothed_edge_sums(graph, solved, f, p, problem.s, cons.indices)
             assert problem.energy(f) == pytest.approx(energy, rel=1e-12)
             np.testing.assert_allclose(problem.gradient(f, p), grad[free], rtol=1e-12,
                                        atol=1e-12 * np.abs(grad[free]).max())
@@ -451,7 +535,8 @@ def test_pinned_edges_at_tied_values(p):
             np.testing.assert_allclose(problem.gradient(f, p), grad, rtol=1e-12,
                                        atol=1e-12 * np.abs(grad).max())
         # the unsolved components hold constants, so they add no energy
-        assert problem.energy(f) == pytest.approx(discrete_energy(graph, f, p), rel=1e-12)
+        assert problem.energy(f) + problem.pinned_energy == pytest.approx(
+            discrete_energy(graph, f, p), rel=1e-12)
 
 
 def test_minimizer_deterministic():
