@@ -1,7 +1,10 @@
 """Command-line entry point: subcommands, artifacts, and manifests.
 
-Every subcommand parses flags (which mirror config-file keys one to one,
-with flags taking precedence), runs one pipeline, writes CSV artifacts plus
+Every subcommand takes `--config FILE` and one flag per config-file key
+but `subcommand`, derived from the key table `config._KEYS`: the key
+spelled `--key` with `_` as `-`, its description as the help text, and
+`svg` a switch. Flags take precedence over the file. A subcommand parses
+them into one validated config, runs one pipeline, writes CSV artifacts plus
 a manifest listing the full configuration, its hash, the seeds, and the
 library versions, and prints a one-line summary per stage; both solve
 subcommands print the same `solve:` line, and `solve-continuum` pins the
@@ -24,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import RunConfig, config_hash, config_text, parse_config
+from .config import _KEYS, RunConfig, config_hash, config_text, parse_config
 from .continuum import ContinuumProblem, minimize_continuum
 from .csvio import Table, _write_text, write_csv
 from .density import (
@@ -36,7 +39,7 @@ from .density import (
     skde_fit,
     spline_knots,
 )
-from .errors import ConfigError, PDirichletError
+from .errors import PDirichletError
 from .experiments import (
     StudyConfig,
     _lattice_domain,
@@ -67,24 +70,6 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * 2**20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
-# flag name on the command line -> config-file key
-_FLAG_KEYS = (
-    ("--density", "density", "source density: rho1, rho2, or rho3"),
-    ("--n", "n", "sample count (studies sweep n/4, n, 4n)"),
-    ("--h", "h", "kernel bandwidth (single-run subcommands; studies use the built-in schedule)"),
-    ("--T", "T", "spline knot count, a perfect square"),
-    ("--lambda", "lambda", "spline roughness penalty weight"),
-    ("--p", "p", "energy exponent"),
-    ("--epsilon", "epsilon", "graph connection radius (excludes --k)"),
-    ("--k", "k", "neighbor count for a kNN graph (excludes --epsilon)"),
-    ("--tol", "tol", "solver tolerance (relative energy gap for the Newton solvers)"),
-    ("--seed", "seed", "RNG seed (studies use seed..seed+4)"),
-    ("--out", "out", "output directory"),
-    ("--mesh", "mesh", "evaluation mesh size per dimension"),
-    ("--points-per-patch", "points_per_patch", "collocation points per patch per dimension"),
-)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -104,9 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None, help="key=value config file")
-        for flag, key, help_line in _FLAG_KEYS:
-            cmd.add_argument(flag, dest=f"key_{key}", default=None, metavar="V", help=help_line)
-        cmd.add_argument("--svg", action="store_true", help="also emit SVG line charts (studies)")
+        for key, (_, caster, description) in _KEYS.items():
+            if key != "subcommand":
+                kind = {"action": "store_true"} if caster is None else {"metavar": "V"}
+                cmd.add_argument("--" + key.replace("_", "-"), default=None, help=description,
+                                 **kind)
     return parser
 
 
@@ -284,11 +271,6 @@ def _cmd_solve_continuum(config: RunConfig) -> None:
 def _cmd_study(config: RunConfig) -> None:
     """Run the subcommand's study over n/4, n, 4n and seeds seed..seed+4."""
     out = _out_dir(config)
-    if config.n % 4 != 0:
-        raise ConfigError(
-            f"config key 'n' = {config.n} rejected: studies sweep n/4, n, 4n, "
-            "so n must be divisible by 4"
-        )
     n_values = (config.n // 4, config.n, config.n * 4)
     seeds = tuple(range(config.seed, config.seed + 5))
     minimizers = config.subcommand == "study-minimizers"
@@ -443,11 +425,8 @@ def _fix_malloc_thresholds() -> None:
 def run(argv=None) -> int:
     _fix_malloc_thresholds()
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, f"key_{key}") for _, key, _ in _FLAG_KEYS}
-    if args.svg:
-        overrides["svg"] = "true"
     try:
-        config = parse_config(args.config, subcommand=args.subcommand, overrides=overrides)
+        config = parse_config(args.config, overrides={key: getattr(args, key) for key in _KEYS})
         _HANDLERS[config.subcommand](config)
     except PDirichletError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)

@@ -76,24 +76,29 @@ class RunConfig:
     svg: bool = False
 
 
-# config-file key -> (dataclass field, parser, description of accepted values)
+# config-file key -> (dataclass field, parser, description); the CLI takes
+# each key but `subcommand` as the flag --key (`_` spelled `-`), with the
+# description as its help, and range errors quote it as what was expected
 _KEYS = {
     "subcommand": ("subcommand", str, "one of " + ", ".join(SUBCOMMANDS)),
-    "density": ("density", str, "one of " + ", ".join(_DENSITIES)),
-    "n": ("n", int, f"integer >= 1 with at most {_MAX_POINTS} points per cloud "
-          "(studies draw 4n)"),
-    "h": ("h", float, "real > 0"),
-    "T": ("T", int, f"perfect square in [16, {_MAX_KNOTS}]"),
-    "lambda": ("lam", float, "real > 0"),
-    "p": ("p", float, "real >= 1 (> 2 for the continuum solver)"),
-    "epsilon": ("epsilon", float, "real > 0"),
-    "k": ("k", int, "integer >= 1"),
-    "tol": ("tol", float, "real > 0"),
-    "seed": ("seed", int, "integer >= 0"),
+    "density": ("density", str, "source density, one of " + ", ".join(_DENSITIES)),
+    "n": ("n", int, f"sample count, an integer >= 1 with at most {_MAX_POINTS} points per "
+          "cloud (studies sweep n/4, n, 4n, so they draw 4n and need n divisible by 4)"),
+    "h": ("h", float, "kernel bandwidth, a real > 0 (single-run subcommands; studies use "
+          "the built-in schedule)"),
+    "T": ("T", int, f"spline knot count, a perfect square in [16, {_MAX_KNOTS}]"),
+    "lambda": ("lam", float, "spline roughness penalty weight, a real > 0"),
+    "p": ("p", float, "energy exponent, a real >= 1 (> 2 for the continuum solver)"),
+    "epsilon": ("epsilon", float, "graph connection radius, a real > 0 (excludes k)"),
+    "k": ("k", int, "neighbor count for a kNN graph, an integer >= 1 (excludes epsilon)"),
+    "tol": ("tol", float, "solver tolerance, a real > 0 (relative energy gap for the "
+            "Newton solvers)"),
+    "seed": ("seed", int, "RNG seed, an integer >= 0 (studies use seed..seed+4)"),
     "out": ("out", str, "output directory"),
-    "mesh": ("mesh", int, "integer in [4, 1536]"),
-    "points_per_patch": ("points_per_patch", int, "integer in [4, 40]"),
-    "svg": ("svg", None, "true or false"),
+    "mesh": ("mesh", int, "evaluation mesh size per dimension, an integer in [4, 1536]"),
+    "points_per_patch": ("points_per_patch", int, "collocation points per patch per "
+                         "dimension, an integer in [4, 40]"),
+    "svg": ("svg", None, "also emit SVG line charts (studies): true or false"),
 }
 _FIELD_TO_KEY = {field: key for key, (field, _, _) in _KEYS.items()}
 
@@ -134,9 +139,13 @@ def validate(config: RunConfig) -> RunConfig:
     if c.density not in _DENSITIES:
         raise _fail("density", c.density)
     # studies sweep n/4, n, 4n
-    points = 4 * c.n if c.subcommand.startswith("study-") else c.n
+    study = c.subcommand.startswith("study-")
+    points = 4 * c.n if study else c.n
     if not 1 <= points <= _MAX_POINTS:
         raise _fail("n", c.n)
+    if study and c.n % 4:
+        raise ConfigError(f"config key 'n' = {c.n} rejected: studies sweep n/4, n, 4n, "
+                          "so n must be divisible by 4")
     # nan fails every comparison and inf passes every lower bound, so the
     # range checks below cannot catch them
     for key in ("h", "lambda", "p", "epsilon", "tol"):

@@ -362,8 +362,8 @@ def nonlocal_energy(
     axis-aligned box (the second still ranges over the whole square), which
     isolates the bulk value from boundary effects.
     """
-    if epsilon <= 0.0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValidationError(f"epsilon must be positive and finite, got {epsilon}")
     if x_cells < 4:
         raise ValidationError(f"x_cells must be at least 4, got {x_cells}")
     if cells_per_radius < 2:

@@ -515,10 +515,16 @@ def _kde_gradient(data: np.ndarray, h: float, pts: np.ndarray) -> np.ndarray:
     step = max(1, _DENSE_BLOCK // max(n, 1))
     for start in range(0, pts.shape[0], step):
         block = pts[start : start + step]
-        diff = block[:, None, :] - data[None, :, :]
-        sq = (diff**2).sum(axis=2) / (h * h)
+        dx = np.subtract.outer(block[:, 0], data[:, 0])
+        dy = np.subtract.outer(block[:, 1], data[:, 1])
+        sq = dx * dx
+        sq += dy * dy
+        sq /= h * h
         phi = _gaussian(sq)
-        out[start : start + step] = -(diff * phi[:, :, None]).sum(axis=1) * scale
+        dx *= phi
+        dy *= phi
+        out[start : start + step, 0] = -dx.sum(axis=1) * scale
+        out[start : start + step, 1] = -dy.sum(axis=1) * scale
     return out
 
 

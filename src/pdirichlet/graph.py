@@ -341,13 +341,21 @@ _ASYMMETRIC = "graph weights must be symmetric, each edge stored in both directi
 
 
 def _energy_scale(graph: WeightedGraph, p: float) -> float:
-    return 1.0 / (graph.epsilon**p * graph.n**2)
+    """1 / (eps^p n^2); `ValidationError` where it is no finite positive float."""
+    try:
+        scale = 1.0 / (float(graph.epsilon) ** float(p) * graph.n**2)
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise ValidationError(f"the energy scale 1 / (eps^p n^2) at p = {p:g}, "
+                              f"eps = {graph.epsilon:g} leaves floating point")
+    return scale
 
 
 def _node_values(graph: WeightedGraph, values: np.ndarray, p: float) -> np.ndarray:
     """The node values as floats, checked against the graph and the exponent."""
-    if p < 1:
-        raise ValidationError(f"exponent p must be >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValidationError(f"exponent p must be finite and >= 1, got {p}")
     f = np.asarray(values, dtype=float)
     if f.shape != (graph.n,):
         raise ValidationError(f"expected {graph.n} node values, got shape {f.shape}")
@@ -816,8 +824,8 @@ def minimize_discrete(
         for p < 2 (exact when converged; after a budget or stalled stop at
         p >= 2 possibly a lower bound from a loose solve).
     """
-    if p <= 1:
-        raise ValidationError(f"the discrete minimizer needs p > 1, got p = {p}")
+    if not (math.isfinite(p) and p > 1):
+        raise ValidationError(f"the discrete minimizer needs a finite p > 1, got p = {p}")
     constraints.check_against(graph.n)
     f, solved = _start_values(graph, constraints)
     s = float(np.ptp(constraints.values)) if p < 2.0 else 0.0

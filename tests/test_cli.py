@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 import pdirichlet
 from pdirichlet import cli
 from pdirichlet.cli import run
-from pdirichlet.config import RunConfig
+from pdirichlet.config import _KEYS, SUBCOMMANDS, RunConfig
 from pdirichlet.csvio import Table, read_csv, write_csv
 from pdirichlet.density import reference_density
 from pdirichlet.experiments import StudyConfig, constraint_labels, label_value, minimizer_comparison
@@ -219,6 +220,40 @@ def test_large_p_continuum_ends_with_a_validation_error(tmp_path, capsys):
         code = run(["solve-continuum", *TINY, "--p", "400", "--out", str(tmp_path)])
     assert code == 3
     assert "p = 400 energy of the start overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--p", "330", "--epsilon", "0.1"],
+                                  ["--p", "400", "--epsilon", "10"]])
+def test_large_p_discrete_ends_with_a_validation_error(tmp_path, capsys, args):
+    # the graph energy's scale 1 / (eps^p n^2) leaves floating point
+    assert run(["solve-discrete", "--n", "64", *args, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[validation]: the energy scale") and err.count("\n") == 1
+
+
+def test_every_subcommand_takes_one_flag_per_config_key(tmp_path):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == SUBCOMMANDS
+    expected = ["--config"] + ["--" + key.replace("_", "-") for key in _KEYS if key != "subcommand"]
+    for parser in sub.choices.values():
+        flags = [flag for action in parser._actions for flag in action.option_strings]
+        assert flags == ["-h", "--help", *expected]
+    # every key set by flags, then by a config file: the same manifest
+    settings = {"density": "rho3", "n": "48", "h": "0.2", "T": "256", "lambda": "1e-4",
+                "p": "2.5", "epsilon": "0.2", "tol": "0.001", "seed": "9", "mesh": "32",
+                "points_per_patch": "6", "out": str(tmp_path / "flags")}
+    assert set(settings) | {"subcommand", "k", "svg"} == set(_KEYS)
+    flags = [item for key, value in settings.items()
+             for item in ("--" + key.replace("_", "-"), value)]
+    assert run(["sample", *flags, "--svg"]) == 0
+    by_flags = (tmp_path / "flags" / "sample_manifest.txt").read_text()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()) + "svg=true\n")
+    assert run(["sample", "--config", str(cfg)]) == 0
+    by_file = (tmp_path / "flags" / "sample_manifest.txt").read_text()
+    assert "config_hash=" in by_flags and "svg=true" in by_flags
+    assert by_file == by_flags
 
 
 def test_config_file_flags_precedence(tmp_path):

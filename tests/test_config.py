@@ -185,3 +185,17 @@ def test_graph_size_capped_for_memory(tmp_path, capsys):
     assert parse_config_text("n=131072\n", subcommand="sample").n == 131072
     assert run(["solve-discrete", "--n", "1000000", "--out", str(tmp_path)]) == 2
     assert "edges; at most 1.2e+07 fit in memory" in capsys.readouterr().err
+
+
+def test_study_n_divisible_by_four_checked_at_parse_time(tmp_path, capsys):
+    for sub in ("study-density", "study-minimizers"):
+        with pytest.raises(ConfigError, match="'n' = 30 rejected: .* divisible by 4"):
+            parse_config_text("n=30\n", subcommand=sub)
+    # single runs take any n
+    assert parse_config_text("n=30\n", subcommand="sample").n == 30
+    # a config file with a bad n fails before any output directory is made
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n=30\nout={tmp_path / 'out'}\n")
+    assert run(["study-density", "--config", str(cfg)]) == 2
+    assert "divisible by 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -723,8 +723,9 @@ def test_validation_errors():
         ContinuumProblem(domain=prob.domain, density=prob.density, p=1.5)
     with pytest.raises(ValidationError):
         local_energy(np.zeros(3), prob)
-    with pytest.raises(ValidationError):
-        nonlocal_energy(lambda q: q[:, 0], prob.density, -0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            nonlocal_energy(lambda q: q[:, 0], prob.density, bad)
     with pytest.raises(ValidationError):
         nonlocal_energy(lambda q: q[:, 0], prob.density, 1e-5)
     with pytest.raises(ValidationError):

@@ -335,10 +335,11 @@ def test_discrete_stop_leaves_out_the_edges_between_pins():
             assert res.energy - exact <= tol * (exact - pinned), (p, tol)
             assert res.energy == pytest.approx(discrete_energy(graph, res.values, p), rel=1e-12)
             assert np.all(np.diff(res.energies) <= 0.0)
-    # past floating point, their energy is an error, as a start's is
+    # past floating point, their energy is an error, as a start's is; at
+    # p = 375 the scale 1 / (eps^p n^2) is still finite, 5.8e307
     small = build_epsilon_graph(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]), 0.15)
     with pytest.raises(ValidationError, match="between pins"):
-        minimize_discrete(small, ConstraintSet(indices=[0, 1, 3], values=[0.0, 1.0, 0.9]), 376.0)
+        minimize_discrete(small, ConstraintSet(indices=[0, 1, 3], values=[0.0, 1.0, 0.9]), 375.0)
 
 
 # l2 error over the unpinned nodes and sup error over those with r > 2
@@ -670,6 +671,26 @@ def test_validation_and_constraint_errors():
         minimize_discrete(g, cons, p=2.0)
     with pytest.raises(ValidationError):
         minimize_discrete(g, ConstraintSet(indices=[0], values=[1.0]), p=1.0)
+
+
+def test_energy_scale_out_of_floating_point_is_a_validation_error():
+    # 1 / (eps^p n^2): eps^p underflows to 0 at p = 330, eps = 0.1, and
+    # overflows at p = 400, eps = 10
+    pts = np.random.default_rng(4).random((50, 2))
+    g = build_epsilon_graph(pts, epsilon=0.1)
+    cons = ConstraintSet(indices=[0, 1], values=[0.0, 1.0])
+    for graph, p in ((g, 330.0), (replace(g, epsilon=10.0), 400.0)):
+        for call in (lambda: discrete_energy(graph, np.zeros(50), p),
+                     lambda: discrete_energy_gradient(graph, np.zeros(50), p),
+                     lambda: minimize_discrete(graph, cons, p)):
+            with pytest.raises(ValidationError, match=f"p = {p:g}, eps = {graph.epsilon:g}"):
+                call()
+    # a non-finite exponent is rejected before any energy is summed
+    for p in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite p > 1"):
+            minimize_discrete(g, cons, p)
+        with pytest.raises(ValidationError, match="finite and >= 1"):
+            discrete_energy(g, np.zeros(50), p)
 
 
 def _three_nodes(entries, weights=None):
